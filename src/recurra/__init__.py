@@ -27,7 +27,6 @@ from .recurrence import (
     window_det,
 )
 from .pisano import (
-    CapExceeded,
     DiagnosisResult,
     PeriodResult,
     PrimeTooLarge,
@@ -56,7 +55,7 @@ from .quaternions import LQuaternion, QuatAlgebra, Quaternion, l_quaternion
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "BadCoefficient", "BadShape", "CapExceeded", "CipherKey",
+    "Alphabet", "BadCoefficient", "BadShape", "CipherKey",
     "DegenerateExponent", "DiagnosisResult", "LQuaternion", "LSpec", "Matrix",
     "ModulusMismatch", "NotInvertible", "PeriodResult", "PrimeTooLarge",
     "QuatAlgebra", "Quaternion", "Rational", "Residue", "SequenceSpec",

@@ -17,7 +17,7 @@ from math import gcd
 
 from .ringcore import Matrix
 from .recurrence import SequenceSpec, companion
-from .pisano import DEFAULT_STEP_CAP, matrix_order
+from .pisano import matrix_order
 
 
 class BadShape(ValueError):
@@ -198,17 +198,12 @@ def decrypt(key: CipherKey, block: Matrix) -> Matrix:
     return (d_inv ** key.exponent) @ block
 
 
-def decrypt_via_period(key: CipherKey, block: Matrix,
-                       step_cap: int | None = None) -> Matrix:
-    """Cross-check route: D^{-n} = D^{pi(N) - (n mod pi(N))}.
-
-    Walks pi(N) by iterated multiplication, so it can be far slower than
-    decrypt(); step_cap bounds the walk (CapExceeded beyond it).
-    """
+def decrypt_via_period(key: CipherKey, block: Matrix) -> Matrix:
+    """Cross-check route: D^{-n} = D^{pi(N) - (n mod pi(N))}, with no
+    matrix inverse."""
     validate_key(key)
     _check_block(key, block)
-    period = matrix_order(key.spec(), key.n_mod,
-                          step_cap=step_cap or DEFAULT_STEP_CAP)
+    period = matrix_order(key.spec(), key.n_mod)
     complement = (-key.exponent) % period
     d = companion(key.spec()).reduce(key.n_mod)
     return (d ** complement) @ block

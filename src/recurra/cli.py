@@ -2,7 +2,16 @@
 randomized verification suites.
 
 All numeric output is plain decimal, one value per whitespace-separated
-token.  Exit code 0 means every requested check passed.
+token.  Exit codes:
+
+  0  success; every requested check passed
+  1  a verify check failed, or the quat census found a zero divisor
+  2  bad input or usage: an invalid key, modulus or file, an unknown
+     symbol (argparse's own usage errors exit 2 as well)
+  3  an arithmetic failure: a checked identity broke (ArithmeticError),
+     or a value overflowed (e.g. --budget 1e400s)
+
+Codes 2 and 3 print a one-line "error: ..." message on stderr.
 """
 from __future__ import annotations
 
@@ -219,6 +228,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

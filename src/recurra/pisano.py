@@ -2,24 +2,21 @@
 
 pi(m) is defined here as the multiplicative order of the companion matrix
 mod m (the sequence-window period divides it and is reported separately,
-since the two need not coincide for every initial window).  The order
-search is plain iterated multiplication: one step costs O(k^2) because
-left-multiplying by a companion matrix only rebuilds the first row.
+since the two need not coincide for every initial window).  The order is
+not searched for step by step: it is the least divisor of the exponent of
+GL_k(Z_m), known in factored form, that sends x to 1 in Z_m[x]/(chi).
+That costs a few hundred polynomial products whatever the period's size.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .ringcore import (Matrix, NotInvertible, Residue, check_modulus,
-                       is_prime, multiplicative_order)
-from .recurrence import SequenceSpec, companion
-
-DEFAULT_STEP_CAP = 10**7
-
-
-class CapExceeded(RuntimeError):
-    """Order search hit the configured step cap before returning to I."""
+                       factorize, is_prime, lcm_factored, multiplicative_order,
+                       order_from_multiple, unfactor)
+from .recurrence import SequenceSpec, companion, terms_mod, x_power
 
 
 class PrimeTooLarge(ValueError):
@@ -49,105 +46,139 @@ def _require_unit_tail_coeff(spec: SequenceSpec, m: int) -> None:
                             f"singular mod {m}")
 
 
-def matrix_order(spec: SequenceSpec, m: int, step_cap: int = DEFAULT_STEP_CAP) -> int:
-    """Least t >= 1 with D^t = I mod m. Requires gcd(a_k, m) = 1."""
+def _descend(spec: SequenceSpec, m: int, multiple: dict[int, int],
+             is_one) -> dict[int, int]:
+    """Least t dividing the factored multiple with is_one(x^t mod chi)."""
+    x = (0, 1) + (0,) * (spec.k - 2)
+    return order_from_multiple(multiple, x, lambda y, e: x_power(spec, e, m, y),
+                               is_one)
+
+
+def _matrix_order_factored(spec: SequenceSpec, m: int) -> dict[int, int]:
     check_modulus(m)
     _require_unit_tail_coeff(spec, m)
-    k = spec.k
-    coeffs = tuple(a % m for a in spec.coeffs)
-    ident = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-    cur = companion(spec).reduce(m).entries
-    cap = min(step_cap, m ** (k * k))
-    t = 1
-    while cur != ident:
-        if t >= cap:
-            raise CapExceeded(f"no identity power within {cap} steps mod {m}")
-        top = tuple(sum(a * row[j] for a, row in zip(coeffs, cur)) % m
-                    for j in range(k))
-        cur = (top,) + cur[:-1]
-        t += 1
-    return t
+    one = (1,) + (0,) * (spec.k - 1)
+    return _descend(spec, m, _gl_exponent_factored(spec.k, m), lambda y: y == one)
+
+
+def matrix_order(spec: SequenceSpec, m: int) -> int:
+    """Least t >= 1 with D^t = I mod m. Requires gcd(a_k, m) = 1."""
+    return unfactor(_matrix_order_factored(spec, m))
+
+
+def _next_window(window: tuple[int, ...], coeffs: tuple[int, ...],
+                 m: int) -> tuple[int, ...]:
+    return window[1:] + (sum(a * d for a, d in zip(coeffs, reversed(window))) % m,)
 
 
 def state_period(spec: SequenceSpec, m: int) -> PeriodResult:
     """Eventual period of the k-term state sequence mod m.
 
-    Works for any modulus, including gcd(a_k, m) != 1 where the sequence
-    is only eventually periodic; pigeonhole bounds the search by m^k + 1
-    state transitions.
+    With gcd(a_k, m) = 1, D permutes the windows, so the tail is 0 and the
+    period is the least divisor t of pi(m) with D^t Y_0 = Y_0.  Otherwise
+    the sequence is only eventually periodic, and Brent's cycle search
+    finds the tail and the period in O(1) memory and O(tail + period)
+    steps.
     """
     check_modulus(m)
     k = spec.k
     coeffs = tuple(a % m for a in spec.coeffs)
     window = tuple(x % m for x in spec.initial)
-    seen: dict[tuple[int, ...], int] = {}
-    t = 0
-    while window not in seen:
-        seen[window] = t
-        window = window[1:] + (sum(a * d for a, d in zip(coeffs, reversed(window))) % m,)
-        t += 1
-        if t > m ** k + 1:
-            raise AssertionError("pigeonhole bound exceeded; unreachable")
-    first = seen[window]
-    return PeriodResult(tail=first, period=t - first)
+    if gcd(coeffs[-1], m) == 1:
+        # x^t = sum c_i x^i gives d_{t+j} = sum c_i d_{i+j}: the window at
+        # time t from the terms d_0 .. d_{2k-2}
+        terms = terms_mod(spec, 2 * k - 1, m)
+
+        def returns(c: tuple[int, ...]) -> bool:
+            return all(sum(ci * d for ci, d in zip(c, terms[j:])) % m == window[j]
+                       for j in range(k))
+
+        period = _descend(spec, m, _matrix_order_factored(spec, m), returns)
+        return PeriodResult(tail=0, period=unfactor(period))
+    # Brent: the period is the first gap between the hare and a tortoise
+    # parked at each power of two; the tail is where two walkers that far
+    # apart first meet.
+    power = period = 1
+    tortoise, hare = window, _next_window(window, coeffs, m)
+    while tortoise != hare:
+        if power == period:
+            tortoise, power, period = hare, 2 * power, 0
+        hare = _next_window(hare, coeffs, m)
+        period += 1
+    tortoise = hare = window
+    for _ in range(period):
+        hare = _next_window(hare, coeffs, m)
+    tail = 0
+    while tortoise != hare:
+        tortoise = _next_window(tortoise, coeffs, m)
+        hare = _next_window(hare, coeffs, m)
+        tail += 1
+    return PeriodResult(tail=tail, period=period)
 
 
-def _gl_group_order(p: int, k: int) -> int:
-    pk = p ** k
-    return prod(pk - p ** i for i in range(k))
+def _cyclotomic_value(d: int, p: int) -> int:
+    """Phi_d(p), from p^d - 1 = prod over e | d of Phi_e(p)."""
+    value = p ** d - 1
+    for e in range(1, d):
+        if d % e == 0:
+            value //= _cyclotomic_value(e, p)
+    return value
+
+
+def _gl_exponent_factored(k: int, m: int) -> dict[int, int]:
+    """The exponent of GL_k(Z_m) divides this, factored as {q: e}.
+
+    Per prime power p^r || m: lcm_{j <= k}(p^j - 1) bounds the order of a
+    semisimple element mod p, p^s with p^s >= k that of a unipotent one,
+    and p^(r-1) that of the kernel of reduction mod p (Wall 1960 gives the
+    k = 2 case).  Each p^j - 1 is factored as its cyclotomic pieces
+    Phi_d(p), d | j, which are far smaller.
+    """
+    parts = []
+    for p, r in factorize(m).items():
+        pieces = [Counter(factorize(_cyclotomic_value(d, p))) for d in range(1, k + 1)]
+        for j in range(1, k + 1):
+            parts.append(sum((pieces[d - 1] for d in range(1, j + 1) if j % d == 0),
+                             Counter()))
+        s = 0
+        while p ** s < k:
+            s += 1
+        parts.append({p: s + r - 1})
+    return {q: e for q, e in lcm_factored(*parts).items() if e}
 
 
 def matrix_order_multiple(k: int, m: int) -> int:
     """A multiple of the order of every invertible k x k matrix mod m.
 
-    Per prime power p^r dividing m: |GL_k(F_p)| times p^{(r-1)k^2}, the
-    size of the kernel of reduction to F_p; combine with lcm.  The result
-    is astronomically larger than the true order, but raising a matrix to
-    it costs only log2 of it in squarings, so it serves to exercise
-    full-period exponent shifts when the true order is too long to walk.
+    The bound on the exponent of GL_k(Z_m) that matrix_order descends
+    from.  Shifting a cipher exponent by it must leave the ciphertext
+    unchanged, which checks that bound on its own.
     """
     check_modulus(m)
-    out = 1
-    rest = m
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            r = 0
-            while rest % p == 0:
-                rest //= p
-                r += 1
-            out = lcm(out, _gl_group_order(p, k) * p ** ((r - 1) * k * k))
-        p += 1
-    if rest > 1:
-        out = lcm(out, _gl_group_order(rest, k))
-    return out
+    return unfactor(_gl_exponent_factored(k, m))
 
 
-def order_divisibility_check(spec: SequenceSpec, m: int,
-                             step_cap: int = DEFAULT_STEP_CAP) -> bool:
+def order_divisibility_check(spec: SequenceSpec, m: int) -> bool:
     """ord((-1)^{k+1} a_k mod m) divides the matrix order mod m."""
     det = (-1) ** (spec.k + 1) * spec.coeffs[-1]
-    order = matrix_order(spec, m, step_cap)
+    order = matrix_order(spec, m)
     return order % multiplicative_order(Residue(det, m)) == 0
 
 
-def divisor_monotone_check(spec: SequenceSpec, s1: int, s2: int,
-                           step_cap: int = DEFAULT_STEP_CAP) -> bool:
+def divisor_monotone_check(spec: SequenceSpec, s1: int, s2: int) -> bool:
     """s1 | s2 implies pi(s1) | pi(s2)."""
     if s2 % s1 != 0:
         raise ValueError("need s1 | s2")
-    return matrix_order(spec, s2, step_cap) % matrix_order(spec, s1, step_cap) == 0
+    return matrix_order(spec, s2) % matrix_order(spec, s1) == 0
 
 
-def lcm_check(spec: SequenceSpec, s1: int, s2: int,
-              step_cap: int = DEFAULT_STEP_CAP) -> bool:
+def lcm_check(spec: SequenceSpec, s1: int, s2: int) -> bool:
     """pi(lcm(s1, s2)) = lcm(pi(s1), pi(s2))."""
-    return matrix_order(spec, lcm(s1, s2), step_cap) == lcm(
-        matrix_order(spec, s1, step_cap), matrix_order(spec, s2, step_cap))
+    return matrix_order(spec, lcm(s1, s2)) == lcm(matrix_order(spec, s1),
+                                                  matrix_order(spec, s2))
 
 
-def prime_power_ladder(spec: SequenceSpec, p: int, r_max: int,
-                       step_cap: int = DEFAULT_STEP_CAP) -> list[int]:
+def prime_power_ladder(spec: SequenceSpec, p: int, r_max: int) -> list[int]:
     """[pi(p), pi(p^2), ..., pi(p^r_max)] for an odd prime p.
 
     Each rung is the previous one times 1 or p, and once a rung grows it
@@ -157,7 +188,7 @@ def prime_power_ladder(spec: SequenceSpec, p: int, r_max: int,
         raise ValueError(f"p must be an odd prime, got {p}")
     if r_max < 1:
         raise ValueError("need r_max >= 1")
-    ladder = [matrix_order(spec, p ** r, step_cap) for r in range(1, r_max + 1)]
+    ladder = [matrix_order(spec, p ** r) for r in range(1, r_max + 1)]
     growing = False
     for lo, hi in zip(ladder, ladder[1:]):
         if hi not in (lo, p * lo):

@@ -142,6 +142,50 @@ def power(d: Matrix, n: int, modulus: int | None = None) -> Matrix:
     return d ** n
 
 
+def _mulmod_charpoly(u: tuple[int, ...], v: tuple[int, ...],
+                     coeffs: tuple[int, ...], m: int) -> tuple[int, ...]:
+    # u * v, then x^k -> a_1 x^{k-1} + ... + a_k from the top degree down
+    k = len(coeffs)
+    full = [0] * (2 * k - 1)
+    for i, ui in enumerate(u):
+        if ui:
+            for j, vj in enumerate(v, i):
+                full[j] += ui * vj
+    for top in range(2 * k - 2, k - 1, -1):
+        c = full[top] % m
+        if c:
+            for j, a in enumerate(coeffs, 1):
+                full[top - j] += c * a
+    return tuple(x % m for x in full[:k])
+
+
+def x_power(spec: SequenceSpec, n: int, m: int,
+            base: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """base^n (default x^n) in Z_m[x]/(chi), chi the characteristic polynomial.
+
+    Elements are coefficient tuples (c_0, ..., c_{k-1}), lowest degree
+    first.  D acts as multiplication by x on this free Z_m-module, so
+    x^n = sum c_i x^i means D^n = sum c_i D^i; in particular D^n = I
+    exactly when x^n = 1.  One product costs O(k^2), against O(k^3) for a
+    matrix product.
+    """
+    check_modulus(m)
+    if n < 0:
+        raise ValueError("x_power() is for n >= 0")
+    k = spec.k
+    coeffs = tuple(a % m for a in spec.coeffs)
+    if base is None:
+        base = (0, 1) + (0,) * (k - 2)
+    result = (1,) + (0,) * (k - 1)
+    while n:
+        if n & 1:
+            result = _mulmod_charpoly(result, base, coeffs, m)
+        n >>= 1
+        if n:
+            base = _mulmod_charpoly(base, base, coeffs, m)
+    return result
+
+
 def state_vector(spec: SequenceSpec, i: int) -> tuple[int, ...]:
     """Y_i = (d_{i+k-1}, ..., d_{i+1}, d_i)."""
     d = terms(spec, i + spec.k)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, prod
 
 Rational = Fraction
 
@@ -40,33 +40,225 @@ def invert_mod(a: int, m: int) -> int:
     return pow(a, -1, m)
 
 
+# -- number theory: primality, factoring, group exponents, orders -------------
+
+# The first 13 primes: Miller-Rabin to these bases is exact below
+# 3317044064679887385961981 (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+_TRIAL_LIMIT = 1000
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin round: is the odd n > 2 a strong probable prime to base a?"""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n that is not
+    a perfect square: D is the first of 5, -7, 9, -11, ... with (D/n) = -1,
+    P = 1, Q = (1 - D)/4."""
+    d_sel = 5
+    while _jacobi(d_sel, n) != -1:
+        if gcd(abs(d_sel), n) not in (1, n):
+            return False
+        d_sel = -d_sel - 2 if d_sel > 0 else -d_sel + 2
+    q = (1 - d_sel) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def halve(x: int) -> int:
+        x %= n
+        return (x + n if x % 2 else x) // 2
+
+    u, v, qk = 1, 1, q % n          # U_1, V_1 and Q^1 for P = 1
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = halve(u + v), halve(d_sel * u + v), qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def is_prime(n: int) -> bool:
+    """Primality of an integer of any size.
+
+    Miller-Rabin to the first 13 prime bases, which is exact below
+    3.3 * 10^24; above that a strong Lucas test is added (together, the
+    Baillie-PSW test, which has no known counterexample).
+    """
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if not all(_strong_probable_prime(n, a) for a in _MR_BASES):
+        return False
+    if n < _MR_EXACT_BELOW:
+        return True
+    return isqrt(n) ** 2 != n and _strong_lucas_probable_prime(n)
+
+
+def _rho_factor(n: int) -> int:
+    """A nontrivial factor of the odd composite n: Pollard's rho with
+    Brent's cycle search and batched gcds, over x^2 + c for c = 1, 2, ...
+    (deterministic, so equal inputs take equal time)."""
+    batch = 128
+    c = 0
+    while True:
+        c += 1
+        y, power, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(power):
+                y = (y * y + c) % n
+            done = 0
+            while done < power and g == 1:
+                saved = y
+                for _ in range(min(batch, power - done)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = gcd(acc, n)
+                done += batch
+            power *= 2
+        if g == n:          # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(x - saved, n)
+        if g != n:
+            return g
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1, primes ascending.
+
+    Trial division below 1000, then Pollard-Brent rho on what is left.
+    """
+    if n < 1:
+        raise ValueError(f"factorize needs n >= 1, got {n}")
+    out: dict[int, int] = {}
+    f = 2
+    while f < _TRIAL_LIMIT and f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    pending = [n] if n > 1 else []
+    while pending:
+        x = pending.pop()
+        if x < f * f or is_prime(x):    # no factor below f is left
+            out[x] = out.get(x, 0) + 1
+        else:
+            d = _rho_factor(x)
+            pending += [d, x // d]
+    return dict(sorted(out.items()))
+
+
+def unfactor(factored: dict[int, int]) -> int:
+    """The number whose factorization is {q: e}."""
+    return prod(q ** e for q, e in factored.items())
+
+
+def lcm_factored(*parts: dict[int, int]) -> dict[int, int]:
+    """lcm of factored numbers: the largest exponent of each prime."""
+    out: dict[int, int] = {}
+    for part in parts:
+        for q, e in part.items():
+            out[q] = max(out.get(q, 0), e)
+    return out
+
+
+def carmichael_factored(m: int) -> dict[int, int]:
+    """lambda(m), the exponent of (Z/m)^*, as {q: e}."""
+    parts = []
+    for p, r in factorize(check_modulus(m)).items():
+        if p == 2:
+            parts.append({2: r - 1 if r < 3 else r - 2})     # 1, 2, 2^(r-2)
+        else:
+            parts.append(lcm_factored(factorize(p - 1), {p: r - 1}))
+    return {q: e for q, e in lcm_factored(*parts).items() if e}
+
+
+def carmichael(m: int) -> int:
+    """lambda(m): the least t with x^t = 1 mod m for every unit x."""
+    return unfactor(carmichael_factored(m))
+
+
+def order_from_multiple(multiple: dict[int, int], x, power, is_one) -> dict[int, int]:
+    """The least t >= 1 with is_one(power(x, t)), factored as {q: e}.
+
+    multiple = {q: e} factors some M with is_one(power(x, M)), and the t
+    that pass must be exactly the multiples of the answer (true of the
+    powers of a group element).  One prime q at a time, t drops to M / q^e,
+    with the primes already done at their final exponents, and climbs back
+    by factors of q until the test passes: at most one call of power per
+    prime plus sum(e).
+    power(y, n) returns y^n.  Raises ArithmeticError if M is no multiple.
+    """
+    whole = total = unfactor(multiple)
+    order: dict[int, int] = {}
+    for q, e in multiple.items():
+        total //= q ** e
+        y = power(x, total)
+        j = 0
+        while not is_one(y):
+            if j == e:
+                raise ArithmeticError(f"{whole} is not a multiple of the order")
+            y = power(y, q)
+            j += 1
+        total *= q ** j
+        if j:
+            order[q] = j
+    return order
+
+
 def multiplicative_order_int(a: int, m: int) -> int:
-    """Least t >= 1 with a^t = 1 mod m; requires gcd(a, m) = 1."""
+    """Least t >= 1 with a^t = 1 mod m; requires gcd(a, m) = 1.
+
+    Descends from the Carmichael exponent lambda(m), which every unit's
+    order divides.
+    """
     check_modulus(m)
     a %= m
     if gcd(a, m) != 1:
         raise NotInvertible(f"{a} is not a unit mod {m}")
-    t, y = 1, a
-    while y != 1:
-        y = y * a % m
-        t += 1
-    return t
-
-
-def is_prime(n: int) -> bool:
-    """Trial division; adequate for the small moduli used here."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return unfactor(order_from_multiple(carmichael_factored(m), a,
+                                        lambda y, e: pow(y, e, m), lambda y: y == 1))
 
 
 @dataclass(frozen=True)

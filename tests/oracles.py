@@ -91,10 +91,14 @@ def naive_matrix_order(coeffs, m, cap=10**7):
     return t
 
 
-def naive_state_period(coeffs, m, initial=None):
-    """(tail, period) by scanning the raw term list for window repeats."""
+def naive_state_period(coeffs, m, initial=None, cap=None):
+    """(tail, period) by scanning the raw term list for window repeats.
+
+    Terms are generated as the scan needs them; past cap windows it raises
+    RuntimeError.
+    """
     k = len(coeffs)
-    d = naive_terms_mod(coeffs, m ** k + 2 * k + 2, m, initial)
+    d = naive_terms_mod(coeffs, k, m, initial)
     seen = {}
     t = 0
     while True:
@@ -103,6 +107,61 @@ def naive_state_period(coeffs, m, initial=None):
             return seen[window], t - seen[window]
         seen[window] = t
         t += 1
+        if cap is not None and t > cap:
+            raise RuntimeError(f"tail + period exceeds {cap}")
+        d.append(sum(coeffs[i] * d[-1 - i] for i in range(k)) % m)
+
+
+def naive_matpow_squaring(coeffs, n, m):
+    """D^n mod m by square-and-multiply over naive products."""
+    k = len(coeffs)
+    out = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    base = naive_companion(coeffs)
+    while n:
+        if n & 1:
+            out = naive_matmul(out, base, m)
+        base = naive_matmul(base, base, m)
+        n >>= 1
+    return out
+
+
+def trial_prime_factors(n):
+    """The distinct primes dividing n, by trial division."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def naive_is_matrix_order(coeffs, m, t):
+    """Certificate that t is the order of D mod m, for orders too long to
+    walk: D^t = I and D^(t/q) != I for every prime q dividing t."""
+    k = len(coeffs)
+    ident = [[1 % m if i == j else 0 for j in range(k)] for i in range(k)]
+    return (t >= 1 and naive_matpow_squaring(coeffs, t, m) == ident
+            and all(naive_matpow_squaring(coeffs, t // q, m) != ident
+                    for q in trial_prime_factors(t)))
+
+
+def naive_is_window_period(coeffs, m, t, initial=None):
+    """Certificate that the purely periodic window orbit has least period
+    t: D^t Y_0 = Y_0, and D^(t/q) Y_0 != Y_0 for every prime q | t."""
+    k = len(coeffs)
+    d = naive_terms_mod(coeffs, k, m, initial)
+    y0 = [[x] for x in reversed(d)]
+
+    def moved(n):
+        return naive_matmul(naive_matpow_squaring(coeffs, n, m), y0, m)
+
+    return (t >= 1 and moved(t) == y0
+            and all(moved(t // q) != y0 for q in trial_prime_factors(t)))
 
 
 def naive_mult_order(x, m):

@@ -140,10 +140,6 @@ def _random_key(rng, nmax=50):
     return CipherKey(k, n_mod, tuple(coeffs), rng.randint(1, nmax))
 
 
-def _pi_is_cheap(key):
-    return key.n_mod in (2, 27, 256) or key.k <= 3
-
-
 def test_criterion_6_cipher_round_trips():
     rng = random.Random(2026)
     with criterion(6, "500 key/message round trips + full-period exponent "
@@ -158,13 +154,12 @@ def test_criterion_6_cipher_round_trips():
             assert cipher.decrypt(key, encrypted) == block
 
             # any integer multiple of pi(N) added to the exponent must leave
-            # the ciphertext unchanged; the group-order multiple covers every
-            # key, the literal order is walked where that walk is affordable
+            # the ciphertext unchanged: the group-exponent multiple and the
+            # literal order, on every key
             shifts = [pisano.matrix_order_multiple(key.k, key.n_mod)]
-            if _pi_is_cheap(key):
-                literal += 1
-                period = pisano.matrix_order(key.spec(), key.n_mod)
-                shifts.extend([period, 2 * period])
+            literal += 1
+            period = pisano.matrix_order(key.spec(), key.n_mod)
+            shifts.extend([period, 2 * period])
             for shift in shifts:
                 shifted = CipherKey(key.k, key.n_mod, key.coeffs,
                                     key.exponent + shift)

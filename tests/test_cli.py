@@ -176,3 +176,23 @@ def test_verify_bad_suite_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope"])
     assert exc.value.code == 2
+
+
+def test_orders_with_long_periods(capsys):
+    # periods of 5 * 10^8 and 10^6: found from the factored group exponent
+    code, out, _ = run(capsys, "order", "3", "--mod", "1000000007")
+    assert code == 0 and out.strip() == "500000003"
+    code, out, _ = run(capsys, "pisano", "1", "1", "1", "--mod", "1000003")
+    assert code == 0 and out.strip() == "1000002"
+
+
+def test_arithmetic_error_exit_code(capsys, monkeypatch):
+    code, out, err = run(capsys, "verify", "--suite", "lnum", "--budget", "1e400s")
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    # a ladder rung that is neither x1 nor xp of the one below
+    monkeypatch.setattr("recurra.pisano.matrix_order", lambda spec, m: m + 1)
+    code, out, err = run(capsys, "pisano", "4", "-5", "2", "--ladder", "3", "3")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ladder step") and len(err.strip().splitlines()) == 1

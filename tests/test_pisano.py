@@ -4,7 +4,6 @@ from math import gcd, lcm
 import pytest
 
 from recurra.pisano import (
-    CapExceeded,
     PrimeTooLarge,
     diagonalizable_mod_p,
     divisor_monotone_check,
@@ -46,11 +45,6 @@ def test_matrix_order_examples():
 def test_matrix_order_requires_unit_tail():
     with pytest.raises(NotInvertible):
         matrix_order(SequenceSpec((1, 2)), 4)
-
-
-def test_matrix_order_cap():
-    with pytest.raises(CapExceeded):
-        matrix_order(FIB, 10, step_cap=10)
 
 
 def test_matrix_order_against_oracle():
