@@ -7,7 +7,6 @@ from .ringcore import (
     Matrix,
     ModulusMismatch,
     NotInvertible,
-    Rational,
     Residue,
     ShapeMismatch,
     mod_inverse,
@@ -58,7 +57,7 @@ __all__ = [
     "Alphabet", "BadCoefficient", "BadShape", "CipherKey",
     "DegenerateExponent", "DiagnosisResult", "LQuaternion", "LSpec", "Matrix",
     "ModulusMismatch", "NotInvertible", "PeriodResult", "PrimeTooLarge",
-    "QuatAlgebra", "Quaternion", "Rational", "Residue", "SequenceSpec",
+    "QuatAlgebra", "Quaternion", "Residue", "SequenceSpec",
     "ShapeMismatch", "UnknownSymbol", "addition_formula", "bordered_det",
     "companion", "decrypt", "decrypt_text", "diagonalizable_mod_p", "encrypt",
     "encrypt_text", "l_quaternion", "l_term", "m_value", "matrix_order",

@@ -124,6 +124,7 @@ class Alphabet:
             raise ValueError("alphabet symbols must be single characters")
         if self.pad not in self.symbols:
             raise ValueError(f"pad symbol {self.pad!r} is not in the alphabet")
+        object.__setattr__(self, "_labels", {s: i for i, s in enumerate(self.symbols)})
 
     @property
     def size(self) -> int:
@@ -131,8 +132,8 @@ class Alphabet:
 
     def label(self, symbol: str) -> int:
         try:
-            return self.symbols.index(symbol)
-        except ValueError:
+            return self._labels[symbol]
+        except KeyError:
             raise UnknownSymbol(f"symbol {symbol!r} is not in the alphabet") from None
 
     def symbol(self, label: int) -> str:

@@ -7,7 +7,7 @@ token.  Exit codes:
   0  success; every requested check passed
   1  a verify check failed, or the quat census found a zero divisor
   2  bad input or usage: an invalid key, modulus or file, an unknown
-     symbol (argparse's own usage errors exit 2 as well)
+     symbol, a negative --n (argparse's own usage errors exit 2 as well)
   3  an arithmetic failure: a checked identity broke (ArithmeticError),
      or a value overflowed (e.g. --budget 1e400s)
 
@@ -29,7 +29,13 @@ def _spec_from_args(args) -> SequenceSpec:
     return SequenceSpec(tuple(args.coeffs), initial)
 
 
+def _require_last_index(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"--n must be >= 0, got {n}")
+
+
 def _cmd_seq(args) -> int:
+    _require_last_index(args.n)
     spec = _spec_from_args(args)
     if args.mod is not None:
         values = recurrence.terms_mod(spec, args.n + 1, args.mod)
@@ -102,6 +108,7 @@ def _cmd_validate_key(args) -> int:
 
 
 def _cmd_lnum(args) -> int:
+    _require_last_index(args.n)
     spec = lnumbers.LSpec(args.l)
     values = lnumbers.l_terms(spec, args.n + 1)
     if args.mod is not None:

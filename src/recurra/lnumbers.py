@@ -1,10 +1,12 @@
 """The two-term sequence a_n = l*a_{n-1} + a_{n-2} (a_0 = 0, a_1 = 1).
 
-l = 1 gives the Fibonacci numbers, l = 2 the Pell numbers.  Alongside the
-terms live their identities: the odd-index square sum, index addition,
-divisibility along divisor chains, the gap identities driven by the
-tower M_2 = l^2 + 2, M_{k+1} = M_k^2 - 2, and the mod-l / mod-l^2
-residue dichotomy between even and odd indices.
+l = 1 gives the Fibonacci numbers, l = 2 the Pell numbers.  The terms
+come from the general recurrence engine as the spec (l, 1), whose
+default window is (0, 1).  This module holds the sequence's identities:
+the odd-index square sum, index addition, divisibility along divisor
+chains, the gap identities driven by the tower M_2 = l^2 + 2,
+M_{k+1} = M_k^2 - 2, and the mod-l / mod-l^2 residue dichotomy between
+even and odd indices.
 """
 from __future__ import annotations
 
@@ -12,6 +14,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+
+from .recurrence import SequenceSpec, term, terms
 
 
 @dataclass(frozen=True)
@@ -44,20 +48,12 @@ def binet_roots(spec: LSpec) -> BinetRoots:
 
 
 def l_term(spec: LSpec, n: int) -> int:
-    if n < 0:
-        raise ValueError("need n >= 0")
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, spec.l * b + a
-    return a
+    return term(SequenceSpec((spec.l, 1)), n)
 
 
 def l_terms(spec: LSpec, count: int) -> list[int]:
     """[a_0, ..., a_{count-1}]."""
-    out = [0, 1]
-    while len(out) < count:
-        out.append(spec.l * out[-1] + out[-2])
-    return out[:count]
+    return terms(SequenceSpec((spec.l, 1)), count)
 
 
 def binet_check(spec: LSpec, n: int, tol: float = 1e-9) -> bool:
@@ -81,7 +77,8 @@ def divisibility_check(spec: LSpec, d: int, n: int) -> bool:
     """d | n implies a_d | a_n."""
     if d < 1 or n % d != 0:
         raise ValueError("need d >= 1 with d | n")
-    return l_term(spec, n) % l_term(spec, d) == 0
+    a = l_terms(spec, n + 1)
+    return a[n] % a[d] == 0
 
 
 def index_addition_check(spec: LSpec, m: int, n: int) -> bool:

@@ -17,6 +17,7 @@ from math import gcd
 
 from .ringcore import ModulusMismatch, NotInvertible, check_modulus, invert_mod, is_prime
 from .lnumbers import LSpec, l_terms, m_value
+from .recurrence import SequenceSpec, terms_from
 
 
 @dataclass(frozen=True)
@@ -107,26 +108,6 @@ class Quaternion:
         return gcd(self.norm(), self.algebra.modulus) == 1
 
 
-def q_mul(x: Quaternion, y: Quaternion) -> Quaternion:
-    return x * y
-
-
-def q_conj(x: Quaternion) -> Quaternion:
-    return x.conjugate()
-
-
-def q_trace(x: Quaternion) -> int:
-    return x.trace()
-
-
-def q_norm(x: Quaternion) -> int:
-    return x.norm()
-
-
-def q_inverse(x: Quaternion) -> Quaternion:
-    return x.inverse()
-
-
 def _require_odd_prime(l: int) -> None:
     if l < 3 or not is_prime(l):
         raise ValueError(f"l must be an odd prime, got {l}")
@@ -150,9 +131,9 @@ def l_quaternion(l: int, r: int, n: int) -> LQuaternion:
     if l < 2:
         raise ValueError("need l >= 2; Z_{l^r} is trivial for l = 1, use "
                          "l_quaternion_norm for the integer-level identities")
-    algebra = QuatAlgebra(-1, -1, l ** r)
-    a = l_terms(LSpec(l), n + 4)
-    return LQuaternion(l, r, n, algebra.quat(a[n], a[n + 1], a[n + 2], a[n + 3]))
+    mod = l ** r
+    coeffs = terms_from(SequenceSpec((l, 1)), n, 4, mod)
+    return LQuaternion(l, r, n, QuatAlgebra(-1, -1, mod).quat(*coeffs))
 
 
 def l_quaternion_norm(l: int, n: int) -> int:
@@ -202,9 +183,10 @@ def invertibility_census(l: int, r: int, n_max: int) -> CensusReport:
     if r < 1 or n_max < 0:
         raise ValueError("need r >= 1 and n_max >= 0")
     mod = l ** r
+    a = l_terms(LSpec(l), n_max + 4)
     records = []
     for n in range(n_max + 1):
-        norm = l_quaternion_norm(l, n)
+        norm = a[n] ** 2 + a[n + 1] ** 2 + a[n + 2] ** 2 + a[n + 3] ** 2
         records.append(CensusRecord(
             index=n,
             norm_mod=norm % mod,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .ringcore import Matrix, Residue, check_modulus
 
@@ -54,53 +55,59 @@ def _require_default_window(spec: SequenceSpec) -> None:
                          "initial window (0, ..., 0, 1)")
 
 
+def terms_from(spec: SequenceSpec, n: int, count: int,
+               m: int | None = None) -> list[int]:
+    """[d_n, ..., d_{n+count-1}] for n >= 0, exact or reduced mod m.
+
+    With x^n = sum c_j x^j mod chi, d_{n+i} = sum c_j d_{i+j} for any
+    initial window (Fiduccia's method), so one x^n costs O(k^2 log n)
+    products and each further term O(k).
+    """
+    if n < 0 or count < 0:
+        raise ValueError(f"need n, count >= 0, got {n}, {count}")
+    c = x_power(spec, n, m)
+    d = terms(spec, count + spec.k - 1)
+    out = [sum(map(mul, c, d[i:i + spec.k])) for i in range(count)]
+    return out if m is None else [x % m for x in out]
+
+
 def term(spec: SequenceSpec, n: int) -> int:
-    """Exact d_n for n >= 0, by forward iteration."""
+    """Exact d_n for n >= 0, in O(k^2 log n) products (see terms_from)."""
     if n < 0:
         raise ValueError("term() is for n >= 0; use term_negative()")
-    k = spec.k
-    if n < k:
-        return spec.initial[n]
-    window = list(spec.initial)
-    for _ in range(k, n + 1):
-        window.append(sum(a * d for a, d in zip(spec.coeffs, reversed(window))))
-        window.pop(0)
-    return window[-1]
+    return terms_from(spec, n, 1)[0]
 
 
 def terms(spec: SequenceSpec, count: int) -> list[int]:
     """The list [d_0, ..., d_{count-1}]."""
+    if count < 0:
+        raise ValueError(f"need count >= 0, got {count}")
     k = spec.k
+    backward = spec.coeffs[::-1]        # d_{t+k} = a_k d_t + ... + a_1 d_{t+k-1}
     d = list(spec.initial)
-    while len(d) < count:
-        d.append(sum(a * x for a, x in zip(spec.coeffs, d[-1:-k - 1:-1])))
+    for t in range(count - k):
+        d.append(sum(map(mul, backward, d[t:t + k])))
     return d[:count]
 
 
 def term_mod(spec: SequenceSpec, n: int, m: int) -> Residue:
-    """d_n mod m with reduced intermediates; never builds the big integer."""
+    """d_n mod m, as term() but with every product reduced mod m."""
     check_modulus(m)
     if n < 0:
         raise ValueError("term_mod() is for n >= 0")
-    k = spec.k
-    coeffs = [a % m for a in spec.coeffs]
-    window = [x % m for x in spec.initial]
-    if n < k:
-        return Residue(window[n], m)
-    for _ in range(k, n + 1):
-        window.append(sum(a * d for a, d in zip(coeffs, reversed(window))) % m)
-        window.pop(0)
-    return Residue(window[-1], m)
+    return Residue(terms_from(spec, n, 1, m)[0], m)
 
 
 def terms_mod(spec: SequenceSpec, count: int, m: int) -> list[int]:
     """[d_0, ..., d_{count-1}] reduced mod m, with reduced intermediates."""
     check_modulus(m)
+    if count < 0:
+        raise ValueError(f"need count >= 0, got {count}")
     k = spec.k
-    coeffs = [a % m for a in spec.coeffs]
+    backward = [a % m for a in reversed(spec.coeffs)]
     d = [x % m for x in spec.initial]
-    while len(d) < count:
-        d.append(sum(a * x for a, x in zip(coeffs, d[-1:-k - 1:-1])) % m)
+    for t in range(count - k):
+        d.append(sum(map(mul, backward, d[t:t + k])) % m)
     return d[:count]
 
 
@@ -143,8 +150,9 @@ def power(d: Matrix, n: int, modulus: int | None = None) -> Matrix:
 
 
 def _mulmod_charpoly(u: tuple[int, ...], v: tuple[int, ...],
-                     coeffs: tuple[int, ...], m: int) -> tuple[int, ...]:
-    # u * v, then x^k -> a_1 x^{k-1} + ... + a_k from the top degree down
+                     coeffs: tuple[int, ...], m: int | None) -> tuple[int, ...]:
+    # u * v, then x^k -> a_1 x^{k-1} + ... + a_k from the top degree down;
+    # over Z when m is None
     k = len(coeffs)
     full = [0] * (2 * k - 1)
     for i, ui in enumerate(u):
@@ -152,38 +160,41 @@ def _mulmod_charpoly(u: tuple[int, ...], v: tuple[int, ...],
             for j, vj in enumerate(v, i):
                 full[j] += ui * vj
     for top in range(2 * k - 2, k - 1, -1):
-        c = full[top] % m
+        c = full[top] if m is None else full[top] % m
         if c:
             for j, a in enumerate(coeffs, 1):
                 full[top - j] += c * a
-    return tuple(x % m for x in full[:k])
+    return tuple(full[:k]) if m is None else tuple(x % m for x in full[:k])
 
 
-def x_power(spec: SequenceSpec, n: int, m: int,
+def x_power(spec: SequenceSpec, n: int, m: int | None = None,
             base: tuple[int, ...] | None = None) -> tuple[int, ...]:
-    """base^n (default x^n) in Z_m[x]/(chi), chi the characteristic polynomial.
+    """base^n (default x^n) in Z_m[x]/(chi), or Z[x]/(chi) when m is None;
+    chi is the characteristic polynomial.
 
     Elements are coefficient tuples (c_0, ..., c_{k-1}), lowest degree
-    first.  D acts as multiplication by x on this free Z_m-module, so
+    first.  D acts as multiplication by x on this free module, so
     x^n = sum c_i x^i means D^n = sum c_i D^i; in particular D^n = I
     exactly when x^n = 1.  One product costs O(k^2), against O(k^3) for a
     matrix product.
     """
-    check_modulus(m)
+    if m is not None:
+        check_modulus(m)
     if n < 0:
         raise ValueError("x_power() is for n >= 0")
     k = spec.k
-    coeffs = tuple(a % m for a in spec.coeffs)
+    coeffs = spec.coeffs if m is None else tuple(a % m for a in spec.coeffs)
     if base is None:
         base = (0, 1) + (0,) * (k - 2)
-    result = (1,) + (0,) * (k - 1)
+    result = None                       # 1, until the first set bit
     while n:
         if n & 1:
-            result = _mulmod_charpoly(result, base, coeffs, m)
+            result = (base if result is None
+                      else _mulmod_charpoly(result, base, coeffs, m))
         n >>= 1
         if n:
             base = _mulmod_charpoly(base, base, coeffs, m)
-    return result
+    return (1,) + (0,) * (k - 1) if result is None else result
 
 
 def state_vector(spec: SequenceSpec, i: int) -> tuple[int, ...]:

@@ -8,10 +8,7 @@ can be invertible while every candidate pivot is a zero divisor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, prod
-
-Rational = Fraction
 
 
 class NotInvertible(ValueError):
@@ -479,15 +476,3 @@ class Matrix:
     def reduce(self, m: int) -> "Matrix":
         """The same matrix viewed in Z_m."""
         return Matrix(self.entries, check_modulus(m))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
-def mat_det(a: Matrix) -> int:
-    return a.det()
-
-
-def mat_inverse_adjugate(a: Matrix) -> Matrix:
-    return a.inverse()

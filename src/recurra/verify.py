@@ -10,6 +10,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 from . import cipher, lnumbers, pisano, quaternions, recurrence
@@ -239,57 +240,48 @@ def _suite_lnum(rng: random.Random) -> list[tuple[str, bool, str]]:
     specs = [lnumbers.LSpec(l) for l in (1, 2, 3, 5, 7)]
 
     bad = ""
-    for spec in specs:
-        for n in range(31):
-            if not lnumbers.square_sum_check(spec, n):
-                bad = f"l={spec.l} n={n}"
-                break
+    for spec, n in product(specs, range(31)):
+        if not lnumbers.square_sum_check(spec, n):
+            bad = f"l={spec.l} n={n}"
+            break
     checks.append(("square_sum", not bad, bad))
 
     bad = ""
-    for spec in specs:
-        for _ in range(40):
-            m, n = rng.randint(1, 30), rng.randint(0, 30)
-            if not lnumbers.index_addition_check(spec, m, n):
-                bad = f"l={spec.l} m={m} n={n}"
-                break
+    for spec, _ in product(specs, range(40)):
+        m, n = rng.randint(1, 30), rng.randint(0, 30)
+        if not lnumbers.index_addition_check(spec, m, n):
+            bad = f"l={spec.l} m={m} n={n}"
+            break
     checks.append(("index_addition", not bad, bad))
 
     bad = ""
-    for spec in specs:
-        for n in range(1, 31):
-            for d in range(1, n + 1):
-                if n % d == 0 and not lnumbers.divisibility_check(spec, d, n):
-                    bad = f"l={spec.l} d={d} n={n}"
-                    break
+    for spec, n, d in product(specs, range(1, 31), range(1, 31)):
+        if n % d == 0 and not lnumbers.divisibility_check(spec, d, n):
+            bad = f"l={spec.l} d={d} n={n}"
+            break
     checks.append(("divisibility", not bad, bad))
 
     bad = ""
-    for spec in specs:
-        for k in range(2, 6):
-            for n in range(0, 31, 3):
-                if not lnumbers.gap_identity_check(spec, n, k):
-                    bad = f"l={spec.l} n={n} k={k}"
-                    break
+    for spec, k, n in product(specs, range(2, 6), range(0, 31, 3)):
+        if not lnumbers.gap_identity_check(spec, n, k):
+            bad = f"l={spec.l} n={n} k={k}"
+            break
     checks.append(("gap_identity", not bad, bad))
 
     bad = ""
-    for spec in specs:
-        for k in range(2, 5):
-            for n in range(0, 11):
-                if not lnumbers.triple_gap_check(spec, n, k):
-                    bad = f"l={spec.l} n={n} k={k}"
-                    break
+    for spec, k, n in product(specs, range(2, 5), range(0, 11)):
+        if not lnumbers.triple_gap_check(spec, n, k):
+            bad = f"l={spec.l} n={n} k={k}"
+            break
     checks.append(("triple_gap", not bad, bad))
 
     bad = ""
-    for spec in specs[1:]:
-        for n in range(61):
-            expected = (lnumbers.ResidueClass.DIVISIBLE_BY_L if n % 2 == 0
-                        else lnumbers.ResidueClass.ONE_MOD_L_SQUARED)
-            if lnumbers.residue_class(spec, n) is not expected:
-                bad = f"l={spec.l} n={n}"
-                break
+    for spec, n in product(specs[1:], range(61)):
+        expected = (lnumbers.ResidueClass.DIVISIBLE_BY_L if n % 2 == 0
+                    else lnumbers.ResidueClass.ONE_MOD_L_SQUARED)
+        if lnumbers.residue_class(spec, n) is not expected:
+            bad = f"l={spec.l} n={n}"
+            break
     checks.append(("residue_dichotomy", not bad, bad))
 
     bad = ""
@@ -300,19 +292,17 @@ def _suite_lnum(rng: random.Random) -> list[tuple[str, bool, str]]:
     checks.append(("even_index_gcd", not bad, bad))
 
     bad = ""
-    for spec in specs[:4]:
-        for n in range(41):
-            if not lnumbers.binet_check(spec, n):
-                bad = f"l={spec.l} n={n}"
-                break
+    for spec, n in product(specs[:4], range(41)):
+        if not lnumbers.binet_check(spec, n):
+            bad = f"l={spec.l} n={n}"
+            break
     checks.append(("binet_float", not bad, bad))
 
     bad = ""
-    for spec in specs[1:]:
-        for k in range(2, 13):
-            if lnumbers.m_value(spec, k) % (spec.l ** 2) != 2:
-                bad = f"l={spec.l} k={k}"
-                break
+    for spec, k in product(specs[1:], range(2, 13)):
+        if lnumbers.m_value(spec, k) % (spec.l ** 2) != 2:
+            bad = f"l={spec.l} k={k}"
+            break
     checks.append(("m_tower_mod_l2", not bad, bad))
 
     return checks
@@ -370,47 +360,41 @@ def _suite_quat(rng: random.Random) -> list[tuple[str, bool, str]]:
     checks.append(("conj_antiautomorphism", not bad, bad))
 
     bad = ""
-    for l in (1, 2, 3, 5):
-        for n in range(21):
-            if not quaternions.l_quat_norm_check(l, n):
-                bad = f"l={l} n={n}"
-                break
+    for l, n in product((1, 2, 3, 5), range(21)):
+        if not quaternions.l_quat_norm_check(l, n):
+            bad = f"l={l} n={n}"
+            break
     checks.append(("lquat_norm_identity", not bad, bad))
 
     bad = ""
-    for l in (3, 5, 7):
-        for r in (1, 2, 3):
-            report = quaternions.invertibility_census(l, r, 30)
-            if not (report.all_invertible and report.all_norms_two_mod_l2):
-                bad = f"l={l} r={r}"
-                break
+    for l, r in product((3, 5, 7), (1, 2, 3)):
+        report = quaternions.invertibility_census(l, r, 30)
+        if not (report.all_invertible and report.all_norms_two_mod_l2):
+            bad = f"l={l} r={r}"
+            break
     checks.append(("unit_census", not bad, bad))
 
     bad = ""
-    for l in (3, 5, 7):
-        for n in range(31):
-            if not quaternions.period_two_check(l, n):
-                bad = f"l={l} n={n}"
-                break
+    for l, n in product((3, 5, 7), range(31)):
+        if not quaternions.period_two_check(l, n):
+            bad = f"l={l} n={n}"
+            break
     checks.append(("period_two", not bad, bad))
 
     bad = ""
-    for l in (3, 5):
-        for k in (2, 3):
-            for n in range(11):
-                if not (quaternions.quat_gap_check(l, n, k, 2 ** k)
-                        and quaternions.quat_gap_check(l, n, k, 3 * 2 ** k)):
-                    bad = f"l={l} k={k} n={n}"
-                    break
+    for l, k, n in product((3, 5), (2, 3), range(11)):
+        if not (quaternions.quat_gap_check(l, n, k, 2 ** k)
+                and quaternions.quat_gap_check(l, n, k, 3 * 2 ** k)):
+            bad = f"l={l} k={k} n={n}"
+            break
     checks.append(("gap_congruences", not bad, bad))
 
     bad = ""
-    for l in (3, 5):
-        for n in (0, 1, 3, 7):
-            total = quaternions.quat_window_sum(l, n)
-            if total.coeffs != (0, 0, 0, 0):
-                bad = f"l={l} n={n} sum={total.coeffs}"
-                break
+    for l, n in product((3, 5), (0, 1, 3, 7)):
+        total = quaternions.quat_window_sum(l, n)
+        if total.coeffs != (0, 0, 0, 0):
+            bad = f"l={l} n={n} sum={total.coeffs}"
+            break
     checks.append(("window_sum_zero", not bad, bad))
 
     return checks

@@ -3,6 +3,7 @@ import io
 import pytest
 
 from recurra.cli import main
+from recurra.quaternions import QuatAlgebra
 
 
 def run(capsys, *argv):
@@ -196,3 +197,29 @@ def test_arithmetic_error_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "pisano", "4", "-5", "2", "--ladder", "3", "3")
     assert code == 3 and out == ""
     assert err.startswith("error: ladder step") and len(err.strip().splitlines()) == 1
+
+
+def test_negative_last_index_is_rejected(capsys):
+    for argv in (("seq", "1", "1", "--n", "-2"),
+                 ("seq", "1", "1", "--n", "-1", "--mod", "7"),
+                 ("lnum", "2", "--n", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1, argv
+
+
+def test_verify_reports_the_first_counterexample(capsys, monkeypatch):
+    monkeypatch.setattr("recurra.lnumbers.square_sum_check", lambda spec, n: False)
+    monkeypatch.setattr("recurra.lnumbers.divisibility_check", lambda spec, d, n: False)
+    monkeypatch.setattr("recurra.quaternions.period_two_check", lambda l, n: False)
+    monkeypatch.setattr("recurra.quaternions.quat_window_sum",
+                        lambda l, n: QuatAlgebra(-1, -1, l * l).one())
+    code, out, _ = run(capsys, "verify", "--suite", "lnum", "--seed", "0")
+    assert code == 1
+    assert "FAIL lnum.square_sum seed=0 counterexample: l=1 n=0\n" in out
+    assert "FAIL lnum.divisibility seed=0 counterexample: l=1 d=1 n=1\n" in out
+    code, out, _ = run(capsys, "verify", "--suite", "quat", "--seed", "0")
+    assert code == 1
+    assert "FAIL quat.period_two seed=0 counterexample: l=3 n=0\n" in out
+    assert ("FAIL quat.window_sum_zero seed=0 counterexample: l=3 n=0 "
+            "sum=(1, 0, 0, 0)\n") in out
