@@ -131,10 +131,15 @@ class Alphabet:
         return len(self.symbols)
 
     def label(self, symbol: str) -> int:
+        return self.labels([symbol])[0]
+
+    def labels(self, text) -> list[int]:
+        """The label of each symbol of text, in one pass; UnknownSymbol names
+        the first symbol that is not in the alphabet."""
         try:
-            return self._labels[symbol]
-        except KeyError:
-            raise UnknownSymbol(f"symbol {symbol!r} is not in the alphabet") from None
+            return list(map(self._labels.__getitem__, text))
+        except KeyError as exc:
+            raise UnknownSymbol(f"symbol {exc.args[0]!r} is not in the alphabet") from None
 
     def symbol(self, label: int) -> str:
         return self.symbols[label % self.size]
@@ -165,12 +170,9 @@ def encode_text(alpha: Alphabet, text: str, k: int) -> Matrix:
     symbol to a multiple of k.  Empty text encodes to a k x 0 block."""
     if k < 2:
         raise BadShape(f"k must be >= 2, got {k}")
-    labels = [alpha.label(s) for s in text]
-    while len(labels) % k:
-        labels.append(alpha.label(alpha.pad))
-    r = len(labels) // k
-    return Matrix([[labels[j * k + i] for j in range(r)] for i in range(k)],
-                  alpha.size)
+    labels = alpha.labels(text)
+    labels += [alpha.label(alpha.pad)] * (-len(labels) % k)
+    return Matrix._of_rows(tuple(tuple(labels[i::k]) for i in range(k)), alpha.size)
 
 
 def decode_text(alpha: Alphabet, block: Matrix, strip_pad: bool = False) -> str:
@@ -179,8 +181,10 @@ def decode_text(alpha: Alphabet, block: Matrix, strip_pad: bool = False) -> str:
     if block.modulus != alpha.size:
         raise BadShape(f"block is mod {block.modulus}, alphabet has "
                        f"{alpha.size} symbols")
-    text = "".join(alpha.symbol(block[i, j])
-                   for j in range(block.cols) for i in range(block.rows))
+    labels = [0] * (block.rows * block.cols)
+    for i, row in enumerate(block.entries):
+        labels[i::block.rows] = row
+    text = "".join(map(alpha.symbols.__getitem__, labels))
     return text.rstrip(alpha.pad) if strip_pad else text
 
 

@@ -34,6 +34,14 @@ def _require_last_index(n: int) -> None:
         raise ValueError(f"--n must be >= 0, got {n}")
 
 
+def _print_terms(values: list[int]) -> None:
+    """One line of decimal terms.  The widest term is converted first, so
+    a term past Python's int-to-str digit limit raises its ValueError
+    before any other is converted and before anything is printed."""
+    str(max(values, key=int.bit_length, default=0))
+    print(" ".join(map(str, values)))
+
+
 def _cmd_seq(args) -> int:
     _require_last_index(args.n)
     spec = _spec_from_args(args)
@@ -41,7 +49,7 @@ def _cmd_seq(args) -> int:
         values = recurrence.terms_mod(spec, args.n + 1, args.mod)
     else:
         values = recurrence.terms(spec, args.n + 1)
-    print(" ".join(str(v) for v in values))
+    _print_terms(values)
     return 0
 
 
@@ -110,10 +118,11 @@ def _cmd_validate_key(args) -> int:
 def _cmd_lnum(args) -> int:
     _require_last_index(args.n)
     spec = lnumbers.LSpec(args.l)
-    values = lnumbers.l_terms(spec, args.n + 1)
     if args.mod is not None:
-        values = [v % args.mod for v in values]
-    print(" ".join(str(v) for v in values))
+        values = recurrence.terms_mod(SequenceSpec((spec.l, 1)), args.n + 1, args.mod)
+    else:
+        values = lnumbers.l_terms(spec, args.n + 1)
+    _print_terms(values)
     return 0
 
 

@@ -4,9 +4,18 @@ Everything here is arbitrary precision (plain Python ints) and immutable.
 Matrix inversion goes through the adjugate and the inverse of the
 determinant, never Gaussian elimination: over a composite modulus a matrix
 can be invertible while every candidate pivot is a zero divisor.
+
+Products over Z_m pack each row of the right-hand factor into one integer
+(Kronecker substitution), one fixed-width slot per entry.  Entries are
+reduced to [0, m), so an entry of A @ B with inner dimension k is at most
+k * (m - 1)^2; slots wide enough for that bound never carry into each
+other, and each row of the product is a sum of k big-integer multiples
+that run in C.  Products over Z use the plain row-by-column sums.
 """
 from __future__ import annotations
 
+import struct
+import sys
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
@@ -335,6 +344,35 @@ def _det_bareiss(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+# struct/memoryview format of each slot width that is a native C integer
+_SLOT_FORMATS = {struct.calcsize(f): f for f in "BHIQ"}
+
+
+def _packed_rows_product(a_rows, b_rows, m: int) -> tuple:
+    """Rows of A @ B mod m for entries already in [0, m), by packed rows."""
+    cols = len(b_rows[0])
+    nbytes = (len(b_rows) * (m - 1) ** 2).bit_length() + 7 >> 3
+    width = next((w for w in (1, 2, 4, 8) if w >= nbytes), nbytes)
+    order = sys.byteorder
+    fmt = _SLOT_FORMATS.get(width)
+    if fmt:
+        layout = f"{cols}{fmt}"
+        packed = [int.from_bytes(struct.pack(layout, *row), order) for row in b_rows]
+    else:
+        packed = [int.from_bytes(b"".join(x.to_bytes(width, order) for x in row), order)
+                  for row in b_rows]
+    out = []
+    for row in a_rows:
+        data = sum(a * p for a, p in zip(row, packed) if a).to_bytes(cols * width, order)
+        if fmt:
+            slots = memoryview(data).cast(fmt)
+        else:
+            slots = [int.from_bytes(data[j:j + width], order)
+                     for j in range(0, len(data), width)]
+        out.append(tuple([x % m for x in slots]))
+    return tuple(out)
+
+
 class Matrix:
     """Immutable matrix over Z (modulus None) or Z_m (modulus m).
 
@@ -344,18 +382,30 @@ class Matrix:
     __slots__ = ("rows", "cols", "modulus", "entries")
 
     def __init__(self, entries, modulus: int | None = None):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        if modulus is None:
+            rows = tuple(tuple(int(x) for x in row) for row in entries)
+        else:
+            check_modulus(modulus)
+            rows = tuple(tuple(int(x) % modulus for x in row) for row in entries)
         if not rows:
             raise ShapeMismatch("matrix must have at least one row")
         if any(len(r) != len(rows[0]) for r in rows):
             raise ShapeMismatch("ragged rows")
-        if modulus is not None:
-            check_modulus(modulus)
-            rows = tuple(tuple(x % modulus for x in row) for row in rows)
+        self._set(rows, modulus)
+
+    def _set(self, rows: tuple, modulus: int | None) -> None:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", len(rows[0]))
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "entries", rows)
+
+    @classmethod
+    def _of_rows(cls, rows: tuple, modulus: int | None) -> "Matrix":
+        """A matrix of a nonempty tuple of equal-length int tuples, already
+        reduced to [0, m) when modular: nothing is converted or checked."""
+        matrix = object.__new__(cls)
+        matrix._set(rows, modulus)
+        return matrix
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -408,18 +458,27 @@ class Matrix:
         return Matrix([[c * x for x in row] for row in self.entries], self.modulus)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product self @ other.
+
+        Over Z_m each row of other becomes one integer with a slot per
+        entry, each slot the fewest of 1, 2, 4 or 8 bytes (or, past 8, the
+        fewest bytes) that hold k * (m - 1)^2 for inner dimension k, the
+        largest value an entry of the product can take before reduction, so
+        slots never carry.  Row i of the product is then
+        sum(a_it * packed_t) over the nonzero a_it, unpacked and reduced
+        slot by slot.  Over Z the entries are row-by-column sums.
+        """
         self._match(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         m = self.modulus
-        bt = list(zip(*other.entries))
         if m is None:
-            prod = [[sum(a * b for a, b in zip(row, col)) for col in bt]
-                    for row in self.entries]
+            bt = list(zip(*other.entries))
+            prod = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
+                         for row in self.entries)
         else:
-            prod = [[sum(a * b for a, b in zip(row, col)) % m for col in bt]
-                    for row in self.entries]
-        return Matrix(prod, m)
+            prod = _packed_rows_product(self.entries, other.entries, m)
+        return Matrix._of_rows(prod, m)
 
     def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         """Matrix-vector product (vec as a column)."""

@@ -23,7 +23,7 @@ from recurra.cipher import (
 from recurra.pisano import matrix_order, matrix_order_multiple
 from recurra.ringcore import Matrix
 
-from oracles import naive_matmul, naive_matpow
+from oracles import naive_matmul, naive_matpow, naive_matpow_squaring
 
 KEY_Z2 = CipherKey(3, 2, (1, 1, 1), 3)
 KEY_Z27 = CipherKey(3, 27, (4, -5, 2), 2)
@@ -261,3 +261,64 @@ def test_text_round_trip_randomized():
         text = "".join(rng.choice(alpha.symbols) for _ in range(rng.randint(0, 24)))
         padded = text + alpha.pad * (-len(text) % key.k)
         assert decrypt_text(key, alpha, encrypt_text(key, alpha, text)) == padded
+
+
+def naive_encrypt_text(key, alpha, text):
+    """Labels by symbol position, padded, k per column, times D^n mod N by
+    naive products, and read back column by column."""
+    k, n_mod = key.k, key.n_mod
+    labels = [alpha.symbols.index(s) for s in text]
+    labels += [alpha.symbols.index(alpha.pad)] * (-len(labels) % k)
+    cols = len(labels) // k
+    if cols == 0:
+        return ""
+    v = [[labels[j * k + i] for j in range(cols)] for i in range(k)]
+    c = naive_matmul(naive_matpow_squaring(key.coeffs, key.exponent, n_mod), v, n_mod)
+    return "".join(alpha.symbols[c[i][j]] for j in range(cols) for i in range(k))
+
+
+TEXT_ALPHABETS = (
+    Alphabet(("A", "B"), "B"),
+    Alphabet.default(),
+    Alphabet(tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ.,*"), "*"),
+    Alphabet(tuple(chr(0x100 + i) for i in range(256)), chr(0x1FF)),
+    Alphabet(tuple(chr(0x400 + i) for i in range(300)), chr(0x400)),   # labels past a byte
+)
+
+
+def test_text_path_against_block_and_naive_routes():
+    rng = random.Random(157)
+    for alpha in TEXT_ALPHABETS:
+        for _ in range(6):
+            key = random_key(rng, moduli=(alpha.size,), kmax=6, nmax=10 ** 6)
+            for length in [0, 1, 37, 400] + [key.k * rng.randint(1, 9) + r
+                                             for r in range(key.k)]:
+                text = "".join(rng.choices(alpha.symbols, k=length))
+                if length and rng.random() < 0.5:      # pad symbols inside and at the end
+                    text = text[:length // 2] + alpha.pad + text[length // 2:] + alpha.pad
+                padded = text + alpha.pad * (-len(text) % key.k)
+                ct = encrypt_text(key, alpha, text)
+                assert ct == decode_text(alpha, encrypt(key, encode_text(alpha, text, key.k)))
+                assert ct == naive_encrypt_text(key, alpha, text)
+                assert len(ct) == len(padded)
+                pt = decrypt_text(key, alpha, ct)
+                assert pt == padded
+                assert pt == decode_text(alpha, decrypt(key, encode_text(alpha, ct, key.k)))
+                assert naive_encrypt_text(key, alpha, pt) == ct
+                assert decrypt_text(key, alpha, ct, strip_pad=True) == text.rstrip(alpha.pad)
+
+
+def test_unknown_symbol_names_the_first_in_text_order():
+    alpha = Alphabet.default()
+    cases = (("ab", "a"), ("AB?C!", "?"), ("!AB?", "!"), ("SUCCESS*\n", "\n"),
+             ("A" * 1000 + "\u00e9" + "z", "\u00e9"))
+    for text, first in cases:
+        message = f"symbol {first!r} is not in the alphabet"
+        for call in (lambda: encode_text(alpha, text, 3),
+                     lambda: encrypt_text(KEY_Z27, alpha, text),
+                     lambda: decrypt_text(KEY_Z27, alpha, text)):
+            with pytest.raises(UnknownSymbol) as exc:
+                call()
+            assert str(exc.value) == message
+    with pytest.raises(UnknownSymbol, match="symbol 'AB' is not"):
+        alpha.label("AB")

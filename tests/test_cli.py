@@ -1,9 +1,17 @@
 import io
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+from recurra import cli
+from recurra.cipher import Alphabet, CipherKey, encrypt_text
 from recurra.cli import main
 from recurra.quaternions import QuatAlgebra
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -223,3 +231,69 @@ def test_verify_reports_the_first_counterexample(capsys, monkeypatch):
     assert "FAIL quat.period_two seed=0 counterexample: l=3 n=0\n" in out
     assert ("FAIL quat.window_sum_zero seed=0 counterexample: l=3 n=0 "
             "sum=(1, 0, 0, 0)\n") in out
+
+
+def test_terms_past_the_digit_limit_fail_before_converting_the_rest(capsys, monkeypatch):
+    # fib(20000) is the first term past Python's 4300-digit int-to-str
+    # limit; the widest term is converted first, so the error comes after a
+    # single conversion instead of ~20000
+    conversions = []
+
+    def counting_str(x):
+        conversions.append(x)
+        return str(x)
+
+    monkeypatch.setattr(cli, "str", counting_str, raising=False)
+    for argv in (("seq", "1", "1", "--n", "21000"), ("lnum", "1", "--n", "21000")):
+        conversions.clear()
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: Exceeds the limit (4300 digits)"), argv
+        assert len(err.strip().splitlines()) == 1, argv
+        assert len(conversions) == 1, argv
+    conversions.clear()
+    code, out, _ = run(capsys, "seq", "1", "1", "--n", "10")
+    assert code == 0 and out == "0 1 1 2 3 5 8 13 21 34 55\n"
+    assert len(conversions) == 12       # the widest term, then all eleven
+
+
+def test_lnum_mod_below_two_is_rejected(capsys):
+    _, _, seq_err = run(capsys, "seq", "3", "1", "--n", "4", "--mod", "1")
+    for mod in ("1", "0", "-3"):
+        code, out, err = run(capsys, "lnum", "3", "--n", "4", "--mod", mod)
+        assert code == 2 and out == "", mod
+        assert err == f"error: modulus must be an integer >= 2, got {mod}\n", mod
+    assert seq_err == "error: modulus must be an integer >= 2, got 1\n"
+    code, out, _ = run(capsys, "lnum", "7", "--n", "300", "--mod", "1000000007")
+    assert code == 0
+    a = [0, 1]
+    while len(a) < 301:
+        a.append(7 * a[-1] + a[-2])
+    assert out.split() == [str(x % 1000000007) for x in a]
+
+
+def run_cli(*argv, stdin: str, cwd) -> str:
+    env = dict(os.environ, PYTHONIOENCODING="utf-8", PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "recurra.cli", *argv], cwd=cwd,
+                          input=stdin.encode("utf-8"), capture_output=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+    return proc.stdout.decode("utf-8")
+
+
+def test_cli_encrypt_decrypt_round_trip_on_a_long_stdin(tmp_path):
+    rng = random.Random(163)
+    latin = Alphabet(tuple(chr(0x100 + i) for i in range(256)), chr(0x1FF))
+    (tmp_path / "latin.txt").write_text("pad=\u01ff\n" + "\n".join(latin.symbols) + "\n",
+                                        encoding="utf-8")
+    cases = ((CipherKey(3, 27, (4, -5, 2), 987654321), Alphabet.default(), ()),
+             (CipherKey(5, 256, (83, 210, 158, 229, 3), 828352265730872686), latin,
+              ("--alphabet", "latin.txt")))
+    for key, alpha, alpha_args in cases:
+        (tmp_path / "key.txt").write_text(key.to_line() + "\n")
+        plain = "".join(rng.choices(alpha.symbols, k=100_001))
+        padded = plain + alpha.pad * (-len(plain) % key.k)
+        ct = run_cli("encrypt", "--key", "key.txt", *alpha_args, stdin=plain, cwd=tmp_path)
+        assert ct == encrypt_text(key, alpha, plain) + "\n"
+        pt = run_cli("decrypt", "--key", "key.txt", *alpha_args, stdin=ct, cwd=tmp_path)
+        assert pt == padded + "\n"

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recurra.ringcore import (
     Matrix,
@@ -157,6 +158,71 @@ def test_matmul_against_naive_oracle():
         m = rng.randint(2, 30)
         assert (Matrix(a, m) @ Matrix(b, m)).entries == tuple(
             tuple(row) for row in naive_matmul(a, b, m))
+
+
+PRODUCT_MODULI = (2, 27, 29, 256, 257, 65537, 2 ** 32 + 15, 2 ** 64 + 13)
+
+
+def check_product(a, b, m):
+    """A @ B mod m against the naive triple loop, for rows a and b."""
+    got = Matrix(a, m) @ Matrix(b, m)
+    assert got.entries == tuple(tuple(row) for row in naive_matmul(a, b, m))
+    assert got.modulus == m and (got.rows, got.cols) == (len(a), len(b[0]))
+
+
+def test_modular_product_shapes_and_moduli():
+    rng = random.Random(23)
+    for m in PRODUCT_MODULI:
+        for cols in (0, 1, 2, 7, 1000):
+            for _ in range(3):
+                r, k = rng.randint(1, 8), rng.randint(1, 8)
+                a = [[rng.randrange(m) for _ in range(k)] for _ in range(r)]
+                a[rng.randrange(r)] = [0] * k       # an all-zero row
+                b = [[rng.randrange(-m, 2 * m) for _ in range(cols)] for _ in range(k)]
+                check_product(a, b, m)
+
+
+def test_modular_product_at_the_slot_bound():
+    # every entry m - 1, so each product entry is k * (m - 1)^2 before
+    # reduction, the largest a slot must hold; at k = 20 that needs 3 bytes
+    # mod 59 and 5 mod 15001 where k = 19 fits in 2 and 4, and 9 or more
+    # bytes past 8
+    for m in (2, 27, 59, 257, 15001, 65537, 2 ** 32 + 15, 2 ** 64 + 13):
+        for k in (1, 19, 20):
+            for cols in (1, 7, 1000):
+                check_product([[m - 1] * k] * 3, [[m - 1] * cols] * k, m)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_modular_product_property(data):
+    m = data.draw(st.sampled_from(PRODUCT_MODULI) | st.integers(2, 2 ** 70), label="m")
+    r = data.draw(st.integers(1, 6), label="r")
+    k = data.draw(st.integers(1, 8), label="k")
+    cols = data.draw(st.sampled_from((0, 1, 2, 7, 40)), label="cols")
+    entry = st.integers(0, m - 1) | st.sampled_from((0, m - 1))
+    a = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r))
+    b = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                           min_size=k, max_size=k))
+    check_product(a, b, m)
+
+
+def test_product_is_an_ordinary_matrix():
+    rng = random.Random(29)
+    for m in (27, 2 ** 64 + 13):
+        a = Matrix([[rng.randrange(m) for _ in range(3)] for _ in range(2)], m)
+        b = Matrix([[rng.randrange(m) for _ in range(4)] for _ in range(3)], m)
+        c = a @ b
+        same = Matrix(naive_matmul(a.entries, b.entries, m), m)
+        assert c == same and hash(c) == hash(same) and len({c, same}) == 1
+        assert isinstance(c.entries, tuple) and all(isinstance(r, tuple) for r in c.entries)
+        with pytest.raises(AttributeError):
+            c.modulus = 5
+        with pytest.raises(AttributeError):
+            c.entries = ()
+        assert c @ Matrix.identity(4, m) == c
+    z = Matrix([[1, -2], [3, 4]]) @ Matrix([[5], [-6]])
+    assert z == Matrix([[17], [-9]]) and z.modulus is None
 
 
 def test_inverse_printed_pair_mod_27():
