@@ -1,68 +1,49 @@
 """Exact-arithmetic toolkit for k-term integer linear recurrences:
 companion matrices and their determinant identities, generalized Pisano
 periods, a recurrence-keyed block cipher, and l-number / quaternion
-identities over residue rings."""
+identities over residue rings.
 
-from .ringcore import (
-    Matrix,
-    ModulusMismatch,
-    NotInvertible,
-    Residue,
-    ShapeMismatch,
-    mod_inverse,
-    multiplicative_order,
-)
-from .recurrence import (
-    SequenceSpec,
-    addition_formula,
-    bordered_det,
-    companion,
-    power,
-    power_structure_check,
-    state_step_check,
-    term,
-    term_mod,
-    term_negative,
-    window_det,
-)
-from .pisano import (
-    DiagnosisResult,
-    PeriodResult,
-    PrimeTooLarge,
-    diagonalizable_mod_p,
-    matrix_order,
-    prime_power_ladder,
-    state_period,
-)
-from .cipher import (
-    Alphabet,
-    BadCoefficient,
-    BadShape,
-    CipherKey,
-    DegenerateExponent,
-    UnknownSymbol,
-    decrypt,
-    decrypt_text,
-    encrypt,
-    encrypt_text,
-    normalize_exponent,
-    validate_key,
-)
-from .lnumbers import LSpec, l_term, m_value
-from .quaternions import LQuaternion, QuatAlgebra, Quaternion, l_quaternion
+Importing the package loads none of its submodules: each public name (and
+each submodule below) is imported on first use (PEP 562), so a caller such
+as `recurra order` pays only for what it runs.
+"""
+
+from sys import modules as _modules
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet", "BadCoefficient", "BadShape", "CipherKey",
-    "DegenerateExponent", "DiagnosisResult", "LQuaternion", "LSpec", "Matrix",
-    "ModulusMismatch", "NotInvertible", "PeriodResult", "PrimeTooLarge",
-    "QuatAlgebra", "Quaternion", "Residue", "SequenceSpec",
-    "ShapeMismatch", "UnknownSymbol", "addition_formula", "bordered_det",
-    "companion", "decrypt", "decrypt_text", "diagonalizable_mod_p", "encrypt",
-    "encrypt_text", "l_quaternion", "l_term", "m_value", "matrix_order",
-    "mod_inverse", "multiplicative_order", "normalize_exponent", "power",
-    "power_structure_check", "prime_power_ladder", "state_period",
-    "state_step_check", "term", "term_mod", "term_negative", "validate_key",
-    "window_det",
-]
+_EXPORTS = {
+    "ringcore": ("Matrix", "ModulusMismatch", "NotInvertible", "Residue",
+                 "ShapeMismatch", "mod_inverse", "multiplicative_order"),
+    "recurrence": ("SequenceSpec", "addition_formula", "bordered_det", "companion",
+                   "power", "power_structure_check", "state_step_check", "term",
+                   "term_mod", "term_negative", "window_det"),
+    "pisano": ("DiagnosisResult", "PeriodResult", "PrimeTooLarge",
+               "diagonalizable_mod_p", "matrix_order", "prime_power_ladder",
+               "state_period"),
+    "cipher": ("Alphabet", "BadCoefficient", "BadShape", "CipherKey",
+               "DegenerateExponent", "UnknownSymbol", "decrypt", "decrypt_text",
+               "encrypt", "encrypt_text", "normalize_exponent", "validate_key"),
+    "lnumbers": ("LSpec", "l_term", "m_value"),
+    "quaternions": ("LQuaternion", "QuatAlgebra", "Quaternion", "l_quaternion"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name, name)
+    if module not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ is the import statement's own path, which -X importtime
+    # reports (importlib.import_module is not timed there)
+    __import__(f"{__name__}.{module}")
+    value = _modules[f"{__name__}.{module}"]
+    if name != module:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -17,7 +17,6 @@ from math import gcd
 
 from .ringcore import Matrix
 from .recurrence import SequenceSpec, companion
-from .pisano import matrix_order
 
 
 class BadShape(ValueError):
@@ -98,6 +97,7 @@ def normalize_exponent(key: CipherKey) -> CipherKey:
 
     Raises DegenerateExponent when n = 0 mod pi(N) (identity matrix).
     """
+    from .pisano import matrix_order
     validate_key(key)
     period = matrix_order(key.spec(), key.n_mod)
     reduced = key.exponent % period
@@ -206,6 +206,7 @@ def decrypt(key: CipherKey, block: Matrix) -> Matrix:
 def decrypt_via_period(key: CipherKey, block: Matrix) -> Matrix:
     """Cross-check route: D^{-n} = D^{pi(N) - (n mod pi(N))}, with no
     matrix inverse."""
+    from .pisano import matrix_order
     validate_key(key)
     _check_block(key, block)
     period = matrix_order(key.spec(), key.n_mod)

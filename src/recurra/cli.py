@@ -9,9 +9,13 @@ token.  Exit codes:
   2  bad input or usage: an invalid key, modulus or file, an unknown
      symbol, a negative --n (argparse's own usage errors exit 2 as well)
   3  an arithmetic failure: a checked identity broke (ArithmeticError),
-     or a value overflowed (e.g. --budget 1e400s)
+     a value overflowed (e.g. --budget 1e400s), or a number the period or
+     order needs did not factor within the factoring bound
 
 Codes 2 and 3 print a one-line "error: ..." message on stderr.
+
+Each command imports only the recurra modules it runs; `verify` is the
+one that loads them all.
 """
 from __future__ import annotations
 
@@ -19,12 +23,14 @@ import argparse
 import os
 import sys
 
-from . import cipher, lnumbers, pisano, quaternions, recurrence, verify
-from .ringcore import Residue, multiplicative_order
-from .recurrence import SequenceSpec
+# verify.SUITES and verify.DEFAULT_BUDGET_MS, kept here so that building
+# the parser does not import verify (tests hold the two in step)
+SUITE_NAMES = ("cipher", "lnum", "matrix", "pisano", "quat")
+DEFAULT_BUDGET_MS = 60_000
 
 
-def _spec_from_args(args) -> SequenceSpec:
+def _spec_from_args(args):
+    from .recurrence import SequenceSpec
     initial = tuple(args.initial) if getattr(args, "initial", None) else None
     return SequenceSpec(tuple(args.coeffs), initial)
 
@@ -43,6 +49,7 @@ def _print_terms(values: list[int]) -> None:
 
 
 def _cmd_seq(args) -> int:
+    from . import recurrence
     _require_last_index(args.n)
     spec = _spec_from_args(args)
     if args.mod is not None:
@@ -54,6 +61,7 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_pisano(args) -> int:
+    from . import pisano
     spec = _spec_from_args(args)
     if args.ladder:
         p, r_max = args.ladder
@@ -68,16 +76,19 @@ def _cmd_pisano(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    from .ringcore import Residue, multiplicative_order
     print(multiplicative_order(Residue(args.x, args.mod)))
     return 0
 
 
-def _load_key(path: str) -> cipher.CipherKey:
+def _load_key(path: str):
+    from . import cipher
     with open(path, encoding="utf-8") as fh:
         return cipher.CipherKey.from_line(fh.read())
 
 
-def _load_alphabet(path: str | None) -> cipher.Alphabet:
+def _load_alphabet(path: str | None):
+    from . import cipher
     if path is None:
         return cipher.Alphabet.default()
     with open(path, encoding="utf-8") as fh:
@@ -90,6 +101,7 @@ def _read_text() -> str:
 
 
 def _cmd_encrypt(args) -> int:
+    from . import cipher
     key = _load_key(args.key)
     alpha = _load_alphabet(args.alphabet)
     sys.stdout.write(cipher.encrypt_text(key, alpha, _read_text()) + "\n")
@@ -97,6 +109,7 @@ def _cmd_encrypt(args) -> int:
 
 
 def _cmd_decrypt(args) -> int:
+    from . import cipher
     key = _load_key(args.key)
     alpha = _load_alphabet(args.alphabet)
     out = cipher.decrypt_text(key, alpha, _read_text(), strip_pad=args.strip_pad)
@@ -105,6 +118,7 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_validate_key(args) -> int:
+    from . import cipher
     key = _load_key(args.key)
     cipher.validate_key(key)
     if args.normalize:
@@ -116,10 +130,12 @@ def _cmd_validate_key(args) -> int:
 
 
 def _cmd_lnum(args) -> int:
+    from . import lnumbers, recurrence
     _require_last_index(args.n)
     spec = lnumbers.LSpec(args.l)
     if args.mod is not None:
-        values = recurrence.terms_mod(SequenceSpec((spec.l, 1)), args.n + 1, args.mod)
+        values = recurrence.terms_mod(recurrence.SequenceSpec((spec.l, 1)),
+                                      args.n + 1, args.mod)
     else:
         values = lnumbers.l_terms(spec, args.n + 1)
     _print_terms(values)
@@ -127,6 +143,7 @@ def _cmd_lnum(args) -> int:
 
 
 def _cmd_quat(args) -> int:
+    from . import quaternions
     report = quaternions.invertibility_census(args.l, args.r, args.n)
     for rec in report.records:
         a = quaternions.l_quaternion(args.l, args.r, rec.index)
@@ -138,19 +155,24 @@ def _cmd_quat(args) -> int:
 def _parse_budget(text: str) -> int:
     """Milliseconds; accepts a bare count or an 'ms'/'s' suffix ('60s')."""
     text = text.strip()
-    if text.endswith("ms"):
-        return int(text[:-2])
-    if text.endswith("s"):
-        return int(float(text[:-1]) * 1000)
-    return int(text)
+    try:
+        if text.endswith("ms"):
+            return int(text[:-2])
+        if text.endswith("s"):
+            return int(float(text[:-1]) * 1000)
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--budget takes milliseconds (500 or 500ms) or seconds "
+                         f"with an 's' suffix (60s), got {text!r}") from None
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     if args.budget is not None:
         budget = _parse_budget(args.budget)
     else:
-        budget = int(os.environ.get("RECURRA_BUDGET_MS", verify.DEFAULT_BUDGET_MS))
+        budget = int(os.environ.get("RECURRA_BUDGET_MS", DEFAULT_BUDGET_MS))
     results = verify.run_suites(names, args.seed, budget)
     for result in results:
         print(result.line())
@@ -224,11 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run randomized property suites")
     p.add_argument("--suite", default="all",
-                   choices=sorted(verify.SUITES) + ["all"])
+                   choices=[*SUITE_NAMES, "all"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", default=None, metavar="MS",
                    help="wall-time cap, ms or suffixed like 60s (default "
-                        f"RECURRA_BUDGET_MS or {verify.DEFAULT_BUDGET_MS})")
+                        f"RECURRA_BUDGET_MS or {DEFAULT_BUDGET_MS})")
     p.set_defaults(func=_cmd_verify)
 
     return parser

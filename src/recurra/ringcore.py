@@ -53,6 +53,10 @@ def invert_mod(a: int, m: int) -> int:
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 _TRIAL_LIMIT = 1000
+# Pollard rho needs on the order of sqrt(q) steps to split off a prime
+# factor q: this bound reaches q up to about 10^12 and makes a hopeless
+# input (two 20-digit primes) fail in seconds rather than run for hours.
+_RHO_STEP_LIMIT = 1 << 22
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -142,13 +146,18 @@ def is_prime(n: int) -> bool:
 def _rho_factor(n: int) -> int:
     """A nontrivial factor of the odd composite n: Pollard's rho with
     Brent's cycle search and batched gcds, over x^2 + c for c = 1, 2, ...
-    (deterministic, so equal inputs take equal time)."""
+    (deterministic, so equal inputs take equal time).  ArithmeticError
+    when no factor turns up within _RHO_STEP_LIMIT steps."""
     batch = 128
-    c = 0
+    c = steps = 0
     while True:
         c += 1
         y, power, acc, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * power
+            if steps > _RHO_STEP_LIMIT:
+                raise ArithmeticError(f"cannot factor {n}: no factor found in "
+                                      f"{_RHO_STEP_LIMIT} Pollard rho steps")
             x = y
             for _ in range(power):
                 y = (y * y + c) % n
@@ -173,7 +182,8 @@ def _rho_factor(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of n >= 1, primes ascending.
 
-    Trial division below 1000, then Pollard-Brent rho on what is left.
+    Trial division below 1000, then Pollard-Brent rho on what is left;
+    ArithmeticError when rho cannot split a composite within its step bound.
     """
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")

@@ -297,3 +297,57 @@ def test_cli_encrypt_decrypt_round_trip_on_a_long_stdin(tmp_path):
         assert ct == encrypt_text(key, alpha, plain) + "\n"
         pt = run_cli("decrypt", "--key", "key.txt", *alpha_args, stdin=ct, cwd=tmp_path)
         assert pt == padded + "\n"
+
+
+def test_factoring_bound_ends_hard_inputs(capsys):
+    # Phi_5(2^61 - 1) (73 digits) and (2^61 - 1)(2^64 - 59) have no factor
+    # Pollard rho finds within its step bound: one error line and exit 3,
+    # after a few seconds rather than hours
+    for argv in (("pisano", "1", "1", "1", "1", "1", "--mod", "2305843009213693951"),
+                 ("order", "3", "--mod", "42535295865117307778430344311653531707")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("error: cannot factor ") and "Pollard rho steps" in err, argv
+        assert len(err.strip().splitlines()) == 1, argv
+    assert "42535295865117307778430344311653531707" in err
+
+
+def test_cli_constants_match_verify():
+    from recurra import verify
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
+    assert cli.DEFAULT_BUDGET_MS == verify.DEFAULT_BUDGET_MS
+
+
+VERIFY_USAGE = """\
+usage: recurra verify [-h] [--suite {cipher,lnum,matrix,pisano,quat,all}]
+                      [--seed SEED] [--budget MS]
+"""
+
+
+def test_verify_help_and_bad_suite_text_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == VERIFY_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --suite {cipher,lnum,matrix,pisano,quat,all}
+  --seed SEED
+  --budget MS           wall-time cap, ms or suffixed like 60s (default
+                        RECURRA_BUDGET_MS or 60000)
+"""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "bogus"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == VERIFY_USAGE + (
+        "recurra verify: error: argument --suite: invalid choice: 'bogus' (choose "
+        "from 'cipher', 'lnum', 'matrix', 'pisano', 'quat', 'all')\n")
+
+
+def test_budget_parse_error_names_the_flag(capsys):
+    for budget in ("abc", "1.5", "xs", "ms"):
+        code, out, err = run(capsys, "verify", "--suite", "matrix", "--budget", budget)
+        assert code == 2 and out == "", budget
+        assert err == (f"error: --budget takes milliseconds (500 or 500ms) or seconds "
+                       f"with an 's' suffix (60s), got {budget!r}\n"), budget

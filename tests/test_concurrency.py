@@ -1,5 +1,8 @@
 """Everything is immutable values and pure functions; hammer a few hot
 entry points from many threads and require byte-identical answers."""
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from recurra import cipher, pisano, recurrence
@@ -28,3 +31,34 @@ def test_concurrent_callers_agree():
         assert got[1] == 54
         assert got[2] == (0, 18)
         assert got[3] == "QDSNYCTVS"
+
+
+# Eight threads of a fresh interpreter resolve every public name of the lazy
+# package at once, each in its own order, and must get the same objects.
+RESOLVE_ALL = """
+import random, sys, threading, recurra
+sys.setswitchinterval(1e-6)
+names, start, got = list(recurra.__all__), threading.Barrier(8), {}
+
+def resolve(i):
+    order = random.Random(i).sample(names, len(names))
+    start.wait()
+    got[i] = {name: getattr(recurra, name) for name in order}
+
+threads = [threading.Thread(target=resolve, args=(i,)) for i in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads) and len(got) == 8
+assert all(got[i][name] is got[0][name] for i in got for name in names)
+print(len(names))
+"""
+
+
+def test_threads_resolving_the_lazy_namespace_agree():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", RESOLVE_ALL], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout == "44\n"

@@ -128,6 +128,22 @@ def test_factorize():
         assert all(is_prime(p) for p in f) and list(f) == sorted(f)
 
 
+def test_factorize_gives_up_at_its_step_bound(monkeypatch):
+    # two ~20-digit primes: far past what rho reaches within its bound
+    n = (2 ** 61 - 1) * (2 ** 64 - 59)
+    with pytest.raises(ArithmeticError, match=f"cannot factor {n}: "):
+        factorize(n)
+    # rho splits this one after 65534 steps; the bound is exact and spans
+    # every try of the rho constant
+    n = (2 ** 31 - 1) * (10 ** 9 + 9)
+    monkeypatch.setattr("recurra.ringcore._RHO_STEP_LIMIT", 1 << 16)
+    assert factorize(n) == {2 ** 31 - 1: 1, 10 ** 9 + 9: 1}
+    monkeypatch.setattr("recurra.ringcore._RHO_STEP_LIMIT", 1 << 15)
+    with pytest.raises(ArithmeticError, match=f"cannot factor {n}: no factor found "
+                                              f"in 32768 Pollard rho steps"):
+        factorize(n)
+
+
 def test_carmichael_against_brute_force():
     for m in range(2, 400):
         assert carmichael(m) == carmichael_brute(m), m

@@ -1,0 +1,113 @@
+"""Import cost per command: each CLI command loads only the recurra modules
+it runs, and the package namespace resolves its public names on first use
+with the same objects as their home modules."""
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+
+import pytest
+
+import recurra
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# The package's public names by home module.
+EXPORTS = {
+    "ringcore": ["Matrix", "ModulusMismatch", "NotInvertible", "Residue", "ShapeMismatch",
+                 "mod_inverse", "multiplicative_order"],
+    "recurrence": ["SequenceSpec", "addition_formula", "bordered_det", "companion", "power",
+                   "power_structure_check", "state_step_check", "term", "term_mod",
+                   "term_negative", "window_det"],
+    "pisano": ["DiagnosisResult", "PeriodResult", "PrimeTooLarge", "diagonalizable_mod_p",
+               "matrix_order", "prime_power_ladder", "state_period"],
+    "cipher": ["Alphabet", "BadCoefficient", "BadShape", "CipherKey", "DegenerateExponent",
+               "UnknownSymbol", "decrypt", "decrypt_text", "encrypt", "encrypt_text",
+               "normalize_exponent", "validate_key"],
+    "lnumbers": ["LSpec", "l_term", "m_value"],
+    "quaternions": ["LQuaternion", "QuatAlgebra", "Quaternion", "l_quaternion"],
+}
+# __all__ holds the 44 names in sorted order
+ALL = sorted(name for names in EXPORTS.values() for name in names)
+LIBRARY = {"cipher", "lnumbers", "pisano", "quaternions", "recurrence", "ringcore", "verify"}
+
+# Runs `recurra ARGS...` through runpy in this fresh interpreter, then writes
+# the recurra submodules it loaded to OUT as JSON: python -c PROBE OUT ARGS...
+PROBE = """
+import json, runpy, sys
+out, sys.argv = sys.argv[1], ["recurra", *sys.argv[2:]]
+try:
+    runpy.run_module("recurra.cli", run_name="__main__")
+except SystemExit:
+    pass
+with open(out, "w") as fh:
+    json.dump(sorted(m[8:] for m in sys.modules if m.startswith("recurra.")), fh)
+"""
+
+
+def loaded_by(tmp_path, *argv, stdin: str = "") -> set[str]:
+    out = tmp_path / "modules.json"
+    subprocess.run([sys.executable, "-c", PROBE, str(out), *argv], cwd=tmp_path,
+                   input=stdin.encode(), capture_output=True, timeout=120,
+                   env=dict(os.environ, PYTHONPATH=SRC), check=True)
+    return set(json.loads(out.read_text()))
+
+
+def test_cipher_commands_load_no_period_or_sequence_modules(tmp_path):
+    (tmp_path / "key.txt").write_text("3 27 4 -5 2 2\n")
+    cipher_only = {"cipher", "recurrence", "ringcore"}
+    assert loaded_by(tmp_path, "encrypt", "--key", "key.txt", stdin="SUCCESS**") == cipher_only
+    assert loaded_by(tmp_path, "decrypt", "--key", "key.txt", stdin="QDSNYCTVS") == cipher_only
+    assert loaded_by(tmp_path, "validate-key", "--key", "key.txt") == cipher_only
+    assert loaded_by(tmp_path, "validate-key", "--key", "key.txt",
+                     "--normalize") == cipher_only | {"pisano"}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("order", "2", "--mod", "27"), {"ringcore"}),
+    (("seq", "1", "1", "--n", "10"), {"recurrence", "ringcore"}),
+    (("seq", "1", "1", "--n", "10", "--mod", "7"), {"recurrence", "ringcore"}),
+    (("pisano", "1", "1", "--mod", "10"), {"pisano", "recurrence", "ringcore"}),
+    (("lnum", "2", "--n", "7"), {"lnumbers", "recurrence", "ringcore"}),
+    (("quat", "3", "--n", "4"), {"quaternions", "lnumbers", "recurrence", "ringcore"}),
+    (("verify", "--suite", "matrix"), LIBRARY),
+    (("--help",), set()),
+])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, expected):
+    assert loaded_by(tmp_path, *argv) == expected
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = "import recurra, sys; print(sorted(m for m in sys.modules if m.startswith('recurra')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120, check=True)
+    assert proc.stdout == "['recurra']\n"
+
+
+def test_namespace_names_are_their_home_module_objects():
+    assert recurra.__all__ == ALL and len(ALL) == 44
+    for module, names in EXPORTS.items():
+        home = import_module(f"recurra.{module}")
+        assert getattr(recurra, module) is home
+        for name in names:
+            assert getattr(recurra, name) is getattr(home, name), name
+    assert recurra.__version__ == "0.1.0"
+
+
+def test_star_import_and_dir_list_every_name():
+    namespace: dict = {}
+    exec("from recurra import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == ALL
+    assert all(namespace[name] is getattr(recurra, name) for name in ALL)
+    listed = dir(recurra)
+    assert set(ALL) | set(EXPORTS) <= set(listed) and listed == sorted(listed)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'recurra' has no attribute 'nope'"):
+        recurra.nope
+    assert not hasattr(recurra, "verify_all")
+    with pytest.raises(ImportError):
+        exec("from recurra import nope", {})
