@@ -18,9 +18,8 @@ _EXPORTS = {
     "recurrence": ("SequenceSpec", "addition_formula", "bordered_det", "companion",
                    "power", "power_structure_check", "state_step_check", "term",
                    "term_mod", "term_negative", "window_det"),
-    "pisano": ("DiagnosisResult", "PeriodResult", "PrimeTooLarge",
-               "diagonalizable_mod_p", "matrix_order", "prime_power_ladder",
-               "state_period"),
+    "pisano": ("DiagnosisResult", "PeriodResult", "diagonalizable_mod_p",
+               "matrix_order", "prime_power_ladder", "state_period"),
     "cipher": ("Alphabet", "BadCoefficient", "BadShape", "CipherKey",
                "DegenerateExponent", "UnknownSymbol", "decrypt", "decrypt_text",
                "encrypt", "encrypt_text", "normalize_exponent", "validate_key"),

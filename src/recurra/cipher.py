@@ -5,6 +5,11 @@ the key's coefficients; plaintext labels are packed column-by-column into
 a k x r matrix V and C = D^n V, V = D^{-n} C.  Invertibility of D mod N
 reduces to gcd(a_k, N) = 1 because det D = (-1)^{k+1} a_k.
 
+No matrix is raised to a power: D^n is read off x^n in Z_N[x]/(chi)
+(recurrence.companion_power), and D^{-n} off (x^{-1})^n, where
+x^{-1} = a_k^{-1} (x^{k-1} - a_1 x^{k-2} - ... - a_{k-1}) exists exactly
+when a_k is a unit mod N, the same condition as for det D.
+
 This is a classical linear (Hill-type) cipher: a handful of known
 plaintext/ciphertext columns recovers D^n by linear algebra.  It is a
 worked construction, not a secure one.
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .ringcore import Matrix
-from .recurrence import SequenceSpec, companion
+from .recurrence import SequenceSpec, companion_power, x_inverse
 
 
 class BadShape(ValueError):
@@ -52,7 +57,7 @@ class CipherKey:
 
     def matrix(self) -> Matrix:
         """The enciphering matrix D^n mod N."""
-        return companion(self.spec()).reduce(self.n_mod) ** self.exponent
+        return companion_power(self.spec(), self.exponent, self.n_mod)
 
     def to_line(self) -> str:
         parts = [self.k, self.n_mod, *self.coeffs, self.exponent]
@@ -196,11 +201,16 @@ def encrypt(key: CipherKey, block: Matrix) -> Matrix:
 
 
 def decrypt(key: CipherKey, block: Matrix) -> Matrix:
-    """V = D^{-n} C mod N, with D^{-n} = (adjugate-inverse of D)^n."""
+    """V = D^{-n} C mod N, with D^{-n} read off (x^{-1})^n mod chi.
+
+    x^{-1} = a_k^{-1} (x^{k-1} - a_1 x^{k-2} - ... - a_{k-1}) exists exactly
+    when a_k is a unit mod N: the condition that det D = (-1)^{k+1} a_k be
+    a unit, which the adjugate inverse needs too and validate_key checks.
+    """
     validate_key(key)
     _check_block(key, block)
-    d_inv = companion(key.spec()).reduce(key.n_mod).inverse()
-    return (d_inv ** key.exponent) @ block
+    spec = key.spec()
+    return companion_power(spec, key.exponent, key.n_mod, x_inverse(spec, key.n_mod)) @ block
 
 
 def decrypt_via_period(key: CipherKey, block: Matrix) -> Matrix:
@@ -211,8 +221,7 @@ def decrypt_via_period(key: CipherKey, block: Matrix) -> Matrix:
     _check_block(key, block)
     period = matrix_order(key.spec(), key.n_mod)
     complement = (-key.exponent) % period
-    d = companion(key.spec()).reduce(key.n_mod)
-    return (d ** complement) @ block
+    return companion_power(key.spec(), complement, key.n_mod) @ block
 
 
 def _check_block(key: CipherKey, block: Matrix) -> None:

@@ -152,8 +152,9 @@ def _cmd_quat(args) -> int:
     return 0 if report.all_invertible else 1
 
 
-def _parse_budget(text: str) -> int:
-    """Milliseconds; accepts a bare count or an 'ms'/'s' suffix ('60s')."""
+def _parse_budget(text: str, source: str = "--budget") -> int:
+    """Milliseconds; accepts a bare count or an 'ms'/'s' suffix ('60s').
+    source names the flag or variable the text came from in the error."""
     text = text.strip()
     try:
         if text.endswith("ms"):
@@ -162,7 +163,7 @@ def _parse_budget(text: str) -> int:
             return int(float(text[:-1]) * 1000)
         return int(text)
     except ValueError:
-        raise ValueError(f"--budget takes milliseconds (500 or 500ms) or seconds "
+        raise ValueError(f"{source} takes milliseconds (500 or 500ms) or seconds "
                          f"with an 's' suffix (60s), got {text!r}") from None
 
 
@@ -171,8 +172,10 @@ def _cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     if args.budget is not None:
         budget = _parse_budget(args.budget)
+    elif "RECURRA_BUDGET_MS" in os.environ:
+        budget = _parse_budget(os.environ["RECURRA_BUDGET_MS"], "RECURRA_BUDGET_MS")
     else:
-        budget = int(os.environ.get("RECURRA_BUDGET_MS", DEFAULT_BUDGET_MS))
+        budget = DEFAULT_BUDGET_MS
     results = verify.run_suites(names, args.seed, budget)
     for result in results:
         print(result.line())

@@ -3,24 +3,21 @@
 pi(m) is defined here as the multiplicative order of the companion matrix
 mod m (the sequence-window period divides it and is reported separately,
 since the two need not coincide for every initial window).  The order is
-not searched for step by step: it is the least divisor of the exponent of
-GL_k(Z_m), known in factored form, that sends x to 1 in Z_m[x]/(chi).
-That costs a few hundred polynomial products whatever the period's size.
+not searched for step by step: it is the least divisor of a factored
+multiple that sends x to 1 in Z_m[x]/(chi).  Per p^r || m the multiple is
+lcm(p^d - 1) over the degrees d of the irreducible factors of chi mod p,
+found by distinct-degree factorization, times a power of p; only those
+p^d - 1 are factored, and a product tree descends from the multiple.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .ringcore import (Matrix, NotInvertible, Residue, check_modulus,
-                       factorize, is_prime, lcm_factored, multiplicative_order,
-                       order_from_multiple, unfactor)
-from .recurrence import SequenceSpec, companion, terms_mod, x_power
-
-
-class PrimeTooLarge(ValueError):
-    """Exhaustive root search is only feasible for small primes."""
+from .ringcore import (NotInvertible, Residue, check_modulus, factorize, is_prime,
+                       lcm_factored, multiplicative_order, order_from_multiple,
+                       unfactor)
+from .recurrence import SequenceSpec, terms_mod, x_power
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,7 @@ def _matrix_order_factored(spec: SequenceSpec, m: int) -> dict[int, int]:
     check_modulus(m)
     _require_unit_tail_coeff(spec, m)
     one = (1,) + (0,) * (spec.k - 1)
-    return _descend(spec, m, _gl_exponent_factored(spec.k, m), lambda y: y == one)
+    return _descend(spec, m, _order_multiple_factored(spec, m), lambda y: y == one)
 
 
 def matrix_order(spec: SequenceSpec, m: int) -> int:
@@ -125,26 +122,58 @@ def _cyclotomic_value(d: int, p: int) -> int:
     return value
 
 
-def _gl_exponent_factored(k: int, m: int) -> dict[int, int]:
-    """The exponent of GL_k(Z_m) divides this, factored as {q: e}.
+def _p_power_minus_one_factored(p: int, degrees) -> list[dict[int, int]]:
+    """p^j - 1 factored for each j in degrees, as the product of its
+    cyclotomic pieces Phi_d(p), d | j, which are far smaller; each piece is
+    factored once."""
+    pieces: dict[int, dict[int, int]] = {}
+    out = []
+    for j in degrees:
+        total: dict[int, int] = {}
+        for d in range(1, j + 1):
+            if j % d == 0:
+                if d not in pieces:
+                    pieces[d] = factorize(_cyclotomic_value(d, p))
+                for q, e in pieces[d].items():
+                    total[q] = total.get(q, 0) + e
+        out.append(total)
+    return out
 
-    Per prime power p^r || m: lcm_{j <= k}(p^j - 1) bounds the order of a
-    semisimple element mod p, p^s with p^s >= k that of a unipotent one,
-    and p^(r-1) that of the kernel of reduction mod p (Wall 1960 gives the
-    k = 2 case).  Each p^j - 1 is factored as its cyclotomic pieces
-    Phi_d(p), d | j, which are far smaller.
+
+def _exponent_factored(m: int, k: int, local) -> dict[int, int]:
+    """A multiple, factored as {q: e}, of the order of x in Z_m[x]/(chi)
+    for a degree-k chi with a unit constant term, where local(p) gives the
+    degrees of the irreducible factors of chi mod p and whether chi mod p
+    is squarefree.
+
+    Z_p[x]/(chi) is a product of F_p[x]/(g^e) over the irreducible factors
+    g of chi mod p.  There x^(p^d - 1) = 1 + n for d = deg g, with n
+    nilpotent, n^e = 0, so (1 + n)^(p^s) = 1 once p^s >= e: s = 0 when
+    chi mod p is squarefree, else the least s with p^s >= k.  The kernel
+    of reduction from p^r || m to p has exponent p^(r-1) (Wall 1960 gives
+    the k = 2 case).
     """
     parts = []
     for p, r in factorize(m).items():
-        pieces = [Counter(factorize(_cyclotomic_value(d, p))) for d in range(1, k + 1)]
-        for j in range(1, k + 1):
-            parts.append(sum((pieces[d - 1] for d in range(1, j + 1) if j % d == 0),
-                             Counter()))
+        degrees, squarefree = local(p)
+        parts += _p_power_minus_one_factored(p, degrees)
         s = 0
-        while p ** s < k:
+        while not squarefree and p ** s < k:
             s += 1
         parts.append({p: s + r - 1})
     return {q: e for q, e in lcm_factored(*parts).items() if e}
+
+
+def _gl_exponent_factored(k: int, m: int) -> dict[int, int]:
+    """The exponent of GL_k(Z_m) divides this, factored as {q: e}: any
+    degrees up to k may occur, and repeated factors."""
+    return _exponent_factored(m, k, lambda p: (range(1, k + 1), False))
+
+
+def _order_multiple_factored(spec: SequenceSpec, m: int) -> dict[int, int]:
+    """A multiple of pi(m), factored as {q: e}, from the degrees of the
+    factors of chi mod each p | m; it divides _gl_exponent_factored."""
+    return _exponent_factored(m, spec.k, lambda p: _factor_degrees(spec, p))
 
 
 def matrix_order_multiple(k: int, m: int) -> int:
@@ -205,69 +234,141 @@ def char_poly(spec: SequenceSpec) -> list[int]:
     return [-a for a in reversed(spec.coeffs)] + [1]
 
 
-def _poly_eval_mod(poly: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * x + c) % p
-    return acc
+# -- polynomials over F_p, for the factorization of chi mod p: coefficient
+# lists, lowest degree first, reduced mod p, with no trailing zeros (the zero
+# polynomial is []) -------------------------------------------------------------
+
+def _trim(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
 
 
-def diagonalizable_mod_p(spec: SequenceSpec, p: int,
-                         max_prime: int = 10**4) -> DiagnosisResult:
-    """Is the companion matrix diagonalizable over Z_p?
+def poly_mod_p(f, p: int) -> list[int]:
+    """The coefficients f reduced mod p, trailing zeros dropped."""
+    return _trim([c % p for c in f])
 
-    Finds all characteristic roots by exhaustive evaluation, then applies
-    the distinct-linear-factor criterion: D is diagonalizable iff the
-    product of (D - lambda I) over the distinct roots vanishes mod p.
-    When it is, the order of D mod p must divide p - 1 (Fermat on the
-    diagonal form); that consequence is re-verified here.
+
+def poly_divmod_mod_p(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by the nonzero g over F_p, p prime."""
+    rem, low, dg = f[:], g[:-1], len(g) - 1
+    inv = pow(g[-1], -1, p)
+    quot = []
+    while len(rem) > dg:
+        c = rem.pop() * inv % p
+        quot.append(c)
+        if c:
+            shift = len(rem) - dg
+            rem[shift:] = [(a - c * b) % p for a, b in zip(rem[shift:], low)]
+    return quot[::-1], _trim(rem)
+
+
+def poly_gcd_mod_p(f: list[int], g: list[int], p: int) -> list[int]:
+    """The monic gcd of f and g over F_p, p prime ([] when both are zero)."""
+    while g:
+        f, g = g, poly_divmod_mod_p(f, g, p)[1]
+    if not f:
+        return f
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _factor_degrees(spec: SequenceSpec, p: int) -> tuple[set[int], bool]:
+    """The degrees of the irreducible factors of chi mod p, and whether
+    chi mod p is squarefree.
+
+    Distinct-degree factorization (Knuth, TAOCP 2, 4.6.2): x^(p^d) - x is
+    the product of the monic irreducibles of degree dividing d, each once,
+    so with the factors of lower degree already divided out,
+    gcd(rest, x^(p^d) - x) is the product of those of degree d.  Dividing
+    them out again while they still divide the rest strips repeated
+    factors.  x^(p^d) mod chi is one x_power from x^(p^(d-1)).  The walk
+    ends when the factors found account for all k degrees, or once the
+    rest has degree below 2(d + 1): every factor left has degree above d,
+    so the rest is then one irreducible factor.
+    """
+    x = (0, 1) + (0,) * (spec.k - 2)
+    rest = poly_mod_p(char_poly(spec), p)
+    degrees: set[int] = set()
+    squarefree = True
+    frobenius, d = x, 0
+    while len(rest) > 1:
+        if len(rest) - 1 < 2 * (d + 1):
+            degrees.add(len(rest) - 1)
+            break
+        d += 1
+        frobenius = x_power(spec, p, p, frobenius)
+        g = poly_gcd_mod_p(rest, poly_mod_p([a - b for a, b in zip(frobenius, x)], p), p)
+        if len(g) == 1:
+            continue
+        degrees.add(d)
+        rest = poly_divmod_mod_p(rest, g, p)[0]
+        while len(rest) > d:            # a factor of degree d may repeat
+            g = poly_gcd_mod_p(rest, g, p)
+            if len(g) == 1:
+                break
+            squarefree = False
+            rest = poly_divmod_mod_p(rest, g, p)[0]
+    return degrees, squarefree
+
+
+def _split_roots(spec: SequenceSpec, p: int) -> list[int]:
+    """The roots of chi mod p, for chi a product of distinct linear
+    factors mod the odd prime p.
+
+    Equal-degree splitting (Cantor and Zassenhaus 1981): (x + delta) is a
+    square for about half the roots, so gcd(f, (x + delta)^((p-1)/2) - 1)
+    splits any factor f with two roots that delta separates.  delta runs
+    0, 1, 2, ..., which separates any two roots within p steps, so the
+    search is deterministic; each delta costs one x_power mod chi, shared
+    by every factor still to split.
+    """
+    k = spec.k
+    pending = [poly_mod_p(char_poly(spec), p)]
+    roots = []
+    delta = 0
+    while pending:
+        h = x_power(spec, (p - 1) // 2, p, (delta, 1) + (0,) * (k - 2))
+        h = poly_mod_p([h[0] - 1, *h[1:]], p)
+        still = []
+        for f in pending:
+            g = poly_gcd_mod_p(f, h, p)
+            parts = [f] if len(g) in (1, len(f)) else [g, poly_divmod_mod_p(f, g, p)[0]]
+            for part in parts:
+                if len(part) == 2:              # monic x - root
+                    roots.append(-part[0] % p)
+                else:
+                    still.append(part)
+        pending = still
+        delta += 1
+    return sorted(roots)
+
+
+def diagonalizable_mod_p(spec: SequenceSpec, p: int) -> DiagnosisResult:
+    """Is the companion matrix diagonalizable over Z_p, p an odd prime?
+
+    chi is also the minimal polynomial of D (a companion matrix is
+    non-derogatory), so D is diagonalizable over F_p exactly when chi is a
+    product of distinct linear factors, that is, when chi divides x^p - x:
+    one test, x^p = x mod chi.  The eigenvalues then come from equal-degree
+    splitting, and must multiply back to chi, which is re-verified here.
+    Since x is a unit, x^(p-1) = 1 follows, so the order of D mod p
+    divides p - 1.
     """
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    if p > max_prime:
-        raise PrimeTooLarge(f"exhaustive root search capped at {max_prime}")
     _require_unit_tail_coeff(spec, p)
-    k = spec.k
-    f = char_poly(spec)
-    roots = [x for x in range(p) if _poly_eval_mod(f, x, p) == 0]
-    if not roots:
+    x = (0, 1) + (0,) * (spec.k - 2)
+    if x_power(spec, p, p) != x:
         return DiagnosisResult(False)
-    d = companion(spec).reduce(p)
-    ident = Matrix.identity(k, p)
-    g_of_d = ident
-    for lam in roots:
-        g_of_d = g_of_d @ (d - ident.scale(lam))
-    if g_of_d != Matrix.zero(k, k, p):
-        return DiagnosisResult(False)
-    # multiplicities via synthetic division; they must sum to k
-    eigenvalues = []
-    for lam in roots:
-        poly = f[:]
-        while len(poly) > 1:
-            quot, rem = _synth_div(poly, lam, p)
-            if rem != 0:
-                break
-            eigenvalues.append(lam)
-            poly = quot
-    eigenvalues.sort()
-    if len(eigenvalues) != k:
-        raise ArithmeticError("split minimal polynomial with non-split "
-                              "characteristic polynomial; unreachable")
-    if (p - 1) % matrix_order(spec, p) != 0:
-        raise ArithmeticError(f"diagonalizable mod {p} but order does not "
-                              f"divide {p - 1}")
+    eigenvalues = _split_roots(spec, p)
+    product = [1]
+    for lam in eigenvalues:
+        product = [(low - lam * high) % p for low, high in zip([0] + product, product + [0])]
+    if product != [c % p for c in char_poly(spec)]:
+        raise ArithmeticError(f"eigenvalues {eigenvalues} do not multiply back "
+                              f"to chi mod {p}")
     return DiagnosisResult(True, tuple(eigenvalues))
-
-
-def _synth_div(poly: list[int], lam: int, p: int) -> tuple[list[int], int]:
-    """Divide poly (coeffs low->high) by (x - lam) mod p; (quotient, remainder)."""
-    quot = [0] * (len(poly) - 1)
-    carry = 0
-    for i in range(len(poly) - 1, 0, -1):
-        carry = (poly[i] + carry * lam) % p
-        quot[i - 1] = carry
-    rem = (poly[0] + carry * lam) % p
-    return quot, rem
 
 
 def pi2_all_odd_check(spec: SequenceSpec) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .ringcore import Matrix, Residue, check_modulus
+from .ringcore import Matrix, Residue, check_modulus, invert_mod
 
 
 @dataclass(frozen=True)
@@ -195,6 +195,44 @@ def x_power(spec: SequenceSpec, n: int, m: int | None = None,
         if n:
             base = _mulmod_charpoly(base, base, coeffs, m)
     return (1,) + (0,) * (k - 1) if result is None else result
+
+
+def x_inverse(spec: SequenceSpec, m: int) -> tuple[int, ...]:
+    """x^{-1} in Z_m[x]/(chi), the element D^{-1} is read off.
+
+    chi(x) = 0 gives x (x^{k-1} - a_1 x^{k-2} - ... - a_{k-1}) = a_k, so
+    x^{-1} = a_k^{-1} (x^{k-1} - a_1 x^{k-2} - ... - a_{k-1}).  NotInvertible
+    unless a_k is a unit mod m, which is exactly when det D = (-1)^{k+1} a_k
+    is one.
+    """
+    inv = invert_mod(spec.coeffs[-1], check_modulus(m))
+    return tuple(-a * inv % m for a in reversed(spec.coeffs[:-1])) + (inv,)
+
+
+def companion_power(spec: SequenceSpec, n: int, m: int | None = None,
+                    base: tuple[int, ...] | None = None) -> Matrix:
+    """D^n (or f(D) for f = base^n, see x_power), over Z or reduced mod m.
+
+    Row k of D is e_{k-1}, so the bottom row of any f(D) = sum c_i D^i is
+    (c_{k-1}, ..., c_0), and row k - j of f(D) is the bottom row of
+    D^j f(D), which is x^j f mod chi read the same way.  After the one
+    x_power, each further row is a multiplication by x in O(k), with no
+    matrix product at all.
+    """
+    k = spec.k
+    c = x_power(spec, n, m, base)
+    top_coeffs = spec.coeffs[::-1]      # x^k = a_k + a_{k-1} x + ... + a_1 x^{k-1}
+    if m is not None:
+        c = tuple(x % m for x in c)
+        top_coeffs = tuple(a % m for a in top_coeffs)
+    rows = []
+    for _ in range(k):
+        rows.append(c[::-1])
+        top = c[-1]
+        c = tuple(top * a + low for a, low in zip(top_coeffs, (0,) + c[:-1]))
+        if m is not None:
+            c = tuple(x % m for x in c)
+    return Matrix._of_rows(tuple(rows[::-1]), m)
 
 
 def state_vector(spec: SequenceSpec, i: int) -> tuple[int, ...]:

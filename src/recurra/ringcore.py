@@ -240,27 +240,42 @@ def order_from_multiple(multiple: dict[int, int], x, power, is_one) -> dict[int,
 
     multiple = {q: e} factors some M with is_one(power(x, M)), and the t
     that pass must be exactly the multiples of the answer (true of the
-    powers of a group element).  One prime q at a time, t drops to M / q^e,
-    with the primes already done at their final exponents, and climbs back
-    by factors of q until the test passes: at most one call of power per
-    prime plus sum(e).
+    powers of a group element).  A product tree over the prime powers q^e
+    (Sutherland 2007) splits y into y^R, whose order is the part of ord(y)
+    on the left half of the primes, and y^L for the right half, and
+    recurses; at a leaf q, y^(q^j) climbs until the test passes.  Each level
+    of the tree costs powers worth about log M multiplications, so the
+    whole descent costs O(log M log w) for w primes, against O(w log M) one
+    prime at a time.
     power(y, n) returns y^n.  Raises ArithmeticError if M is no multiple.
     """
-    whole = total = unfactor(multiple)
-    order: dict[int, int] = {}
-    for q, e in multiple.items():
-        total //= q ** e
-        y = power(x, total)
-        j = 0
-        while not is_one(y):
-            if j == e:
-                raise ArithmeticError(f"{whole} is not a multiple of the order")
-            y = power(y, q)
-            j += 1
-        total *= q ** j
-        if j:
-            order[q] = j
-    return order
+    primes = [(q, e) for q, e in multiple.items() if e]
+    found: dict[int, int] = {}
+
+    def descend(y, lo: int, hi: int) -> None:
+        # ord(y) divides the product of q^e over primes[lo:hi] when M is a multiple
+        if is_one(y):
+            return
+        if hi - lo == 1:
+            q, e = primes[lo]
+            j = 0
+            while not is_one(y):
+                if j == e:
+                    raise ArithmeticError(f"{unfactor(multiple)} is not a "
+                                          f"multiple of the order")
+                y = power(y, q)
+                j += 1
+            found[q] = j
+            return
+        mid = (lo + hi) // 2
+        descend(power(y, unfactor(dict(primes[mid:hi]))), lo, mid)
+        descend(power(y, unfactor(dict(primes[lo:mid]))), mid, hi)
+
+    if primes:
+        descend(x, 0, len(primes))
+    elif not is_one(x):
+        raise ArithmeticError("1 is not a multiple of the order")
+    return {q: found[q] for q, _ in primes if q in found}
 
 
 def multiplicative_order_int(a: int, m: int) -> int:

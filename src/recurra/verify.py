@@ -1,13 +1,16 @@
 """Seeded randomized property suites behind `recurra verify`.
 
-Each suite is a list of named checks; a check runs its random cases and
-reports the first counterexample it finds.  Sub-seeds are derived from
-(seed, suite name) so suites are independent of each other's order.
+Each suite is a generator of named checks; a check runs its random cases
+and reports the first counterexample it finds.  The time budget is tested
+after every check, so a slow suite is stopped part-way.  Sub-seeds are
+derived from (seed, suite name) so suites are independent of each other's
+order.
 """
 from __future__ import annotations
 
 import random
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -49,9 +52,7 @@ def random_unit_spec(rng: random.Random, m: int, kmax: int = 4,
             return spec
 
 
-def _suite_matrix(rng: random.Random) -> list[tuple[str, bool, str]]:
-    checks = []
-
+def _suite_matrix(rng: random.Random) -> Iterator[tuple[str, bool, str]]:
     bad = ""
     for _ in range(200):
         m = rng.randint(2, 10_000)
@@ -62,7 +63,7 @@ def _suite_matrix(rng: random.Random) -> list[tuple[str, bool, str]]:
         if (r * mod_inverse(r)).value != 1 % m:
             bad = f"x={x} m={m}"
             break
-    checks.append(("residue_inverse", not bad, bad))
+    yield ("residue_inverse", not bad, bad)
 
     bad = ""
     for _ in range(60):
@@ -73,7 +74,7 @@ def _suite_matrix(rng: random.Random) -> list[tuple[str, bool, str]]:
         if carmichael(m) % multiplicative_order(Residue(x, m)) != 0:
             bad = f"x={x} m={m}"
             break
-    checks.append(("order_divides_carmichael", not bad, bad))
+    yield ("order_divides_carmichael", not bad, bad)
 
     bad = ""
     for _ in range(80):
@@ -85,7 +86,7 @@ def _suite_matrix(rng: random.Random) -> list[tuple[str, bool, str]]:
         if a.inverse() @ a != Matrix.identity(k, m):
             bad = f"a={a!r}"
             break
-    checks.append(("adjugate_inverse", not bad, bad))
+    yield ("adjugate_inverse", not bad, bad)
 
     bad = ""
     for _ in range(200):
@@ -94,7 +95,7 @@ def _suite_matrix(rng: random.Random) -> list[tuple[str, bool, str]]:
         if Fraction(p, q) + Fraction(r, s) - Fraction(r, s) != Fraction(p, q):
             bad = f"{p}/{q} {r}/{s}"
             break
-    checks.append(("rational_exact", not bad, bad))
+    yield ("rational_exact", not bad, bad)
 
     bad = ""
     for _ in range(120):
@@ -103,7 +104,7 @@ def _suite_matrix(rng: random.Random) -> list[tuple[str, bool, str]]:
         if not recurrence.power_structure_check(spec, n):
             bad = f"a={spec.coeffs} n={n}"
             break
-    checks.append(("power_structure", not bad, bad))
+    yield ("power_structure", not bad, bad)
 
     bad = ""
     for _ in range(120):
@@ -112,7 +113,7 @@ def _suite_matrix(rng: random.Random) -> list[tuple[str, bool, str]]:
         if not recurrence.state_step_check(spec, n, r):
             bad = f"a={spec.coeffs} n={n} r={r}"
             break
-    checks.append(("state_steps", not bad, bad))
+    yield ("state_steps", not bad, bad)
 
     bad = ""
     try:
@@ -121,7 +122,7 @@ def _suite_matrix(rng: random.Random) -> list[tuple[str, bool, str]]:
             recurrence.window_det(spec, rng.randint(0, 12))
     except ArithmeticError as exc:
         bad = str(exc)
-    checks.append(("window_det", not bad, bad))
+    yield ("window_det", not bad, bad)
 
     bad = ""
     try:
@@ -130,7 +131,7 @@ def _suite_matrix(rng: random.Random) -> list[tuple[str, bool, str]]:
             recurrence.bordered_det(spec, rng.randint(1, 8))
     except ArithmeticError as exc:
         bad = str(exc)
-    checks.append(("bordered_det", not bad, bad))
+    yield ("bordered_det", not bad, bad)
 
     bad = ""
     try:
@@ -139,7 +140,7 @@ def _suite_matrix(rng: random.Random) -> list[tuple[str, bool, str]]:
             recurrence.addition_formula(spec, rng.randint(0, 15), rng.randint(0, 15))
     except ArithmeticError as exc:
         bad = str(exc)
-    checks.append(("addition_formula", not bad, bad))
+    yield ("addition_formula", not bad, bad)
 
     bad = ""
     for _ in range(80):
@@ -150,14 +151,10 @@ def _suite_matrix(rng: random.Random) -> list[tuple[str, bool, str]]:
         if (d ** n).det() != expected:
             bad = f"a={spec.coeffs} n={n}"
             break
-    checks.append(("power_det", not bad, bad))
-
-    return checks
+    yield ("power_det", not bad, bad)
 
 
-def _suite_pisano(rng: random.Random) -> list[tuple[str, bool, str]]:
-    checks = []
-
+def _suite_pisano(rng: random.Random) -> Iterator[tuple[str, bool, str]]:
     bad = ""
     equal = 0
     for _ in range(40):
@@ -169,8 +166,8 @@ def _suite_pisano(rng: random.Random) -> list[tuple[str, bool, str]]:
         if st.tail != 0 or order % st.period != 0:
             bad = f"a={spec.coeffs} m={m} state={st.as_tuple()} order={order}"
             break
-    checks.append(("state_divides_order", not bad,
-                   bad or f"state==order in {equal}/40 samples"))
+    yield ("state_divides_order", not bad,
+           bad or f"state==order in {equal}/40 samples")
 
     bad = ""
     for _ in range(25):
@@ -180,7 +177,7 @@ def _suite_pisano(rng: random.Random) -> list[tuple[str, bool, str]]:
         if not pisano.divisor_monotone_check(spec, s1, s2):
             bad = f"a={spec.coeffs} s1={s1} s2={s2}"
             break
-    checks.append(("divisor_monotone", not bad, bad))
+    yield ("divisor_monotone", not bad, bad)
 
     bad = ""
     for _ in range(20):
@@ -192,7 +189,7 @@ def _suite_pisano(rng: random.Random) -> list[tuple[str, bool, str]]:
         if not pisano.lcm_check(spec, s1, s2):
             bad = f"a={spec.coeffs} s1={s1} s2={s2}"
             break
-    checks.append(("lcm_law", not bad, bad))
+    yield ("lcm_law", not bad, bad)
 
     bad = ""
     for _ in range(30):
@@ -201,7 +198,7 @@ def _suite_pisano(rng: random.Random) -> list[tuple[str, bool, str]]:
         if not pisano.order_divisibility_check(spec, m):
             bad = f"a={spec.coeffs} m={m}"
             break
-    checks.append(("det_order_divides", not bad, bad))
+    yield ("det_order_divides", not bad, bad)
 
     bad = ""
     try:
@@ -211,7 +208,7 @@ def _suite_pisano(rng: random.Random) -> list[tuple[str, bool, str]]:
             pisano.prime_power_ladder(spec, p, 3)
     except ArithmeticError as exc:
         bad = str(exc)
-    checks.append(("prime_power_ladder", not bad, bad))
+    yield ("prime_power_ladder", not bad, bad)
 
     bad = ""
     for _ in range(40):
@@ -221,7 +218,7 @@ def _suite_pisano(rng: random.Random) -> list[tuple[str, bool, str]]:
         if st.tail + st.period > m ** spec.k + 1:
             bad = f"a={spec.coeffs} m={m} visited={st.tail + st.period}"
             break
-    checks.append(("pigeonhole_bound", not bad, bad))
+    yield ("pigeonhole_bound", not bad, bad)
 
     bad = ""
     for k in range(2, 9):
@@ -230,13 +227,10 @@ def _suite_pisano(rng: random.Random) -> list[tuple[str, bool, str]]:
         if not pisano.pi2_all_odd_check(spec):
             bad = f"a={coeffs}"
             break
-    checks.append(("all_odd_mod2_period", not bad, bad))
-
-    return checks
+    yield ("all_odd_mod2_period", not bad, bad)
 
 
-def _suite_lnum(rng: random.Random) -> list[tuple[str, bool, str]]:
-    checks = []
+def _suite_lnum(rng: random.Random) -> Iterator[tuple[str, bool, str]]:
     specs = [lnumbers.LSpec(l) for l in (1, 2, 3, 5, 7)]
 
     bad = ""
@@ -244,7 +238,7 @@ def _suite_lnum(rng: random.Random) -> list[tuple[str, bool, str]]:
         if not lnumbers.square_sum_check(spec, n):
             bad = f"l={spec.l} n={n}"
             break
-    checks.append(("square_sum", not bad, bad))
+    yield ("square_sum", not bad, bad)
 
     bad = ""
     for spec, _ in product(specs, range(40)):
@@ -252,28 +246,28 @@ def _suite_lnum(rng: random.Random) -> list[tuple[str, bool, str]]:
         if not lnumbers.index_addition_check(spec, m, n):
             bad = f"l={spec.l} m={m} n={n}"
             break
-    checks.append(("index_addition", not bad, bad))
+    yield ("index_addition", not bad, bad)
 
     bad = ""
     for spec, n, d in product(specs, range(1, 31), range(1, 31)):
         if n % d == 0 and not lnumbers.divisibility_check(spec, d, n):
             bad = f"l={spec.l} d={d} n={n}"
             break
-    checks.append(("divisibility", not bad, bad))
+    yield ("divisibility", not bad, bad)
 
     bad = ""
     for spec, k, n in product(specs, range(2, 6), range(0, 31, 3)):
         if not lnumbers.gap_identity_check(spec, n, k):
             bad = f"l={spec.l} n={n} k={k}"
             break
-    checks.append(("gap_identity", not bad, bad))
+    yield ("gap_identity", not bad, bad)
 
     bad = ""
     for spec, k, n in product(specs, range(2, 5), range(0, 11)):
         if not lnumbers.triple_gap_check(spec, n, k):
             bad = f"l={spec.l} n={n} k={k}"
             break
-    checks.append(("triple_gap", not bad, bad))
+    yield ("triple_gap", not bad, bad)
 
     bad = ""
     for spec, n in product(specs[1:], range(61)):
@@ -282,30 +276,28 @@ def _suite_lnum(rng: random.Random) -> list[tuple[str, bool, str]]:
         if lnumbers.residue_class(spec, n) is not expected:
             bad = f"l={spec.l} n={n}"
             break
-    checks.append(("residue_dichotomy", not bad, bad))
+    yield ("residue_dichotomy", not bad, bad)
 
     bad = ""
     for spec in specs[1:]:
         if not lnumbers.ideal_check(spec, 6):
             bad = f"l={spec.l}"
             break
-    checks.append(("even_index_gcd", not bad, bad))
+    yield ("even_index_gcd", not bad, bad)
 
     bad = ""
     for spec, n in product(specs[:4], range(41)):
         if not lnumbers.binet_check(spec, n):
             bad = f"l={spec.l} n={n}"
             break
-    checks.append(("binet_float", not bad, bad))
+    yield ("binet_float", not bad, bad)
 
     bad = ""
     for spec, k in product(specs[1:], range(2, 13)):
         if lnumbers.m_value(spec, k) % (spec.l ** 2) != 2:
             bad = f"l={spec.l} k={k}"
             break
-    checks.append(("m_tower_mod_l2", not bad, bad))
-
-    return checks
+    yield ("m_tower_mod_l2", not bad, bad)
 
 
 def _random_quat(rng: random.Random, algebra: quaternions.QuatAlgebra):
@@ -313,8 +305,7 @@ def _random_quat(rng: random.Random, algebra: quaternions.QuatAlgebra):
     return algebra.quat(*(rng.randrange(m) for _ in range(4)))
 
 
-def _suite_quat(rng: random.Random) -> list[tuple[str, bool, str]]:
-    checks = []
+def _suite_quat(rng: random.Random) -> Iterator[tuple[str, bool, str]]:
     primes = [3, 5, 7, 11, 13, 31, 97]
 
     bad = ""
@@ -325,7 +316,7 @@ def _suite_quat(rng: random.Random) -> list[tuple[str, bool, str]]:
         if (x * y) * z != x * (y * z):
             bad = f"p={p} alpha={alg.alpha} beta={alg.beta}"
             break
-    checks.append(("associativity", not bad, bad))
+    yield ("associativity", not bad, bad)
 
     bad = ""
     for _ in range(60):
@@ -335,7 +326,7 @@ def _suite_quat(rng: random.Random) -> list[tuple[str, bool, str]]:
         if (x * y).norm() != x.norm() * y.norm() % p:
             bad = f"p={p} x={x.coeffs} y={y.coeffs}"
             break
-    checks.append(("norm_multiplicative", not bad, bad))
+    yield ("norm_multiplicative", not bad, bad)
 
     bad = ""
     for _ in range(60):
@@ -347,7 +338,7 @@ def _suite_quat(rng: random.Random) -> list[tuple[str, bool, str]]:
         if x * x.inverse() != alg.one():
             bad = f"p={p} x={x.coeffs}"
             break
-    checks.append(("inverse_roundtrip", not bad, bad))
+    yield ("inverse_roundtrip", not bad, bad)
 
     bad = ""
     for _ in range(60):
@@ -357,14 +348,14 @@ def _suite_quat(rng: random.Random) -> list[tuple[str, bool, str]]:
         if (x * y).conjugate() != y.conjugate() * x.conjugate():
             bad = f"p={p} x={x.coeffs} y={y.coeffs}"
             break
-    checks.append(("conj_antiautomorphism", not bad, bad))
+    yield ("conj_antiautomorphism", not bad, bad)
 
     bad = ""
     for l, n in product((1, 2, 3, 5), range(21)):
         if not quaternions.l_quat_norm_check(l, n):
             bad = f"l={l} n={n}"
             break
-    checks.append(("lquat_norm_identity", not bad, bad))
+    yield ("lquat_norm_identity", not bad, bad)
 
     bad = ""
     for l, r in product((3, 5, 7), (1, 2, 3)):
@@ -372,14 +363,14 @@ def _suite_quat(rng: random.Random) -> list[tuple[str, bool, str]]:
         if not (report.all_invertible and report.all_norms_two_mod_l2):
             bad = f"l={l} r={r}"
             break
-    checks.append(("unit_census", not bad, bad))
+    yield ("unit_census", not bad, bad)
 
     bad = ""
     for l, n in product((3, 5, 7), range(31)):
         if not quaternions.period_two_check(l, n):
             bad = f"l={l} n={n}"
             break
-    checks.append(("period_two", not bad, bad))
+    yield ("period_two", not bad, bad)
 
     bad = ""
     for l, k, n in product((3, 5), (2, 3), range(11)):
@@ -387,7 +378,7 @@ def _suite_quat(rng: random.Random) -> list[tuple[str, bool, str]]:
                 and quaternions.quat_gap_check(l, n, k, 3 * 2 ** k)):
             bad = f"l={l} k={k} n={n}"
             break
-    checks.append(("gap_congruences", not bad, bad))
+    yield ("gap_congruences", not bad, bad)
 
     bad = ""
     for l, n in product((3, 5), (0, 1, 3, 7)):
@@ -395,9 +386,7 @@ def _suite_quat(rng: random.Random) -> list[tuple[str, bool, str]]:
         if total.coeffs != (0, 0, 0, 0):
             bad = f"l={l} n={n} sum={total.coeffs}"
             break
-    checks.append(("window_sum_zero", not bad, bad))
-
-    return checks
+    yield ("window_sum_zero", not bad, bad)
 
 
 CIPHER_MODULI = (2, 26, 27, 29, 256)
@@ -420,9 +409,7 @@ def random_block(rng: random.Random, key: cipher.CipherKey,
                    for _ in range(key.k)], key.n_mod)
 
 
-def _suite_cipher(rng: random.Random) -> list[tuple[str, bool, str]]:
-    checks = []
-
+def _suite_cipher(rng: random.Random) -> Iterator[tuple[str, bool, str]]:
     bad = ""
     for _ in range(80):
         key = random_key(rng)
@@ -434,7 +421,7 @@ def _suite_cipher(rng: random.Random) -> list[tuple[str, bool, str]]:
         if cipher.decrypt_via_period(key, encrypted) != block:
             bad = f"key={key.to_line()!r} (period route)"
             break
-    checks.append(("round_trip", not bad, bad))
+    yield ("round_trip", not bad, bad)
 
     bad = ""
     for _ in range(30):
@@ -456,7 +443,7 @@ def _suite_cipher(rng: random.Random) -> list[tuple[str, bool, str]]:
                 break
         if bad:
             break
-    checks.append(("exponent_periodicity", not bad, bad))
+    yield ("exponent_periodicity", not bad, bad)
 
     bad = ""
     for _ in range(30):
@@ -470,7 +457,7 @@ def _suite_cipher(rng: random.Random) -> list[tuple[str, bool, str]]:
         if cipher.encrypt(key, joined) != expected:
             bad = f"key={key.to_line()!r}"
             break
-    checks.append(("columnwise_linear", not bad, bad))
+    yield ("columnwise_linear", not bad, bad)
 
     bad = ""
     for _ in range(40):
@@ -478,9 +465,7 @@ def _suite_cipher(rng: random.Random) -> list[tuple[str, bool, str]]:
         if gcd(key.matrix().det(), key.n_mod) != 1:
             bad = f"key={key.to_line()!r}"
             break
-    checks.append(("power_det_unit", not bad, bad))
-
-    return checks
+    yield ("power_det_unit", not bad, bad)
 
 
 SUITES = {
@@ -502,8 +487,8 @@ def run_suites(names: list[str], seed: int,
             if not passed and detail:
                 detail = f"seed={seed} counterexample: {detail}"
             results.append(CheckResult(name, check_name, passed, detail))
-        if time.monotonic() > deadline:
-            results.append(CheckResult(name, "budget", False,
-                                       f"budget of {budget_ms} ms exhausted"))
-            break
+            if time.monotonic() > deadline:
+                results.append(CheckResult(name, "budget", False,
+                                           f"budget of {budget_ms} ms exhausted"))
+                return results
     return results

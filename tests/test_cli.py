@@ -302,8 +302,9 @@ def test_cli_encrypt_decrypt_round_trip_on_a_long_stdin(tmp_path):
 def test_factoring_bound_ends_hard_inputs(capsys):
     # Phi_5(2^61 - 1) (73 digits) and (2^61 - 1)(2^64 - 59) have no factor
     # Pollard rho finds within its step bound: one error line and exit 3,
-    # after a few seconds rather than hours
-    for argv in (("pisano", "1", "1", "1", "1", "1", "--mod", "2305843009213693951"),
+    # after a few seconds rather than hours.  x^5 - x^4 - x^3 - 2x - 2 is
+    # irreducible mod 2^61 - 1, so its period needs Phi_5(p).
+    for argv in (("pisano", "1", "1", "1", "2", "2", "--mod", "2305843009213693951"),
                  ("order", "3", "--mod", "42535295865117307778430344311653531707")):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "", argv
@@ -351,3 +352,46 @@ def test_budget_parse_error_names_the_flag(capsys):
         assert code == 2 and out == "", budget
         assert err == (f"error: --budget takes milliseconds (500 or 500ms) or seconds "
                        f"with an 's' suffix (60s), got {budget!r}\n"), budget
+
+
+def test_budget_env_goes_through_the_budget_parser(capsys, monkeypatch):
+    monkeypatch.setenv("RECURRA_BUDGET_MS", "abc")
+    code, out, err = run(capsys, "verify", "--suite", "lnum", "--seed", "0")
+    assert code == 2 and out == ""
+    assert err == ("error: RECURRA_BUDGET_MS takes milliseconds (500 or 500ms) or "
+                   "seconds with an 's' suffix (60s), got 'abc'\n")
+    for budget in ("60s", "500ms"):
+        monkeypatch.setenv("RECURRA_BUDGET_MS", budget)
+        code, out, err = run(capsys, "verify", "--suite", "lnum", "--seed", "0")
+        assert code == 0 and err == "", budget
+        assert out.splitlines()[-1] == "ok 9/9 checks", budget
+    # the flag still wins over the variable
+    monkeypatch.setenv("RECURRA_BUDGET_MS", "abc")
+    code, _, _ = run(capsys, "verify", "--suite", "lnum", "--seed", "0", "--budget", "60s")
+    assert code == 0
+
+
+def test_budget_stops_a_suite_between_checks(capsys, monkeypatch):
+    # a zero budget is spent by the first check: one budget line, no more
+    code, out, _ = run(capsys, "verify", "--suite", "matrix", "--seed", "0", "--budget", "0")
+    assert code == 1
+    assert out.splitlines() == ["PASS matrix.residue_inverse",
+                                "FAIL matrix.budget budget of 0 ms exhausted",
+                                "FAILED 1/2 checks"]
+    # a clock that passes the deadline during the third check of pisano
+    from types import SimpleNamespace
+    from recurra import verify
+    ticks = iter([0.0, 0.0, 0.0, 5.0])
+    monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    results = verify.run_suites(["pisano", "cipher"], 0, budget_ms=1000)
+    assert [r.line().split(" ")[:2] for r in results] == [
+        ["PASS", "pisano.state_divides_order"], ["PASS", "pisano.divisor_monotone"],
+        ["PASS", "pisano.lcm_law"], ["FAIL", "pisano.budget"]]
+
+
+def test_pisano_split_chi_mod_a_61_bit_prime(capsys):
+    # chi = x^5 - x^4 - x^3 - x^2 - x - 1 has factors of degrees 1, 2, 2 mod
+    # 2^61 - 1, so only p - 1 and p + 1 need factoring: pi = p^2 - 1
+    code, out, err = run(capsys, "pisano", "1", "1", "1", "1", "1",
+                         "--mod", "2305843009213693951")
+    assert (code, out, err) == (0, "5316911983139663487003542222693990400\n", "")

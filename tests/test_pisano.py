@@ -4,7 +4,6 @@ from math import gcd, lcm
 import pytest
 
 from recurra.pisano import (
-    PrimeTooLarge,
     diagonalizable_mod_p,
     divisor_monotone_check,
     lcm_check,
@@ -187,8 +186,10 @@ def test_diagonalizable_examples():
 
 
 def test_diagonalizable_guards():
-    with pytest.raises(PrimeTooLarge):
-        diagonalizable_mod_p(FIB, 10007)
+    # 10007 = 2 mod 5, so 5 is not a square and x^2 - x - 1 stays
+    # irreducible: no eigenvalues in F_10007
+    result = diagonalizable_mod_p(FIB, 10007)
+    assert not result.diagonalizable and result.eigenvalues is None
     with pytest.raises(ValueError):
         diagonalizable_mod_p(FIB, 9)
     with pytest.raises(NotInvertible):
