@@ -16,11 +16,9 @@ worked construction, not a secure one.
 """
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass
 from math import gcd
 
-from .ringcore import Matrix
+from .ringcore import Matrix, Value, set_field
 from .recurrence import SequenceSpec, companion_power, x_inverse
 
 
@@ -40,17 +38,16 @@ class UnknownSymbol(ValueError):
     """Text contains a symbol outside the alphabet."""
 
 
-@dataclass(frozen=True)
-class CipherKey:
+class CipherKey(Value):
     """(k, N, a_1..a_k, n): modulus N, recurrence coefficients, exponent n."""
 
-    k: int
-    n_mod: int
-    coeffs: tuple[int, ...]
-    exponent: int
+    _fields = ("k", "n_mod", "coeffs", "exponent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(a) for a in self.coeffs))
+    def __init__(self, k: int, n_mod: int, coeffs: tuple[int, ...], exponent: int):
+        set_field(self, "k", k)
+        set_field(self, "n_mod", n_mod)
+        set_field(self, "coeffs", tuple(map(int, coeffs)))
+        set_field(self, "exponent", exponent)
 
     def spec(self) -> SequenceSpec:
         return SequenceSpec(self.coeffs)
@@ -112,24 +109,24 @@ def normalize_exponent(key: CipherKey) -> CipherKey:
     return CipherKey(key.k, key.n_mod, key.coeffs, reduced)
 
 
-DEFAULT_SYMBOLS = string.ascii_uppercase + "*"
+DEFAULT_SYMBOLS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ*"
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Value):
     """Symbol <-> label bijection; labels are positions 0..N-1."""
 
-    symbols: tuple[str, ...]
-    pad: str
+    _fields = ("symbols", "pad")
 
-    def __post_init__(self):
-        if len(set(self.symbols)) != len(self.symbols):
+    def __init__(self, symbols: tuple[str, ...], pad: str):
+        if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
-        if any(len(s) != 1 for s in self.symbols):
+        if any(len(s) != 1 for s in symbols):
             raise ValueError("alphabet symbols must be single characters")
-        if self.pad not in self.symbols:
-            raise ValueError(f"pad symbol {self.pad!r} is not in the alphabet")
-        object.__setattr__(self, "_labels", {s: i for i, s in enumerate(self.symbols)})
+        if pad not in symbols:
+            raise ValueError(f"pad symbol {pad!r} is not in the alphabet")
+        set_field(self, "symbols", symbols)
+        set_field(self, "pad", pad)
+        set_field(self, "_labels", {s: i for i, s in enumerate(symbols)})
 
     @property
     def size(self) -> int:

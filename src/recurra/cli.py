@@ -15,7 +15,10 @@ token.  Exit codes:
 Codes 2 and 3 print a one-line "error: ..." message on stderr.
 
 Each command imports only the recurra modules it runs; `verify` is the
-one that loads them all.
+one that loads them all.  No command loads `dataclasses`, `inspect`,
+`string` or `fractions`, except that `verify` loads `fractions`.  `quat`
+reads every record's coefficients off one prefix of terms mod l^r, and
+its census squares residues, not exact terms.
 """
 from __future__ import annotations
 
@@ -143,12 +146,15 @@ def _cmd_lnum(args) -> int:
 
 
 def _cmd_quat(args) -> int:
-    from . import quaternions
+    from . import quaternions, recurrence
     report = quaternions.invertibility_census(args.l, args.r, args.n)
+    # A_n's coefficients are a_n..a_{n+3} mod l^r: one prefix serves every record
+    a = recurrence.terms_mod(recurrence.SequenceSpec((args.l, 1)), args.n + 4,
+                             args.l ** args.r)
     for rec in report.records:
-        a = quaternions.l_quaternion(args.l, args.r, rec.index)
-        coeffs = " ".join(str(c) for c in a.quat.coeffs)
-        print(rec.index, coeffs, rec.norm_mod, "unit" if rec.invertible else "zero-divisor")
+        n = rec.index
+        print(n, a[n], a[n + 1], a[n + 2], a[n + 3], rec.norm_mod,
+              "unit" if rec.invertible else "zero-divisor")
     return 0 if report.all_invertible else 1
 
 

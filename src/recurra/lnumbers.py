@@ -11,20 +11,20 @@ even and odd indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
+from .ringcore import Value, set_field
 from .recurrence import SequenceSpec, term, terms
 
 
-@dataclass(frozen=True)
-class LSpec:
-    l: int
+class LSpec(Value):
+    _fields = ("l",)
 
-    def __post_init__(self):
-        if self.l < 1:
-            raise ValueError(f"l must be >= 1, got {self.l}")
+    def __init__(self, l: int):
+        if l < 1:
+            raise ValueError(f"l must be >= 1, got {l}")
+        set_field(self, "l", l)
 
 
 class ResidueClass(Enum):
@@ -32,13 +32,15 @@ class ResidueClass(Enum):
     ONE_MOD_L_SQUARED = "one-mod-l-squared"
 
 
-@dataclass(frozen=True)
-class BinetRoots:
+class BinetRoots(Value):
     """Floating-point roots of x^2 - l*x - 1: alpha + beta = l, alpha*beta = -1."""
 
-    alpha: float
-    beta: float
-    discriminant: int
+    _fields = ("alpha", "beta", "discriminant")
+
+    def __init__(self, alpha: float, beta: float, discriminant: int):
+        set_field(self, "alpha", alpha)
+        set_field(self, "beta", beta)
+        set_field(self, "discriminant", discriminant)
 
 
 def binet_roots(spec: LSpec) -> BinetRoots:

@@ -11,30 +11,34 @@ p^d - 1 are factored, and a product tree descends from the multiple.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
 
-from .ringcore import (NotInvertible, Residue, check_modulus, factorize, is_prime,
-                       lcm_factored, multiplicative_order, order_from_multiple,
-                       unfactor)
+from .ringcore import (NotInvertible, Residue, Value, check_modulus, factorize,
+                       is_prime, lcm_factored, multiplicative_order,
+                       order_from_multiple, set_field, unfactor)
 from .recurrence import SequenceSpec, terms_mod, x_power
 
 
-@dataclass(frozen=True)
-class PeriodResult:
+class PeriodResult(Value):
     """Eventual period of the state sequence mod m: tail then cycle length."""
 
-    tail: int
-    period: int
+    _fields = ("tail", "period")
+
+    def __init__(self, tail: int, period: int):
+        set_field(self, "tail", tail)
+        set_field(self, "period", period)
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.tail, self.period)
 
 
-@dataclass(frozen=True)
-class DiagnosisResult:
-    diagonalizable: bool
-    eigenvalues: tuple[int, ...] | None = None
+class DiagnosisResult(Value):
+    _fields = ("diagonalizable", "eigenvalues")
+
+    def __init__(self, diagonalizable: bool, eigenvalues: tuple[int, ...] | None = None):
+        set_field(self, "diagonalizable", diagonalizable)
+        set_field(self, "eigenvalues", eigenvalues)
 
 
 def _require_unit_tail_coeff(spec: SequenceSpec, m: int) -> None:
@@ -173,7 +177,7 @@ def _gl_exponent_factored(k: int, m: int) -> dict[int, int]:
 def _order_multiple_factored(spec: SequenceSpec, m: int) -> dict[int, int]:
     """A multiple of pi(m), factored as {q: e}, from the degrees of the
     factors of chi mod each p | m; it divides _gl_exponent_factored."""
-    return _exponent_factored(m, spec.k, lambda p: _factor_degrees(spec, p))
+    return _exponent_factored(m, spec.k, lambda p: _factor_degrees(spec.coeffs, p))
 
 
 def matrix_order_multiple(k: int, m: int) -> int:
@@ -273,9 +277,14 @@ def poly_gcd_mod_p(f: list[int], g: list[int], p: int) -> list[int]:
     return [c * inv % p for c in f]
 
 
-def _factor_degrees(spec: SequenceSpec, p: int) -> tuple[set[int], bool]:
+@lru_cache(maxsize=256)
+def _factor_degrees(coeffs: tuple[int, ...], p: int) -> tuple[frozenset[int], bool]:
     """The degrees of the irreducible factors of chi mod p, and whether
-    chi mod p is squarefree.
+    chi mod p is squarefree, for the chi of the coefficients a_1..a_k.
+
+    The answer depends on the coefficients and p alone, not on the power
+    of p in a modulus or on the initial window, so it is cached: a ladder
+    over the powers of p, or the moduli of one law, factor chi mod p once.
 
     Distinct-degree factorization (Knuth, TAOCP 2, 4.6.2): x^(p^d) - x is
     the product of the monic irreducibles of degree dividing d, each once,
@@ -287,6 +296,7 @@ def _factor_degrees(spec: SequenceSpec, p: int) -> tuple[set[int], bool]:
     rest has degree below 2(d + 1): every factor left has degree above d,
     so the rest is then one irreducible factor.
     """
+    spec = SequenceSpec(coeffs)
     x = (0, 1) + (0,) * (spec.k - 2)
     rest = poly_mod_p(char_poly(spec), p)
     degrees: set[int] = set()
@@ -309,7 +319,7 @@ def _factor_degrees(spec: SequenceSpec, p: int) -> tuple[set[int], bool]:
                 break
             squarefree = False
             rest = poly_divmod_mod_p(rest, g, p)[0]
-    return degrees, squarefree
+    return frozenset(degrees), squarefree
 
 
 def _split_roots(spec: SequenceSpec, p: int) -> list[int]:

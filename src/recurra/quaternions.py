@@ -12,26 +12,24 @@ such element is a unit mod any power of an odd prime l.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .ringcore import ModulusMismatch, NotInvertible, check_modulus, invert_mod, is_prime
+from .ringcore import (ModulusMismatch, NotInvertible, Value, check_modulus, invert_mod,
+                       is_prime, set_field)
 from .lnumbers import LSpec, l_terms, m_value
 from .recurrence import SequenceSpec, terms_from
 
 
-@dataclass(frozen=True)
-class QuatAlgebra:
+class QuatAlgebra(Value):
     """H(alpha, beta) over Z_n."""
 
-    alpha: int
-    beta: int
-    modulus: int
+    _fields = ("alpha", "beta", "modulus")
 
-    def __post_init__(self):
-        check_modulus(self.modulus)
-        object.__setattr__(self, "alpha", self.alpha % self.modulus)
-        object.__setattr__(self, "beta", self.beta % self.modulus)
+    def __init__(self, alpha: int, beta: int, modulus: int):
+        check_modulus(modulus)
+        set_field(self, "alpha", alpha % modulus)
+        set_field(self, "beta", beta % modulus)
+        set_field(self, "modulus", modulus)
 
     def quat(self, c1: int, c2: int, c3: int, c4: int) -> "Quaternion":
         return Quaternion(self, (c1, c2, c3, c4))
@@ -43,16 +41,15 @@ class QuatAlgebra:
         return self.quat(0, 0, 0, 0)
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(Value):
     """c1 + c2 i + c3 j + c4 ij with coefficients in Z_n."""
 
-    algebra: QuatAlgebra
-    coeffs: tuple[int, int, int, int]
+    _fields = ("algebra", "coeffs")
 
-    def __post_init__(self):
-        m = self.algebra.modulus
-        object.__setattr__(self, "coeffs", tuple(c % m for c in self.coeffs))
+    def __init__(self, algebra: QuatAlgebra, coeffs: tuple[int, int, int, int]):
+        m = algebra.modulus
+        set_field(self, "algebra", algebra)
+        set_field(self, "coeffs", tuple([c % m for c in coeffs]))
 
     def _match(self, other: "Quaternion") -> None:
         if self.algebra != other.algebra:
@@ -113,14 +110,16 @@ def _require_odd_prime(l: int) -> None:
         raise ValueError(f"l must be an odd prime, got {l}")
 
 
-@dataclass(frozen=True)
-class LQuaternion:
+class LQuaternion(Value):
     """A_n = a_n + a_{n+1} i + a_{n+2} j + a_{n+3} ij in H(-1,-1) over Z_{l^r}."""
 
-    l: int
-    r: int
-    index: int
-    quat: Quaternion
+    _fields = ("l", "r", "index", "quat")
+
+    def __init__(self, l: int, r: int, index: int, quat: Quaternion):
+        set_field(self, "l", l)
+        set_field(self, "r", r)
+        set_field(self, "index", index)
+        set_field(self, "quat", quat)
 
 
 def l_quaternion(l: int, r: int, n: int) -> LQuaternion:
@@ -150,19 +149,24 @@ def l_quat_norm_check(l: int, n: int) -> bool:
     return l_quaternion_norm(l, n) == (l * l + 2) * a[2 * n + 3]
 
 
-@dataclass(frozen=True)
-class CensusRecord:
-    index: int
-    norm_mod: int
-    invertible: bool
-    norm_is_two_mod_l2: bool
+class CensusRecord(Value):
+    _fields = ("index", "norm_mod", "invertible", "norm_is_two_mod_l2")
+
+    def __init__(self, index: int, norm_mod: int, invertible: bool,
+                 norm_is_two_mod_l2: bool):
+        set_field(self, "index", index)
+        set_field(self, "norm_mod", norm_mod)
+        set_field(self, "invertible", invertible)
+        set_field(self, "norm_is_two_mod_l2", norm_is_two_mod_l2)
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    l: int
-    r: int
-    records: tuple[CensusRecord, ...]
+class CensusReport(Value):
+    _fields = ("l", "r", "records")
+
+    def __init__(self, l: int, r: int, records: tuple[CensusRecord, ...]):
+        set_field(self, "l", l)
+        set_field(self, "r", r)
+        set_field(self, "records", records)
 
     @property
     def all_invertible(self) -> bool:
@@ -177,22 +181,19 @@ def invertibility_census(l: int, r: int, n_max: int) -> CensusReport:
     """For n = 0..n_max: is A_n a unit mod l^r, and is its norm 2 mod l^2?
 
     Both hold for every n when l is an odd prime; the report makes that
-    checkable instead of assumed.
+    checkable instead of assumed.  Each answer depends only on the norm
+    mod l^max(r, 2), so the terms are reduced mod that power of l before
+    they are squared.
     """
     _require_odd_prime(l)
     if r < 1 or n_max < 0:
         raise ValueError("need r >= 1 and n_max >= 0")
-    mod = l ** r
-    a = l_terms(LSpec(l), n_max + 4)
+    mod, l2, big = l ** r, l * l, l ** max(r, 2)
+    a = [x % big for x in l_terms(LSpec(l), n_max + 4)]
     records = []
     for n in range(n_max + 1):
         norm = a[n] ** 2 + a[n + 1] ** 2 + a[n + 2] ** 2 + a[n + 3] ** 2
-        records.append(CensusRecord(
-            index=n,
-            norm_mod=norm % mod,
-            invertible=gcd(norm, mod) == 1,
-            norm_is_two_mod_l2=norm % (l * l) == 2,
-        ))
+        records.append(CensusRecord(n, norm % mod, gcd(norm, mod) == 1, norm % l2 == 2))
     return CensusReport(l, r, tuple(records))
 
 

@@ -11,34 +11,30 @@ d_{j-k} = (d_j - a_1 d_{j-1} - ... - a_{k-1} d_{j-k+1}) / a_k.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
-from .ringcore import Matrix, Residue, check_modulus, invert_mod
+from .ringcore import Matrix, Residue, Value, check_modulus, invert_mod, set_field
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(Value):
     """Coefficients a_1..a_k plus the initial window d_0..d_{k-1}."""
 
-    coeffs: tuple[int, ...]
-    initial: tuple[int, ...] | None = None
+    _fields = ("coeffs", "initial")
 
-    def __post_init__(self):
-        coeffs = tuple(int(a) for a in self.coeffs)
+    def __init__(self, coeffs: tuple[int, ...], initial: tuple[int, ...] | None = None):
+        coeffs = tuple(map(int, coeffs))
         if len(coeffs) < 2:
             raise ValueError("need k >= 2 coefficients")
         if coeffs[-1] == 0:
             raise ValueError("a_k must be nonzero")
-        object.__setattr__(self, "coeffs", coeffs)
-        if self.initial is None:
-            object.__setattr__(self, "initial", (0,) * (len(coeffs) - 1) + (1,))
+        if initial is None:
+            initial = (0,) * (len(coeffs) - 1) + (1,)
         else:
-            initial = tuple(int(x) for x in self.initial)
+            initial = tuple(map(int, initial))
             if len(initial) != len(coeffs):
                 raise ValueError("initial window must have length k")
-            object.__setattr__(self, "initial", initial)
+        set_field(self, "coeffs", coeffs)
+        set_field(self, "initial", initial)
 
     @property
     def k(self) -> int:
@@ -113,6 +109,7 @@ def terms_mod(spec: SequenceSpec, count: int, m: int) -> list[int]:
 
 def term_negative(spec: SequenceSpec, n: int) -> Fraction:
     """Exact rational d_n for n < 0, by backward recursion."""
+    from fractions import Fraction
     if n >= 0:
         raise ValueError("term_negative() is for n < 0")
     k = spec.k
@@ -128,6 +125,7 @@ def term_negative(spec: SequenceSpec, n: int) -> Fraction:
 
 def term_any(spec: SequenceSpec, n: int) -> Fraction:
     """d_n for any integer n, as an exact rational."""
+    from fractions import Fraction
     return Fraction(term(spec, n)) if n >= 0 else term_negative(spec, n)
 
 
@@ -186,6 +184,8 @@ def x_power(spec: SequenceSpec, n: int, m: int | None = None,
     coeffs = spec.coeffs if m is None else tuple(a % m for a in spec.coeffs)
     if base is None:
         base = (0, 1) + (0,) * (k - 2)
+    elif m is not None:
+        base = tuple(c % m for c in base)
     result = None                       # 1, until the first set bit
     while n:
         if n & 1:
@@ -223,7 +223,6 @@ def companion_power(spec: SequenceSpec, n: int, m: int | None = None,
     c = x_power(spec, n, m, base)
     top_coeffs = spec.coeffs[::-1]      # x^k = a_k + a_{k-1} x + ... + a_1 x^{k-1}
     if m is not None:
-        c = tuple(x % m for x in c)
         top_coeffs = tuple(a % m for a in top_coeffs)
     rows = []
     for _ in range(k):
@@ -245,6 +244,7 @@ def _structure_entry(spec: SequenceSpec, n: int, r: int, j: int,
                      d: dict[int, Fraction]) -> Fraction:
     # D^n entry at (row r, col j), both 1-based, built from sequence terms:
     # col 1 is d_{n+k-r}; col j>=2 is sum_{i=1}^{k-j+1} a_{i+j-1} d_{n+k-i-r}.
+    from fractions import Fraction
     k = spec.k
     a = spec.coeffs
     if j == 1:
@@ -324,6 +324,7 @@ def bordered_det(spec: SequenceSpec, n: int) -> int:
     _require_default_window(spec)
     if n < 1:
         raise ValueError("need n >= 1")
+    from fractions import Fraction
     value = bordered_matrix(spec, n).det()
     expected = (Fraction(-1) ** (n * (spec.k + 1))
                 * Fraction(spec.coeffs[-1]) ** n

@@ -16,8 +16,48 @@ from __future__ import annotations
 
 import struct
 import sys
-from dataclasses import dataclass
 from math import gcd, isqrt, prod
+from operator import attrgetter
+
+# How a Value subclass's __init__ sets a field, past Value.__setattr__.
+set_field = object.__setattr__
+
+
+class Value:
+    """Base of recurra's immutable value classes.
+
+    A subclass names its fields in the class attribute _fields and sets
+    them in its own __init__ with set_field.  == holds only between
+    objects of the same class whose fields are equal, hash agrees with ==,
+    repr reads Name(field=value, ...), and no attribute can be assigned or
+    deleted afterwards.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
 
 
 class NotInvertible(ValueError):
@@ -292,16 +332,15 @@ def multiplicative_order_int(a: int, m: int) -> int:
                                         lambda y, e: pow(y, e, m), lambda y: y == 1))
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(Value):
     """An element of Z_m, stored as its canonical representative in [0, m)."""
 
-    value: int
-    modulus: int
+    _fields = ("value", "modulus")
 
-    def __post_init__(self):
-        check_modulus(self.modulus)
-        object.__setattr__(self, "value", self.value % self.modulus)
+    def __init__(self, value: int, modulus: int):
+        check_modulus(modulus)
+        set_field(self, "value", value % modulus)
+        set_field(self, "modulus", modulus)
 
     def _match(self, other: "Residue") -> None:
         if self.modulus != other.modulus:

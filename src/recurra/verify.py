@@ -11,24 +11,26 @@ from __future__ import annotations
 import random
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
 from . import cipher, lnumbers, pisano, quaternions, recurrence
-from .ringcore import Matrix, Residue, carmichael, mod_inverse, multiplicative_order
+from .ringcore import (Matrix, Residue, Value, carmichael, mod_inverse,
+                       multiplicative_order, set_field)
 from .recurrence import SequenceSpec
 
 DEFAULT_BUDGET_MS = 60_000
 
 
-@dataclass
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Value):
+    _fields = ("suite", "name", "passed", "detail")
+
+    def __init__(self, suite: str, name: str, passed: bool, detail: str = ""):
+        set_field(self, "suite", suite)
+        set_field(self, "name", name)
+        set_field(self, "passed", passed)
+        set_field(self, "detail", detail)
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"

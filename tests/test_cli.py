@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import random
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from recurra import cli
+from recurra import cli, recurrence
 from recurra.cipher import Alphabet, CipherKey, encrypt_text
 from recurra.cli import main
 from recurra.quaternions import QuatAlgebra
@@ -133,6 +134,50 @@ def test_quat(capsys):
     assert len(lines) == 4
     assert lines[0].split() == ["0", "0", "1", "0", "1", "2", "unit"]
     assert all(line.endswith("unit") for line in lines)
+
+
+# `recurra quat L --r R --n 2000` output, as sha256 of its stdout; every
+# r = 1 census reads the same, since a_n mod l is 0, 1, 0, 1, ...
+QUAT_SHA256 = {
+    (3, 1): "33750047f0d137a96f7478c610a45cf2a5cc9df673106ab7368854512edafa68",
+    (3, 2): "49de34c9cff93e50cc7815019ca6eb75121c4236046e49e14bf2dc17227975b6",
+    (3, 3): "76071c3d53a2f749db33067a06c2a16f8a800dcd3952b43b6758f94017d0ec3b",
+    (5, 1): "33750047f0d137a96f7478c610a45cf2a5cc9df673106ab7368854512edafa68",
+    (5, 2): "27708902fea96488cc2e50b69b8b5ff6a444c5cbc893686b869ee45694f94487",
+    (5, 3): "3b12640f52df28cdac49fafc9c695e09f43f10d12cacdab6edfe351f24b40070",
+    (7, 1): "33750047f0d137a96f7478c610a45cf2a5cc9df673106ab7368854512edafa68",
+    (7, 2): "b130899f2b5cff554c5c56608374521c647a3800b28f0a198c4114f79da716cf",
+    (7, 3): "2c3f074869eb9746f5bf644e95b6eba135a6a07a0a3056e9af24d85af70fe1f4",
+}
+
+
+def test_quat_readme_example_is_pinned(capsys):
+    assert run(capsys, "quat", "3", "--r", "2", "--n", "10") == (0, (
+        "0 0 1 3 1 2 unit\n1 1 3 1 6 2 unit\n2 3 1 6 1 2 unit\n3 1 6 1 0 2 unit\n"
+        "4 6 1 0 1 2 unit\n5 1 0 1 3 2 unit\n6 0 1 3 1 2 unit\n7 1 3 1 6 2 unit\n"
+        "8 3 1 6 1 2 unit\n9 1 6 1 0 2 unit\n10 6 1 0 1 2 unit\n"), "")
+
+
+@pytest.mark.parametrize("l, r", sorted(QUAT_SHA256))
+def test_quat_output_is_pinned(capsys, l, r):
+    code, full, _ = run(capsys, "quat", str(l), "--r", str(r), "--n", "2000")
+    assert code == 0 and hashlib.sha256(full.encode()).hexdigest() == QUAT_SHA256[l, r]
+    lines = full.splitlines(keepends=True)
+    for n in (0, 10):
+        assert run(capsys, "quat", str(l), "--r", str(r), "--n", str(n)) == (
+            0, "".join(lines[:n + 1]), "")
+
+
+def test_quat_x_power_calls_do_not_grow_with_n(capsys, monkeypatch):
+    real = recurrence.x_power
+    calls = []
+    monkeypatch.setattr(recurrence, "x_power", lambda *args: calls.append(args) or real(*args))
+    counts = []
+    for n in ("10", "300"):
+        calls.clear()
+        assert run(capsys, "quat", "5", "--r", "2", "--n", n)[0] == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_verify_single_suite(capsys):

@@ -3,6 +3,7 @@ from math import gcd, lcm
 
 import pytest
 
+from recurra import pisano
 from recurra.pisano import (
     diagonalizable_mod_p,
     divisor_monotone_check,
@@ -158,6 +159,21 @@ def test_prime_power_ladder_property():
             if grown:
                 assert hi == p * lo
             grown = grown or hi == p * lo
+
+
+def test_chi_is_factored_once_per_prime():
+    # the factors of chi mod p depend on p and the coefficients alone: a
+    # ladder over 3, ..., 3^5 factors once, the moduli 6, 10 and 30 of one
+    # lcm law once per prime 2, 3, 5, and another initial window not again
+    factored = pisano._factor_degrees
+    factored.cache_clear()
+    assert prime_power_ladder(EX3, 3, 5) == [6, 18, 54, 162, 486]
+    assert factored.cache_info().misses == 1
+    factored.cache_clear()
+    assert lcm_check(TRIB, 6, 10)
+    assert factored.cache_info().misses == 3
+    state_period(SequenceSpec((1, 1, 1), (2, 0, 5)), 30)
+    assert factored.cache_info().misses == 3
 
 
 def test_prime_power_ladder_guards():

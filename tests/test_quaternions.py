@@ -8,6 +8,8 @@ from recurra.pisano import state_period
 from recurra.recurrence import SequenceSpec
 from recurra.ringcore import ModulusMismatch, NotInvertible
 from recurra.quaternions import (
+    CensusRecord,
+    CensusReport,
     LQuaternion,
     QuatAlgebra,
     Quaternion,
@@ -163,6 +165,20 @@ def test_census():
         invertibility_census(4, 1, 5)
     with pytest.raises(ValueError):
         invertibility_census(2, 1, 5)
+
+
+@pytest.mark.parametrize("l", (3, 5, 7))
+@pytest.mark.parametrize("r", (1, 2, 3))
+def test_census_against_exact_squares(l, r):
+    a = naive_lterms(l, 304)
+    records = []
+    for n in range(301):
+        norm = sum(x * x for x in a[n:n + 4])
+        records.append(CensusRecord(n, norm % l ** r, gcd(norm, l ** r) == 1,
+                                    norm % (l * l) == 2))
+    for n_max in (0, 1, 2, 37, 300):
+        expected = CensusReport(l, r, tuple(records[:n_max + 1]))
+        assert invertibility_census(l, r, n_max) == expected
 
 
 def test_period_two():

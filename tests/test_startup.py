@@ -33,7 +33,8 @@ ALL = sorted(name for names in EXPORTS.values() for name in names)
 LIBRARY = {"cipher", "lnumbers", "pisano", "quaternions", "recurrence", "ringcore", "verify"}
 
 # Runs `recurra ARGS...` through runpy in this fresh interpreter, then writes
-# the recurra submodules it loaded to OUT as JSON: python -c PROBE OUT ARGS...
+# every module it loaded, recurra's and the standard library's, to OUT as
+# JSON: python -c PROBE OUT ARGS...
 PROBE = """
 import json, runpy, sys
 out, sys.argv = sys.argv[1], ["recurra", *sys.argv[2:]]
@@ -42,16 +43,22 @@ try:
 except SystemExit:
     pass
 with open(out, "w") as fh:
-    json.dump(sorted(m[8:] for m in sys.modules if m.startswith("recurra.")), fh)
+    json.dump(sorted(sys.modules), fh)
 """
 
 
-def loaded_by(tmp_path, *argv, stdin: str = "") -> set[str]:
+def modules_after(tmp_path, *argv, stdin: str = "") -> set[str]:
     out = tmp_path / "modules.json"
     subprocess.run([sys.executable, "-c", PROBE, str(out), *argv], cwd=tmp_path,
                    input=stdin.encode(), capture_output=True, timeout=120,
                    env=dict(os.environ, PYTHONPATH=SRC), check=True)
     return set(json.loads(out.read_text()))
+
+
+def loaded_by(tmp_path, *argv, stdin: str = "") -> set[str]:
+    """The recurra submodules `recurra ARGS...` loads."""
+    return {m[8:] for m in modules_after(tmp_path, *argv, stdin=stdin)
+            if m.startswith("recurra.")}
 
 
 def test_cipher_commands_load_no_period_or_sequence_modules(tmp_path):
@@ -76,6 +83,31 @@ def test_cipher_commands_load_no_period_or_sequence_modules(tmp_path):
 ])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, expected):
     assert loaded_by(tmp_path, *argv) == expected
+
+
+# Standard-library modules that cost start-up time and that no command
+# needs: dataclasses (with inspect behind it), fractions (with decimal) and
+# string.  Only verify, which checks rational identities, may load fractions.
+@pytest.mark.parametrize("argv, allowed", [
+    (("order", "2", "--mod", "27"), set()),
+    (("seq", "1", "1", "--n", "10"), set()),
+    (("seq", "1", "1", "--n", "10", "--mod", "7"), set()),
+    (("pisano", "1", "1", "--mod", "10"), set()),
+    (("pisano", "1", "2", "--mod", "4", "--state"), set()),
+    (("pisano", "4", "-5", "2", "--ladder", "3", "3"), set()),
+    (("lnum", "2", "--n", "7"), set()),
+    (("lnum", "2", "--n", "7", "--mod", "5"), set()),
+    (("quat", "3", "--r", "2", "--n", "10"), set()),
+    (("encrypt", "--key", "key.txt"), set()),
+    (("decrypt", "--key", "key.txt", "--strip-pad"), set()),
+    (("validate-key", "--key", "key.txt", "--normalize"), set()),
+    (("verify", "--suite", "matrix"), {"fractions"}),
+])
+def test_no_command_loads_dataclasses_or_fractions(tmp_path, argv, allowed):
+    (tmp_path / "key.txt").write_text("3 27 4 -5 2 2\n")
+    loaded = modules_after(tmp_path, *argv, stdin="SUCCESS**")
+    assert "recurra.ringcore" in loaded
+    assert {"dataclasses", "inspect", "fractions", "string"} & loaded == allowed
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -232,6 +232,16 @@ def test_polynomial_gcd_and_division_against_the_oracle():
 
 # -- companion powers ------------------------------------------------------------
 
+def test_x_power_reduces_its_base():
+    fib = SequenceSpec((1, 1))
+    assert x_power(fib, 1, 7, (9, -1)) == (2, 6)
+    assert x_power(fib, 0, 7, (9, -1)) == (1, 0)
+    for n in range(2, 6):
+        assert x_power(fib, n, 7, (9, -1)) == x_power(fib, n, 7, (2, 6))
+    assert x_power(fib, 1, None, (9, -1)) == (9, -1)
+    assert companion_power(fib, 1, 7, (9, -1)) == companion_power(fib, 1, 7, (2, 6))
+
+
 def test_companion_power_against_naive_powers():
     rng = random.Random(181)
     for k in range(2, 9):
