@@ -7,12 +7,17 @@ token.  Exit codes:
   0  success; every requested check passed
   1  a verify check failed, or the quat census found a zero divisor
   2  bad input or usage: an invalid key, modulus or file, an unknown
-     symbol, a negative --n (argparse's own usage errors exit 2 as well)
+     symbol, a negative --n or --budget (argparse's own usage errors exit
+     2 as well); also a verify worker that died without reporting
   3  an arithmetic failure: a checked identity broke (ArithmeticError),
      a value overflowed (e.g. --budget 1e400s), or a number the period or
      order needs did not factor within the factoring bound
 
 Codes 2 and 3 print a one-line "error: ..." message on stderr.
+
+`verify` runs its suites in forked workers, one per CPU at a time, when
+it runs more than one suite on more than one CPU with no other thread;
+its output is the same as running them in turn (see recurra.verify).
 
 Each command imports only the recurra modules it runs; `verify` is the
 one that loads them all.  No command loads `dataclasses`, `inspect`,
@@ -159,18 +164,26 @@ def _cmd_quat(args) -> int:
 
 
 def _parse_budget(text: str, source: str = "--budget") -> int:
-    """Milliseconds; accepts a bare count or an 'ms'/'s' suffix ('60s').
-    source names the flag or variable the text came from in the error."""
+    """Milliseconds, at least 0; accepts a bare count or an 'ms'/'s' suffix
+    ('60s').  source names the flag or variable the text came from in the
+    error."""
     text = text.strip()
+    usage = (f"{source} takes milliseconds (500 or 500ms) or seconds "
+             f"with an 's' suffix (60s), got {text!r}")
     try:
         if text.endswith("ms"):
-            return int(text[:-2])
-        if text.endswith("s"):
-            return int(float(text[:-1]) * 1000)
-        return int(text)
+            ms = int(text[:-2])
+        elif text.endswith("s"):
+            ms = float(text[:-1]) * 1000
+        else:
+            ms = int(text)
     except ValueError:
-        raise ValueError(f"{source} takes milliseconds (500 or 500ms) or seconds "
-                         f"with an 's' suffix (60s), got {text!r}") from None
+        raise ValueError(usage) from None
+    if ms < 0:
+        raise ValueError(f"{source} must not be negative, got {text!r}")
+    if ms != ms:                        # nan
+        raise ValueError(usage)
+    return int(ms)                      # inf overflows: exit 3
 
 
 def _cmd_verify(args) -> int:

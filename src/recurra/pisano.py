@@ -55,16 +55,13 @@ def _descend(spec: SequenceSpec, m: int, multiple: dict[int, int],
                                is_one)
 
 
-def _matrix_order_factored(spec: SequenceSpec, m: int) -> dict[int, int]:
+def matrix_order(spec: SequenceSpec, m: int) -> int:
+    """Least t >= 1 with D^t = I mod m. Requires gcd(a_k, m) = 1."""
     check_modulus(m)
     _require_unit_tail_coeff(spec, m)
     one = (1,) + (0,) * (spec.k - 1)
-    return _descend(spec, m, _order_multiple_factored(spec, m), lambda y: y == one)
-
-
-def matrix_order(spec: SequenceSpec, m: int) -> int:
-    """Least t >= 1 with D^t = I mod m. Requires gcd(a_k, m) = 1."""
-    return unfactor(_matrix_order_factored(spec, m))
+    return unfactor(_descend(spec, m, _order_multiple_factored(spec, m),
+                             lambda y: y == one))
 
 
 def _next_window(window: tuple[int, ...], coeffs: tuple[int, ...],
@@ -75,8 +72,10 @@ def _next_window(window: tuple[int, ...], coeffs: tuple[int, ...],
 def state_period(spec: SequenceSpec, m: int) -> PeriodResult:
     """Eventual period of the k-term state sequence mod m.
 
-    With gcd(a_k, m) = 1, D permutes the windows, so the tail is 0 and the
-    period is the least divisor t of pi(m) with D^t Y_0 = Y_0.  Otherwise
+    With gcd(a_k, m) = 1, D permutes the windows, so the tail is 0, and
+    the t with D^t Y_0 = Y_0 are exactly the multiples of the period.  The
+    multiple of pi(m) that matrix_order descends from sends x to 1, so one
+    descent from it finds the period, without finding pi(m) first.  Otherwise
     the sequence is only eventually periodic, and Brent's cycle search
     finds the tail and the period in O(1) memory and O(tail + period)
     steps.
@@ -94,7 +93,7 @@ def state_period(spec: SequenceSpec, m: int) -> PeriodResult:
             return all(sum(ci * d for ci, d in zip(c, terms[j:])) % m == window[j]
                        for j in range(k))
 
-        period = _descend(spec, m, _matrix_order_factored(spec, m), returns)
+        period = _descend(spec, m, _order_multiple_factored(spec, m), returns)
         return PeriodResult(tail=0, period=unfactor(period))
     # Brent: the period is the first gap between the hare and a tortoise
     # parked at each power of two; the tail is where two walkers that far

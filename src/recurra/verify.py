@@ -5,10 +5,27 @@ and reports the first counterexample it finds.  The time budget is tested
 after every check, so a slow suite is stopped part-way.  Sub-seeds are
 derived from (seed, suite name) so suites are independent of each other's
 order.
+
+That independence lets run_suites run several suites at once, each in its
+own forked worker and one worker per CPU at a time, when the process may
+use more than one CPU, fork exists and no other thread is running;
+otherwise it runs them in turn in this process.  Either way the results
+are the same: they are assembled in the requested order against one
+absolute deadline that every worker tests after every check, and cut
+after the first suite that spent it.  A worker's exception is raised
+again in the parent with its type and message, and a worker that dies
+without reporting raises RuntimeError.  Workers report through a pipe
+with marshal, so no process-pool or pickle machinery is loaded.
 """
 from __future__ import annotations
 
+import marshal
+import os
 import random
+import select
+import signal
+import sys
+import threading
 import time
 from collections.abc import Iterator
 from fractions import Fraction
@@ -479,18 +496,180 @@ SUITES = {
 }
 
 
+def _run_suite(name: str, seed: int,
+               deadline: float) -> tuple[list[tuple[str, bool, str]], bool]:
+    """One suite's (check, passed, detail) tuples, and whether the deadline
+    passed; the clock is read after every check."""
+    rng = random.Random(f"{seed}:{name}")
+    checks = []
+    for check_name, passed, detail in SUITES[name](rng):
+        if not passed and detail:
+            detail = f"seed={seed} counterexample: {detail}"
+        checks.append((check_name, passed, detail))
+        if time.monotonic() > deadline:
+            return checks, True
+    return checks, False
+
+
+def _fork_suite(name: str, seed: int, deadline: float, cpu: int,
+                cpus: list[int]) -> tuple[int, int]:
+    """Fork a worker that runs one suite, starting on the given CPU of
+    cpus; returns its pid and the read end of its pipe.  The worker writes
+    one marshalled outcome: (True, checks, out_of_time), or (False,
+    module, qualname, message) of the exception the suite raised.  It
+    always leaves by os._exit, so nothing the parent had buffered is
+    flushed a second time."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            # A child starts on its parent's CPU, and on a 2-vCPU VM the
+            # kernel was seen to leave every worker there for a whole run,
+            # no faster than running the suites in turn.  Moving to the
+            # CPU and then allowing all of them again places the worker
+            # without pinning it.
+            try:
+                os.sched_setaffinity(0, {cpu})
+                os.sched_setaffinity(0, cpus)
+            except (AttributeError, OSError):  # no affinity call, or a stale CPU
+                pass
+            try:
+                outcome = (True, *_run_suite(name, seed, deadline))
+            except Exception as exc:
+                cls = type(exc)
+                outcome = (False, cls.__module__, cls.__qualname__, str(exc))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(marshal.dumps(outcome))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _worker_error(module: str, qualname: str, message: str) -> Exception:
+    """The exception a worker reported, rebuilt with its type and message."""
+    cls = getattr(sys.modules.get(module), qualname, None)
+    if isinstance(cls, type) and issubclass(cls, Exception):
+        try:
+            return cls(message)
+        except TypeError:               # a constructor that wants more
+            pass
+    return RuntimeError(f"{module}.{qualname} in a verify worker: {message}")
+
+
+def _outcome(name: str, data: bytes, status: int) -> tuple[list, bool]:
+    try:
+        ok, *rest = marshal.loads(data)
+    except (EOFError, ValueError, TypeError):
+        code = os.waitstatus_to_exitcode(status)
+        how = f"signal {-code}" if code < 0 else f"exit code {code}"
+        raise RuntimeError(f"the worker for verify suite {name!r} ended with "
+                           f"{how} before reporting") from None
+    if not ok:
+        raise _worker_error(*rest)
+    return rest[0], rest[1]
+
+
+def _suites_in_workers(names: list[str], seed: int, deadline: float,
+                       cpus: list[int]) -> list[tuple[list, bool]]:
+    """Each suite's _run_suite outcome from its own forked worker, in the
+    order of names, up to the first suite that ran out of time.
+
+    One worker runs per CPU at a time, and the next suite in order starts
+    on the CPU that a finished worker frees, so the CPUs stay busy
+    however the suites' costs differ.  A suite's exception is raised here
+    with the same type and message, and a worker that ended without
+    reporting raises RuntimeError, once every suite before it has
+    reported and none of them raised or ran out of time; the suites after
+    such a one are not started, or are killed.  Every worker is reaped.
+    """
+    done: dict[int, object] = {}        # suite index -> outcome, or what it raised
+    running: dict[int, tuple[int, int, int]] = {}   # read end -> (index, pid, cpu)
+    free, start, needed = list(cpus), 0, len(names)
+    try:
+        while True:
+            while start < needed and free:
+                cpu = free.pop()
+                pid, read_fd = _fork_suite(names[start], seed, deadline, cpu, cpus)
+                running[read_fd] = (start, pid, cpu)
+                start += 1
+            if all(i >= needed for i, _, _ in running.values()):
+                break
+            for read_fd in select.select(list(running), [], [])[0]:
+                i, pid, cpu = running[read_fd]
+                with open(read_fd, "rb", closefd=False) as pipe:
+                    data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del running[read_fd]
+                os.close(read_fd)
+                free.append(cpu)
+                try:
+                    done[i] = _outcome(names[i], data, status)
+                except Exception as exc:
+                    done[i] = exc
+            for i in range(needed):
+                if i not in done:
+                    break
+                if isinstance(done[i], Exception) or done[i][1]:
+                    needed = i + 1
+                    break
+    finally:
+        for read_fd, (_, pid, _) in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_fd)
+    outcomes = []
+    for i in range(needed):
+        if isinstance(done[i], Exception):
+            raise done[i]
+        outcomes.append(done[i])
+    return outcomes
+
+
+def _worker_cpus(names: list[str]) -> list[int] | None:
+    """The CPUs to spread one forked worker per suite over, or None to run
+    the suites in this process: workers pay off only with more than one
+    suite and more than one CPU, and are safe only where fork exists and
+    no other thread runs (a forked child copies a lock another thread may
+    hold)."""
+    if len(names) < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
+        return None
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call on this platform
+        cpus = list(range(os.cpu_count() or 1))
+    return cpus if len(cpus) > 1 else None
+
+
 def run_suites(names: list[str], seed: int,
                budget_ms: int = DEFAULT_BUDGET_MS) -> list[CheckResult]:
+    """The checks of the named suites, in order, cut after the first suite
+    that spends the budget with one `budget` line.
+
+    Where _worker_cpus allows, each suite runs in its own forked worker,
+    one per CPU at a time, against one absolute deadline; the results are
+    the same as running them in turn in this process, which is what
+    happens otherwise.
+    """
     deadline = time.monotonic() + budget_ms / 1000.0
+    cpus = _worker_cpus(names)
+    if cpus:
+        outcomes = _suites_in_workers(names, seed, deadline, cpus)
+    else:
+        outcomes = (_run_suite(name, seed, deadline) for name in names)
     results = []
-    for name in names:
-        rng = random.Random(f"{seed}:{name}")
-        for check_name, passed, detail in SUITES[name](rng):
-            if not passed and detail:
-                detail = f"seed={seed} counterexample: {detail}"
-            results.append(CheckResult(name, check_name, passed, detail))
-            if time.monotonic() > deadline:
-                results.append(CheckResult(name, "budget", False,
-                                           f"budget of {budget_ms} ms exhausted"))
-                return results
+    for name, (checks, out_of_time) in zip(names, outcomes):
+        results += [CheckResult(name, *check) for check in checks]
+        if out_of_time:
+            results.append(CheckResult(name, "budget", False,
+                                       f"budget of {budget_ms} ms exhausted"))
+            break
     return results

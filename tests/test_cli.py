@@ -416,6 +416,17 @@ def test_budget_env_goes_through_the_budget_parser(capsys, monkeypatch):
     assert code == 0
 
 
+def test_negative_budget_is_rejected(capsys, monkeypatch):
+    # `--budget=...`: argparse takes "-5ms" after a space for an option
+    for budget in ("-5", "-5ms", "-0.5s", "-1e400s"):
+        code, out, err = run(capsys, "verify", "--suite", "lnum", f"--budget={budget}")
+        assert (code, out) == (2, ""), budget
+        assert err == f"error: --budget must not be negative, got {budget!r}\n"
+    monkeypatch.setenv("RECURRA_BUDGET_MS", "-5")
+    assert run(capsys, "verify", "--suite", "lnum") == (
+        2, "", "error: RECURRA_BUDGET_MS must not be negative, got '-5'\n")
+
+
 def test_budget_stops_a_suite_between_checks(capsys, monkeypatch):
     # a zero budget is spent by the first check: one budget line, no more
     code, out, _ = run(capsys, "verify", "--suite", "matrix", "--seed", "0", "--budget", "0")

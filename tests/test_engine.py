@@ -204,6 +204,19 @@ def test_unit_state_period_default_and_random_windows():
     assert state_period(SequenceSpec((1, 1), (2, 1)), 5).as_tuple() == (0, 4)
 
 
+def test_unit_state_period_is_certified_at_larger_moduli():
+    # one descent from the multiple of pi(m), checked against the oracle's
+    # certificate where the periods are too long to walk
+    rng = random.Random(151)
+    for draw in range(600):
+        k, m = rng.randint(2, 5), rng.randint(2, 400)
+        coeffs = unit_coeffs(rng, k, m)
+        initial = tuple(rng.randrange(m) for _ in range(k)) if draw % 2 else None
+        got = state_period(SequenceSpec(coeffs, initial), m)
+        assert got.tail == 0, (coeffs, m, initial)
+        assert naive_is_window_period(coeffs, m, got.period, initial), (coeffs, m, initial)
+
+
 def test_nonunit_state_period_against_oracle():
     rng = random.Random(149)
     checked = 0

@@ -86,8 +86,10 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, expected):
 
 
 # Standard-library modules that cost start-up time and that no command
-# needs: dataclasses (with inspect behind it), fractions (with decimal) and
-# string.  Only verify, which checks rational identities, may load fractions.
+# needs: dataclasses (with inspect behind it), fractions (with decimal),
+# string, and the process-pool machinery (multiprocessing, pickle,
+# concurrent.futures), which verify's forked workers do without.  Only
+# verify, which checks rational identities, may load fractions.
 @pytest.mark.parametrize("argv, allowed", [
     (("order", "2", "--mod", "27"), set()),
     (("seq", "1", "1", "--n", "10"), set()),
@@ -102,12 +104,14 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, expected):
     (("decrypt", "--key", "key.txt", "--strip-pad"), set()),
     (("validate-key", "--key", "key.txt", "--normalize"), set()),
     (("verify", "--suite", "matrix"), {"fractions"}),
+    (("verify", "--suite", "all"), {"fractions"}),
 ])
 def test_no_command_loads_dataclasses_or_fractions(tmp_path, argv, allowed):
     (tmp_path / "key.txt").write_text("3 27 4 -5 2 2\n")
     loaded = modules_after(tmp_path, *argv, stdin="SUCCESS**")
     assert "recurra.ringcore" in loaded
-    assert {"dataclasses", "inspect", "fractions", "string"} & loaded == allowed
+    assert {"dataclasses", "inspect", "fractions", "string", "multiprocessing", "pickle",
+            "concurrent.futures"} & loaded == allowed
 
 
 def test_importing_the_package_loads_no_submodule():
