@@ -11,7 +11,8 @@ token.  Exit codes:
      2 as well); also a verify worker that died without reporting
   3  an arithmetic failure: a checked identity broke (ArithmeticError),
      a value overflowed (e.g. --budget 1e400s), or a number the period or
-     order needs did not factor within the factoring bound
+     order needs did not factor within the factoring bound, m included
+     (`pisano` factors m for the order and for --state, whatever a_k is)
 
 Codes 2 and 3 print a one-line "error: ..." message on stderr.
 
@@ -281,8 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "pisano" and not args.ladder and args.mod is None:
-        parser.error("pisano needs --mod (or --ladder P R)")
+    if args.command == "pisano":
+        if args.ladder and (args.mod is not None or args.state or args.matrix):
+            parser.error("pisano --ladder P R takes no --mod, --state or --matrix")
+        if not args.ladder and args.mod is None:
+            parser.error("pisano needs --mod (or --ladder P R)")
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:

@@ -17,7 +17,7 @@ from math import gcd, lcm
 from .ringcore import (NotInvertible, Residue, Value, check_modulus, factorize,
                        is_prime, lcm_factored, multiplicative_order,
                        order_from_multiple, set_field, unfactor)
-from .recurrence import SequenceSpec, terms_mod, x_power
+from .recurrence import SequenceSpec, terms_from, x_power
 
 
 class PeriodResult(Value):
@@ -60,59 +60,46 @@ def matrix_order(spec: SequenceSpec, m: int) -> int:
     check_modulus(m)
     _require_unit_tail_coeff(spec, m)
     one = (1,) + (0,) * (spec.k - 1)
-    return unfactor(_descend(spec, m, _order_multiple_factored(spec, m),
+    return unfactor(_descend(spec, m, _order_multiple_factored(spec, factorize(m)),
                              lambda y: y == one))
-
-
-def _next_window(window: tuple[int, ...], coeffs: tuple[int, ...],
-                 m: int) -> tuple[int, ...]:
-    return window[1:] + (sum(a * d for a, d in zip(coeffs, reversed(window))) % m,)
 
 
 def state_period(spec: SequenceSpec, m: int) -> PeriodResult:
     """Eventual period of the k-term state sequence mod m.
 
-    With gcd(a_k, m) = 1, D permutes the windows, so the tail is 0, and
-    the t with D^t Y_0 = Y_0 are exactly the multiples of the period.  The
-    multiple of pi(m) that matrix_order descends from sends x to 1, so one
-    descent from it finds the period, without finding pi(m) first.  Otherwise
-    the sequence is only eventually periodic, and Brent's cycle search
-    finds the tail and the period in O(1) memory and O(tail + period)
-    steps.
+    Per p^r || m, Z_{p^r}[x]/(chi) splits into a part where x is a unit
+    and, when p | a_k, a part where chi = x^e mod p with e <= k, so that
+    x^(e r) = 0 there (Ward 1933).  The windows are therefore purely
+    periodic from T = k * max r over the p dividing both a_k and m (T = 0
+    when a_k is a unit), and from there on the t with
+    window(T + t) = window(T) are exactly the multiples of the period.
+    The multiple of pi(m) that matrix_order descends from sends x to 1 on
+    the unit part, so one descent from it finds the period.  Once
+    window(t + period) = window(t) holds, it holds for every later t, so
+    the tail, the least such t, is bisected for in [0, T].
     """
     check_modulus(m)
     k = spec.k
-    coeffs = tuple(a % m for a in spec.coeffs)
-    window = tuple(x % m for x in spec.initial)
-    if gcd(coeffs[-1], m) == 1:
-        # x^t = sum c_i x^i gives d_{t+j} = sum c_i d_{i+j}: the window at
-        # time t from the terms d_0 .. d_{2k-2}
-        terms = terms_mod(spec, 2 * k - 1, m)
+    m_factored = factorize(m)
+    bound = k * max((r for p, r in m_factored.items() if spec.coeffs[-1] % p == 0),
+                    default=0)
+    # x^t = sum c_i x^i gives d_{T+t+j} = sum c_i d_{T+i+j}: the window at
+    # time T + t from the terms d_T .. d_{T+2k-2}, T = bound
+    terms = terms_from(spec, bound, 2 * k - 1, m)
 
-        def returns(c: tuple[int, ...]) -> bool:
-            return all(sum(ci * d for ci, d in zip(c, terms[j:])) % m == window[j]
-                       for j in range(k))
+    def returns(c: tuple[int, ...]) -> bool:
+        return all(sum(ci * d for ci, d in zip(c, terms[j:])) % m == terms[j]
+                   for j in range(k))
 
-        period = _descend(spec, m, _order_multiple_factored(spec, m), returns)
-        return PeriodResult(tail=0, period=unfactor(period))
-    # Brent: the period is the first gap between the hare and a tortoise
-    # parked at each power of two; the tail is where two walkers that far
-    # apart first meet.
-    power = period = 1
-    tortoise, hare = window, _next_window(window, coeffs, m)
-    while tortoise != hare:
-        if power == period:
-            tortoise, power, period = hare, 2 * power, 0
-        hare = _next_window(hare, coeffs, m)
-        period += 1
-    tortoise = hare = window
-    for _ in range(period):
-        hare = _next_window(hare, coeffs, m)
+    period = unfactor(_descend(spec, m, _order_multiple_factored(spec, m_factored),
+                               returns))
     tail = 0
-    while tortoise != hare:
-        tortoise = _next_window(tortoise, coeffs, m)
-        hare = _next_window(hare, coeffs, m)
-        tail += 1
+    while tail < bound:
+        mid = (tail + bound) // 2
+        if terms_from(spec, mid, k, m) == terms_from(spec, mid + period, k, m):
+            bound = mid
+        else:
+            tail = mid + 1
     return PeriodResult(tail=tail, period=period)
 
 
@@ -143,11 +130,14 @@ def _p_power_minus_one_factored(p: int, degrees) -> list[dict[int, int]]:
     return out
 
 
-def _exponent_factored(m: int, k: int, local) -> dict[int, int]:
+def _exponent_factored(m_factored: dict[int, int], k: int, local) -> dict[int, int]:
     """A multiple, factored as {q: e}, of the order of x in Z_m[x]/(chi)
-    for a degree-k chi with a unit constant term, where local(p) gives the
-    degrees of the irreducible factors of chi mod p and whether chi mod p
-    is squarefree.
+    for a degree-k chi with a unit constant term, where m is factored as
+    {p: r} and local(p) gives the degrees of the irreducible factors of
+    chi mod p and whether chi mod p is squarefree.  When p | chi(0), it is
+    a multiple of the order of x on the part of Z_{p^r}[x]/(chi) where x
+    is a unit: the factor x of chi mod p only adds the degree 1 and, when
+    repeated, the p^s below.
 
     Z_p[x]/(chi) is a product of F_p[x]/(g^e) over the irreducible factors
     g of chi mod p.  There x^(p^d - 1) = 1 + n for d = deg g, with n
@@ -157,7 +147,7 @@ def _exponent_factored(m: int, k: int, local) -> dict[int, int]:
     the k = 2 case).
     """
     parts = []
-    for p, r in factorize(m).items():
+    for p, r in m_factored.items():
         degrees, squarefree = local(p)
         parts += _p_power_minus_one_factored(p, degrees)
         s = 0
@@ -170,13 +160,16 @@ def _exponent_factored(m: int, k: int, local) -> dict[int, int]:
 def _gl_exponent_factored(k: int, m: int) -> dict[int, int]:
     """The exponent of GL_k(Z_m) divides this, factored as {q: e}: any
     degrees up to k may occur, and repeated factors."""
-    return _exponent_factored(m, k, lambda p: (range(1, k + 1), False))
+    return _exponent_factored(factorize(m), k, lambda p: (range(1, k + 1), False))
 
 
-def _order_multiple_factored(spec: SequenceSpec, m: int) -> dict[int, int]:
+def _order_multiple_factored(spec: SequenceSpec,
+                             m_factored: dict[int, int]) -> dict[int, int]:
     """A multiple of pi(m), factored as {q: e}, from the degrees of the
-    factors of chi mod each p | m; it divides _gl_exponent_factored."""
-    return _exponent_factored(m, spec.k, lambda p: _factor_degrees(spec.coeffs, p))
+    factors of chi mod each p | m, for m factored as {p: r}; it divides
+    _gl_exponent_factored."""
+    return _exponent_factored(m_factored, spec.k,
+                              lambda p: _factor_degrees(spec.coeffs, p))
 
 
 def matrix_order_multiple(k: int, m: int) -> int:

@@ -210,15 +210,11 @@ def quat_gap_check(l: int, n: int, k: int, variant: int) -> bool:
     _require_odd_prime(l)
     if k < 2 or n < 0:
         raise ValueError("need k >= 2 and n >= 0")
-    if variant == 2 ** k:
-        gap = 2 ** k
-    elif variant == 3 * 2 ** k:
-        gap = 3 * 2 ** k
-    else:
+    if variant not in (2 ** k, 3 * 2 ** k):
         raise ValueError(f"variant must be 2^k or 3*2^k, got {variant}")
     a_n = l_quaternion(l, 2, n).quat
-    a_hi = l_quaternion(l, 2, n + gap).quat
-    a_mid = l_quaternion(l, 2, n + gap // 2).quat
+    a_hi = l_quaternion(l, 2, n + variant).quat
+    a_mid = l_quaternion(l, 2, n + variant // 2).quat
     return a_n + a_hi == a_mid.scale(2)
 
 

@@ -150,18 +150,25 @@ def naive_is_matrix_order(coeffs, m, t):
                     for q in trial_prime_factors(t)))
 
 
-def naive_is_window_period(coeffs, m, t, initial=None):
-    """Certificate that the purely periodic window orbit has least period
-    t: D^t Y_0 = Y_0, and D^(t/q) Y_0 != Y_0 for every prime q | t."""
+def naive_is_window_orbit(coeffs, m, tail, period, initial=None):
+    """Certificate that the window orbit has this tail and least period,
+    for orbits too long to walk: D^(tail+period) Y_0 = D^tail Y_0, not so
+    for period/q for any prime q | period, and not so at tail - 1 unless
+    tail = 0."""
     k = len(coeffs)
     d = naive_terms_mod(coeffs, k, m, initial)
     y0 = [[x] for x in reversed(d)]
 
-    def moved(n):
+    def state(n):
         return naive_matmul(naive_matpow_squaring(coeffs, n, m), y0, m)
 
-    return (t >= 1 and moved(t) == y0
-            and all(moved(t // q) != y0 for q in trial_prime_factors(t)))
+    if tail < 0 or period < 1:
+        return False
+    start = state(tail)
+    return (state(tail + period) == start
+            and all(state(tail + period // q) != start
+                    for q in trial_prime_factors(period))
+            and (tail == 0 or state(tail - 1 + period) != state(tail - 1)))
 
 
 def naive_mult_order(x, m):

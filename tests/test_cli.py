@@ -55,6 +55,16 @@ def test_pisano_needs_mod(capsys):
         main(["pisano", "1", "1"])
 
 
+def test_pisano_ladder_takes_no_mod_state_or_matrix(capsys):
+    for extra in (("--mod", "10"), ("--state",), ("--matrix",), ("--mod", "10", "--state")):
+        with pytest.raises(SystemExit) as exc:
+            main(["pisano", "1", "1", *extra, "--ladder", "3", "2"])
+        assert exc.value.code == 2, extra
+        err = capsys.readouterr().err
+        assert err.endswith("error: pisano --ladder P R takes no --mod, --state or "
+                            "--matrix\n"), extra
+
+
 def test_order(capsys):
     assert run(capsys, "order", "2", "--mod", "27")[1].strip() == "18"
     code, _, err = run(capsys, "order", "3", "--mod", "9")
@@ -356,6 +366,29 @@ def test_factoring_bound_ends_hard_inputs(capsys):
         assert err.startswith("error: cannot factor ") and "Pollard rho steps" in err, argv
         assert len(err.strip().splitlines()) == 1, argv
     assert "42535295865117307778430344311653531707" in err
+
+
+def test_state_period_factors_the_modulus_whatever_a_k_is(capsys, monkeypatch):
+    # the modulus of test_engine's rho step-bound test, which rho cannot
+    # split in 2^15 steps: --state exits 3 for a unit and a non-unit a_k
+    # alike, even where the windows settle at once (x^2 = 0 mod n)
+    n = (2 ** 31 - 1) * (10 ** 9 + 9)
+    monkeypatch.setattr("recurra.ringcore._RHO_STEP_LIMIT", 1 << 15)
+    for coeffs in (("1", "1"), ("0", str(n))):
+        code, out, err = run(capsys, "pisano", *coeffs, "--mod", str(n), "--state")
+        assert code == 3 and out == "", coeffs
+        assert err.startswith(f"error: cannot factor {n}: no factor found in 32768 "
+                              f"Pollard rho steps"), coeffs
+        assert len(err.strip().splitlines()) == 1, coeffs
+
+
+def test_nonunit_state_period_of_a_large_modulus_is_quick():
+    # tail + period is about 3 * 10^12 windows, far too many to walk
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "recurra.cli", "pisano", "1", "2",
+                           "--mod", str(10 ** 18), "--state"],
+                          capture_output=True, env=env, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"18 3051757812500\n", b"")
 
 
 def test_cli_constants_match_verify():

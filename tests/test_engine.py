@@ -14,8 +14,8 @@ from recurra.ringcore import (_MR_BASES, _strong_lucas_probable_prime,
                               order_from_multiple)
 
 from oracles import (carmichael_brute, naive_is_matrix_order,
-                     naive_is_window_period, naive_matrix_order,
-                     naive_mult_order, naive_state_period)
+                     naive_is_window_orbit, naive_matrix_order,
+                     naive_mult_order, naive_state_period, trial_prime_factors)
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 PRIME_POWERS = [4, 8, 16, 32, 9, 27, 25, 49]
@@ -72,7 +72,7 @@ def check_unit_state_period(coeffs, m, initial=None):
         expected = naive_state_period(coeffs, m, initial, cap=WALK_CAP)
     except RuntimeError:
         assert got[0] == 0 and got[1] > WALK_CAP, (coeffs, m, initial)
-        assert naive_is_window_period(coeffs, m, got[1], initial), (coeffs, m, initial)
+        assert naive_is_window_orbit(coeffs, m, *got, initial), (coeffs, m, initial)
         return
     assert got == expected, (coeffs, m, initial)
 
@@ -214,7 +214,8 @@ def test_unit_state_period_is_certified_at_larger_moduli():
         initial = tuple(rng.randrange(m) for _ in range(k)) if draw % 2 else None
         got = state_period(SequenceSpec(coeffs, initial), m)
         assert got.tail == 0, (coeffs, m, initial)
-        assert naive_is_window_period(coeffs, m, got.period, initial), (coeffs, m, initial)
+        assert naive_is_window_orbit(coeffs, m, *got.as_tuple(), initial), (
+            coeffs, m, initial)
 
 
 def test_nonunit_state_period_against_oracle():
@@ -234,6 +235,25 @@ def test_nonunit_state_period_against_oracle():
         assert state_period(SequenceSpec(coeffs, initial), m).as_tuple() == expected, (
             coeffs, m, initial)
         checked += 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_nonunit_state_period_property(data):
+    k = data.draw(st.integers(2, 4), label="k")
+    m = data.draw(st.integers(2, 60), label="m")
+    head = data.draw(st.lists(st.integers(-60, 60), min_size=k - 1, max_size=k - 1))
+    q = data.draw(st.sampled_from(trial_prime_factors(m)), label="q")
+    a_k = q * data.draw(st.integers(-30, 30).filter(bool), label="a_k / q")
+    coeffs = tuple(head + [a_k])
+    initial = data.draw(st.tuples(*[st.integers(0, m - 1)] * k), label="initial")
+    got = state_period(SequenceSpec(coeffs, initial), m).as_tuple()
+    try:
+        expected = naive_state_period(coeffs, m, initial, cap=20000)
+    except RuntimeError:
+        assert naive_is_window_orbit(coeffs, m, *got, initial), (coeffs, m, initial)
+        return
+    assert got == expected, (coeffs, m, initial)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -3,7 +3,7 @@ diagonalizability, each against brute force or a certificate: the order
 multiple built from the degrees of chi's factors mod p, the product-tree
 descent, D^n and D^-n read off x^n and x^-n, and the x^p = x test."""
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +14,10 @@ from recurra.pisano import (_gl_exponent_factored, _order_multiple_factored, cha
                             poly_gcd_mod_p, poly_mod_p, state_period)
 from recurra.recurrence import (SequenceSpec, companion, companion_power, x_inverse,
                                 x_power)
-from recurra.ringcore import Matrix, NotInvertible, order_from_multiple, unfactor
+from recurra.ringcore import Matrix, NotInvertible, factorize, order_from_multiple, unfactor
 
 from oracles import (companion_diagonalizable_mod_p, naive_is_matrix_order,
-                     naive_is_window_period, naive_matmul, naive_matpow_squaring,
+                     naive_is_window_orbit, naive_matmul, naive_matpow_squaring,
                      naive_matrix_order, naive_state_period, poly_eval_mod, poly_gcd_mod,
                      trial_prime_factors)
 
@@ -45,7 +45,7 @@ def check_window_period(coeffs, m, initial=None):
     try:
         expected = naive_state_period(coeffs, m, initial, cap=WALK_CAP)
     except RuntimeError:
-        assert got[0] == 0 and naive_is_window_period(coeffs, m, got[1], initial)
+        assert naive_is_window_orbit(coeffs, m, *got, initial), (coeffs, m, initial)
         return
     assert got == expected, (coeffs, m, initial)
 
@@ -134,7 +134,7 @@ def test_multiple_sends_x_to_one_and_divides_the_gl_bound():
         head = [rng.randint(-20, 20) for _ in range(k - 1)]
         a_k = rng.choice([a for a in range(1, 2 * m) if gcd(a, m) == 1])
         spec = SequenceSpec(tuple(head + [a_k]))
-        multiple = unfactor(_order_multiple_factored(spec, m))
+        multiple = unfactor(_order_multiple_factored(spec, factorize(m)))
         assert x_power(spec, multiple, m) == (1,) + (0,) * (k - 1), (spec, m)
         assert unfactor(_gl_exponent_factored(k, m)) % multiple == 0, (spec, m)
 
@@ -165,6 +165,21 @@ def test_orders_property(data):
     initial = data.draw(st.none() | st.tuples(*[st.integers(0, m - 1)] * k))
     check_window_period(coeffs, m, initial)
     assert order % state_period(SequenceSpec(coeffs, initial), m).period == 0
+
+
+def test_nonunit_window_orbits_at_large_moduli_by_certificate():
+    # p | a_k: the windows settle within k * r steps of each p^r || m, then
+    # cycle with a period the same multiple bounds; too long to walk here
+    rng = random.Random(179)
+    check_window_period((1, 2), 10 ** 18)
+    for m in (10 ** 18, 2 ** 60, 3 ** 30, 6 ** 20):
+        primes = trial_prime_factors(m)
+        for k in (2, 3, 4):
+            q = rng.choice(primes + [prod(primes)])
+            head = [rng.randrange(-m + 1, m) for _ in range(k - 1)]
+            coeffs = tuple(head + [q ** rng.randint(1, 3) * rng.randrange(1, m)])
+            check_window_period(coeffs, m)
+            check_window_period(coeffs, m, tuple(rng.randrange(m) for _ in range(k)))
 
 
 # -- the product-tree descent ----------------------------------------------------
