@@ -16,9 +16,10 @@ token.  Exit codes:
 
 Codes 2 and 3 print a one-line "error: ..." message on stderr.
 
-`verify` runs its suites in forked workers, one per CPU at a time, when
-it runs more than one suite on more than one CPU with no other thread;
-its output is the same as running them in turn (see recurra.verify).
+`verify` runs its suites in one forked worker per CPU, which take them in
+order from a shared queue, when it runs more than one suite on more than
+one CPU with no other thread; its output is the same as running them in
+turn (see recurra.verify).
 
 Each command imports only the recurra modules it runs; `verify` is the
 one that loads them all.  No command loads `dataclasses`, `inspect`,

@@ -6,24 +6,23 @@ after every check, so a slow suite is stopped part-way.  Sub-seeds are
 derived from (seed, suite name) so suites are independent of each other's
 order.
 
-That independence lets run_suites run several suites at once, each in its
-own forked worker and one worker per CPU at a time, when the process may
-use more than one CPU, fork exists and no other thread is running;
-otherwise it runs them in turn in this process.  Either way the results
-are the same: they are assembled in the requested order against one
-absolute deadline that every worker tests after every check, and cut
-after the first suite that spent it.  A worker's exception is raised
-again in the parent with its type and message, and a worker that dies
-without reporting raises RuntimeError.  Workers report through a pipe
-with marshal, so no process-pool or pickle machinery is loaded.
+That independence lets run_suites run several suites at once in a pool of
+forked workers, one per CPU, that take the suites in order from a shared
+queue, when the process may use more than one CPU, fork exists and no
+other thread is running; otherwise it runs them in turn in this process.
+Either way the results are the same: they are assembled in the requested
+order against one absolute deadline that every worker tests after every
+check, and cut after the first suite that spent it.  A worker's
+exception is raised again in the parent with its type and message, and a
+worker that dies without reporting raises RuntimeError.  Workers report
+through a pipe with marshal, so no process-pool or pickle machinery is
+loaded.
 """
 from __future__ import annotations
 
 import marshal
 import os
 import random
-import select
-import signal
 import sys
 import threading
 import time
@@ -234,7 +233,7 @@ def _suite_pisano(rng: random.Random) -> Iterator[tuple[str, bool, str]]:
         m = rng.randint(2, 20)
         spec = random_spec(rng, kmax=4, amax=4)
         st = pisano.state_period(spec, m)
-        if st.tail + st.period > m ** spec.k + 1:
+        if st.tail + st.period > m ** spec.k:
             bad = f"a={spec.coeffs} m={m} visited={st.tail + st.period}"
             break
     yield ("pigeonhole_bound", not bad, bad)
@@ -511,14 +510,16 @@ def _run_suite(name: str, seed: int,
     return checks, False
 
 
-def _fork_suite(name: str, seed: int, deadline: float, cpu: int,
-                cpus: list[int]) -> tuple[int, int]:
-    """Fork a worker that runs one suite, starting on the given CPU of
-    cpus; returns its pid and the read end of its pipe.  The worker writes
-    one marshalled outcome: (True, checks, out_of_time), or (False,
-    module, qualname, message) of the exception the suite raised.  It
-    always leaves by os._exit, so nothing the parent had buffered is
-    flushed a second time."""
+def _fork_worker(queue: int, names: list[str], seed: int, deadline: float,
+                 cpu: int, cpus: list[int]) -> tuple[int, int]:
+    """Fork a worker, started on the given CPU of cpus, that takes suite
+    indices from the queue pipe one byte at a time until it is empty;
+    returns its pid and the read end of its pipe.  For each suite it
+    marshals (index, None), runs it, and marshals (index, outcome): (True,
+    checks, out_of_time), or (False, module, qualname, message) of what the
+    suite raised.  A suite that raised or ran out of time cuts every later
+    one, so the worker then empties the queue.  It always leaves by
+    os._exit, so nothing the parent had buffered is flushed twice."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -540,13 +541,21 @@ def _fork_suite(name: str, seed: int, deadline: float, cpu: int,
                 os.sched_setaffinity(0, cpus)
             except (AttributeError, OSError):  # no affinity call, or a stale CPU
                 pass
-            try:
-                outcome = (True, *_run_suite(name, seed, deadline))
-            except Exception as exc:
-                cls = type(exc)
-                outcome = (False, cls.__module__, cls.__qualname__, str(exc))
             with open(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps(outcome))
+                while taken := os.read(queue, 1):
+                    i = taken[0]
+                    marshal.dump((i, None), pipe)
+                    pipe.flush()
+                    try:
+                        outcome = (True, *_run_suite(names[i], seed, deadline))
+                    except Exception as exc:
+                        cls = type(exc)
+                        outcome = (False, cls.__module__, cls.__qualname__, str(exc))
+                    if not outcome[0] or outcome[2]:    # raised, or out of time
+                        while os.read(queue, 256):
+                            pass
+                    marshal.dump((i, outcome), pipe)
+                    pipe.flush()
             code = 0
         finally:
             os._exit(code)
@@ -565,82 +574,70 @@ def _worker_error(module: str, qualname: str, message: str) -> Exception:
     return RuntimeError(f"{module}.{qualname} in a verify worker: {message}")
 
 
-def _outcome(name: str, data: bytes, status: int) -> tuple[list, bool]:
-    try:
-        ok, *rest = marshal.loads(data)
-    except (EOFError, ValueError, TypeError):
-        code = os.waitstatus_to_exitcode(status)
-        how = f"signal {-code}" if code < 0 else f"exit code {code}"
-        raise RuntimeError(f"the worker for verify suite {name!r} ended with "
-                           f"{how} before reporting") from None
-    if not ok:
-        raise _worker_error(*rest)
-    return rest[0], rest[1]
-
-
 def _suites_in_workers(names: list[str], seed: int, deadline: float,
                        cpus: list[int]) -> list[tuple[list, bool]]:
-    """Each suite's _run_suite outcome from its own forked worker, in the
-    order of names, up to the first suite that ran out of time.
+    """Each suite's _run_suite outcome, in the order of names, up to the
+    first suite that ran out of time, from one forked worker per CPU (and
+    no more workers than suites).  Every suite index goes into one queue
+    pipe before the fork, and a free worker takes the next, so suites start
+    in order and the CPUs stay busy however their costs differ.
 
-    One worker runs per CPU at a time, and the next suite in order starts
-    on the CPU that a finished worker frees, so the CPUs stay busy
-    however the suites' costs differ.  A suite's exception is raised here
-    with the same type and message, and a worker that ended without
-    reporting raises RuntimeError, once every suite before it has
-    reported and none of them raised or ran out of time; the suites after
-    such a one are not started, or are killed.  Every worker is reaped.
+    A suite's exception is raised here with the same type and message, and
+    a suite whose worker ended before reporting it raises RuntimeError,
+    once every suite before it has reported and none of them raised or ran
+    out of time.  Every worker is reaped.
     """
-    done: dict[int, object] = {}        # suite index -> outcome, or what it raised
-    running: dict[int, tuple[int, int, int]] = {}   # read end -> (index, pid, cpu)
-    free, start, needed = list(cpus), 0, len(names)
+    queue, fill = os.pipe()
+    os.write(fill, bytes(range(len(names))))
+    os.close(fill)
+    workers = []                        # (pid, read end)
+    reported = {}                       # suite index -> outcome, None while it runs
+    took, ended = {}, {}                # suite index -> pid, pid -> wait status
     try:
-        while True:
-            while start < needed and free:
-                cpu = free.pop()
-                pid, read_fd = _fork_suite(names[start], seed, deadline, cpu, cpus)
-                running[read_fd] = (start, pid, cpu)
-                start += 1
-            if all(i >= needed for i, _, _ in running.values()):
-                break
-            for read_fd in select.select(list(running), [], [])[0]:
-                i, pid, cpu = running[read_fd]
-                with open(read_fd, "rb", closefd=False) as pipe:
-                    data = pipe.read()
-                status = os.waitpid(pid, 0)[1]
-                del running[read_fd]
-                os.close(read_fd)
-                free.append(cpu)
+        for cpu in cpus[:len(names)]:
+            workers.append(_fork_worker(queue, names, seed, deadline, cpu, cpus))
+        for pid, read_fd in workers:
+            with open(read_fd, "rb", closefd=False) as pipe:
                 try:
-                    done[i] = _outcome(names[i], data, status)
-                except Exception as exc:
-                    done[i] = exc
-            for i in range(needed):
-                if i not in done:
-                    break
-                if isinstance(done[i], Exception) or done[i][1]:
-                    needed = i + 1
-                    break
+                    while True:
+                        i, outcome = marshal.load(pipe)
+                        reported[i], took[i] = outcome, pid
+                except (EOFError, ValueError, TypeError):  # the end, or a record cut short
+                    pass
+            ended[pid] = os.waitpid(pid, 0)[1]
     finally:
-        for read_fd, (_, pid, _) in running.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        os.close(queue)
+        for _, read_fd in workers:      # a worker whose pipe is closed stops at its next record
             os.close(read_fd)
+        for pid, _ in workers:
+            if pid not in ended:
+                os.waitpid(pid, 0)
     outcomes = []
-    for i in range(needed):
-        if isinstance(done[i], Exception):
-            raise done[i]
-        outcomes.append(done[i])
+    for i, name in enumerate(names):
+        if reported.get(i) is None:
+            # an index lost between a worker's read and its first record is
+            # charged to a worker that ended early
+            code = os.waitstatus_to_exitcode(ended.get(took.get(i), max(ended.values())))
+            how = f"signal {-code}" if code < 0 else f"exit code {code}"
+            raise RuntimeError(f"the worker for verify suite {name!r} ended with "
+                               f"{how} before reporting")
+        ok, *rest = reported[i]
+        if not ok:
+            raise _worker_error(*rest)
+        outcomes.append(rest)
+        if rest[1]:
+            break
     return outcomes
 
 
 def _worker_cpus(names: list[str]) -> list[int] | None:
-    """The CPUs to spread one forked worker per suite over, or None to run
-    the suites in this process: workers pay off only with more than one
-    suite and more than one CPU, and are safe only where fork exists and
-    no other thread runs (a forked child copies a lock another thread may
-    hold)."""
-    if len(names) < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
+    """The CPUs for one forked worker each, or None to run the suites in
+    this process: workers pay off only with more than one suite and more
+    than one CPU, take at most 256 suites (an index is one byte), and are
+    safe only where fork exists and no other thread runs (a forked child
+    copies a lock another thread may hold)."""
+    if not (1 < len(names) <= 256 and hasattr(os, "fork")
+            and threading.active_count() == 1):
         return None
     try:
         cpus = sorted(os.sched_getaffinity(0))
@@ -654,10 +651,10 @@ def run_suites(names: list[str], seed: int,
     """The checks of the named suites, in order, cut after the first suite
     that spends the budget with one `budget` line.
 
-    Where _worker_cpus allows, each suite runs in its own forked worker,
-    one per CPU at a time, against one absolute deadline; the results are
-    the same as running them in turn in this process, which is what
-    happens otherwise.
+    Where _worker_cpus allows, one forked worker per CPU takes the suites
+    in order from a shared queue, against one absolute deadline; the
+    results are the same as running them in turn in this process, which is
+    what happens otherwise.
     """
     deadline = time.monotonic() + budget_ms / 1000.0
     cpus = _worker_cpus(names)

@@ -1,7 +1,8 @@
-"""verify's suites in forked workers against the same suites run in turn in
-this process: the same stdout, the same errors and exit codes, and no
-worker left unreaped.  The CPU count is set by patching the affinity call,
-so both paths run on any machine that has fork."""
+"""verify's suites in a pool of forked workers against the same suites run
+in turn in this process: the same stdout, the same errors and exit codes,
+and no worker left unreaped (tests/conftest.py checks that after every
+test).  The CPU count is set by patching the affinity call, so both paths
+run on any machine that has fork."""
 import os
 import subprocess
 import sys
@@ -18,13 +19,6 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-@pytest.fixture(autouse=True)
-def no_worker_left_behind():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture
 def forks(monkeypatch):
     """The pids of the workers forked while the test runs."""
@@ -39,6 +33,11 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     return pids
+
+
+def run_python(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
 
 
 def set_cpus(monkeypatch, n):
@@ -91,8 +90,7 @@ sys.exit(cli.main(["verify", "--suite", "all", "--seed", "3"]))
 
 
 def test_output_buffered_before_the_fork_is_written_once(capsys, monkeypatch):
-    proc = subprocess.run([sys.executable, "-c", BUFFERED_THEN_VERIFY], capture_output=True,
-                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
+    proc = run_python(BUFFERED_THEN_VERIFY)
     set_cpus(monkeypatch, 1)
     cli.main(["verify", "--suite", "all", "--seed", "3"])
     expected = "printed before the workers\n" + capsys.readouterr().out
@@ -140,13 +138,39 @@ def test_a_spent_budget_cuts_the_run_after_the_first_suite(capsys, monkeypatch, 
                                         "FAILED 1/2 checks\n", "")
 
 
-# A worker that ends mid-suite without reporting, in a fresh interpreter so
+def test_a_raise_keeps_the_queued_suites_from_starting(monkeypatch, forks, tmp_path):
+    # matrix raises at its first check while pisano's worker sleeps, so the
+    # queue is emptied before any worker is free to take another suite
+    started = tmp_path / "started"
+    run_suite = verify._run_suite
+
+    def logged(name, seed, deadline):
+        with open(started, "a") as log:
+            log.write(name + "\n")
+        if name == "pisano":
+            time.sleep(0.5)
+        return run_suite(name, seed, deadline)
+
+    def raises(r):
+        raise ValueError("from the matrix suite")
+
+    monkeypatch.setattr(verify, "_run_suite", logged)
+    monkeypatch.setattr(verify, "mod_inverse", raises)
+    set_cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match="from the matrix suite"):
+        verify.run_suites(list(verify.SUITES), 0)
+    assert len(forks) == 2
+    assert "matrix" in started.read_text().split()
+    assert set(started.read_text().split()) <= {"matrix", "pisano"}
+
+
+# Workers that end mid-suite without reporting, in a fresh interpreter so
 # that a hang is caught by the timeout.
 WORKER_DIES = """
 import os, signal, sys
 os.sched_getaffinity = lambda pid: {0, 1}
-from recurra import cli, lnumbers
-lnumbers.gap_identity_check = lambda spec, n, k: %s
+from recurra import cli, lnumbers, quaternions
+%s
 sys.exit(cli.main(["verify", "--suite", "all", "--seed", "0"]))
 """
 
@@ -154,12 +178,21 @@ sys.exit(cli.main(["verify", "--suite", "all", "--seed", "0"]))
 @pytest.mark.parametrize("ending, how", [
     ("os._exit(7)", "exit code 7"),
     ("os.kill(os.getpid(), signal.SIGKILL)", "signal 9"),
+    ("os._exit(0)", "exit code 0"),
 ])
 def test_a_worker_that_dies_gives_a_one_line_error(ending, how):
-    proc = subprocess.run([sys.executable, "-c", WORKER_DIES % ending], capture_output=True,
-                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
+    proc = run_python(WORKER_DIES % f"lnumbers.gap_identity_check = lambda spec, n, k: {ending}")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: the worker for verify suite 'lnum' ended with {how} " \
+                          "before reporting\n"
+
+
+def test_the_first_suite_in_order_that_dies_names_its_own_worker():
+    # lnum's worker exits 5; the other worker takes quat and exits 6
+    proc = run_python(WORKER_DIES % "lnumbers.gap_identity_check = lambda spec, n, k: os._exit(5)\n"
+                                    "quaternions.l_quat_norm_check = lambda l, n: os._exit(6)")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: the worker for verify suite 'lnum' ended with exit code 5 " \
                           "before reporting\n"
 
 
@@ -185,7 +218,7 @@ def test_workers_need_several_suites_several_cpus_and_no_other_thread(monkeypatc
 
 
 def test_one_worker_per_cpu_at_a_time(monkeypatch, forks):
-    # five suites on two CPUs: a suite starts only when a worker has ended
+    # five suites on two CPUs: a pool of two workers runs them all
     set_cpus(monkeypatch, 2)
     running, most = [0], [0]
     spy_fork, real_waitpid = os.fork, os.waitpid
@@ -206,4 +239,45 @@ def test_one_worker_per_cpu_at_a_time(monkeypatch, forks):
     monkeypatch.setattr(os, "waitpid", waitpid)
     results = verify.run_suites(list(verify.SUITES), 5)
     assert len(results) == 39 and all(r.passed for r in results)
-    assert (len(forks), most[0], running[0]) == (5, 2, 0)
+    assert (len(forks), most[0], running[0]) == (2, 2, 0)
+
+
+def test_a_failed_fork_leaves_no_worker_behind(monkeypatch, forks):
+    # the first worker stops at its next record once its pipe is closed
+    set_cpus(monkeypatch, 2)
+    spy_fork = os.fork
+
+    def fork():
+        if forks:
+            raise OSError("no second worker")
+        return spy_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(OSError, match="no second worker"):
+        verify.run_suites(list(verify.SUITES), 0)
+    assert len(forks) == 1
+
+
+def test_no_more_workers_than_suites(monkeypatch, forks):
+    set_cpus(monkeypatch, 3)
+    verify.run_suites(["lnum", "quat"], 0)
+    assert len(forks) == 2
+
+
+def test_a_repeated_suite_runs_again(monkeypatch, forks):
+    names = ["lnum", "quat", "lnum"]
+    set_cpus(monkeypatch, 2)
+    workers = verify.run_suites(names, 4)
+    assert len(forks) == 2
+    set_cpus(monkeypatch, 1)
+    assert workers == verify.run_suites(names, 4)
+    assert len(forks) == 2 and len(workers) == 27
+
+
+def test_more_suites_than_one_byte_indexes_run_in_this_process(monkeypatch, forks):
+    # with no budget each run is cut after matrix's first check
+    set_cpus(monkeypatch, 2)
+    workers = verify.run_suites(["matrix"] * 256, 0, budget_ms=0)
+    assert len(forks) == 2
+    assert verify.run_suites(["matrix"] * 257, 0, budget_ms=0) == workers
+    assert len(forks) == 2 and len(workers) == 2
