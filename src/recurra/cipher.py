@@ -53,8 +53,12 @@ class CipherKey(Value):
         return SequenceSpec(self.coeffs)
 
     def matrix(self) -> Matrix:
-        """The enciphering matrix D^n mod N."""
-        return companion_power(self.spec(), self.exponent, self.n_mod)
+        """The enciphering matrix D^n mod N, computed once per key."""
+        try:
+            return self._matrix
+        except AttributeError:
+            set_field(self, "_matrix", companion_power(self.spec(), self.exponent, self.n_mod))
+            return self._matrix
 
     def to_line(self) -> str:
         parts = [self.k, self.n_mod, *self.coeffs, self.exponent]

@@ -12,7 +12,9 @@ token.  Exit codes:
   3  an arithmetic failure: a checked identity broke (ArithmeticError),
      a value overflowed (e.g. --budget 1e400s), or a number the period or
      order needs did not factor within the factoring bound, m included
-     (`pisano` factors m for the order and for --state, whatever a_k is)
+     (`pisano` factors m for the order and for --state, whatever a_k is);
+     also a request that ran out of memory (MemoryError), such as exact
+     terms far past what the address space holds
 
 Codes 2 and 3 print a one-line "error: ..." message on stderr.
 
@@ -295,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"error: out of memory running {args.command!r}", file=sys.stderr)
         return 3
 
 

@@ -15,16 +15,22 @@ from enum import Enum
 from math import gcd
 
 from .ringcore import Value, set_field
-from .recurrence import SequenceSpec, term, terms
+from .recurrence import SequenceSpec, _extend, term
 
 
 class LSpec(Value):
+    """The sequence of one l.  It keeps the longest prefix of terms asked of
+    it so far, so that identities over many short prefixes compute each
+    term once.  The prefix is a tuple that is replaced, never changed, when
+    it grows: threads that grow it at once each leave a valid prefix."""
+
     _fields = ("l",)
 
     def __init__(self, l: int):
         if l < 1:
             raise ValueError(f"l must be >= 1, got {l}")
         set_field(self, "l", l)
+        set_field(self, "_prefix", (0, 1))
 
 
 class ResidueClass(Enum):
@@ -50,12 +56,22 @@ def binet_roots(spec: LSpec) -> BinetRoots:
 
 
 def l_term(spec: LSpec, n: int) -> int:
+    """a_n: off the spec's prefix when that reaches n, else by x^n."""
+    prefix = spec._prefix
+    if 0 <= n < len(prefix):
+        return prefix[n]
     return term(SequenceSpec((spec.l, 1)), n)
 
 
 def l_terms(spec: LSpec, count: int) -> list[int]:
-    """[a_0, ..., a_{count-1}]."""
-    return terms(SequenceSpec((spec.l, 1)), count)
+    """[a_0, ..., a_{count-1}], a new list on every call."""
+    if count < 0:
+        raise ValueError(f"need count >= 0, got {count}")
+    prefix = spec._prefix
+    if count > len(prefix):
+        prefix = tuple(_extend((1, spec.l), list(prefix), count))
+        set_field(spec, "_prefix", prefix)
+    return list(prefix[:count])
 
 
 def binet_check(spec: LSpec, n: int, tol: float = 1e-9) -> bool:

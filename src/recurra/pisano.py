@@ -17,7 +17,7 @@ from math import gcd, lcm
 from .ringcore import (NotInvertible, Residue, Value, check_modulus, factorize,
                        is_prime, lcm_factored, multiplicative_order,
                        order_from_multiple, set_field, unfactor)
-from .recurrence import SequenceSpec, terms_from, x_power
+from .recurrence import SequenceSpec, _power_reduced, terms_from, x_power
 
 
 class PeriodResult(Value):
@@ -49,10 +49,12 @@ def _require_unit_tail_coeff(spec: SequenceSpec, m: int) -> None:
 
 def _descend(spec: SequenceSpec, m: int, multiple: dict[int, int],
              is_one) -> dict[int, int]:
-    """Least t dividing the factored multiple with is_one(x^t mod chi)."""
+    """Least t dividing the factored multiple with is_one(x^t mod chi);
+    m must be a valid modulus."""
+    coeffs = tuple([a % m for a in spec.coeffs])
     x = (0, 1) + (0,) * (spec.k - 2)
-    return order_from_multiple(multiple, x, lambda y, e: x_power(spec, e, m, y),
-                               is_one)
+    return order_from_multiple(multiple, x,
+                               lambda y, e: _power_reduced(y, e, coeffs, m), is_one)
 
 
 def matrix_order(spec: SequenceSpec, m: int) -> int:
@@ -112,19 +114,23 @@ def _cyclotomic_value(d: int, p: int) -> int:
     return value
 
 
+@lru_cache(maxsize=1024)
+def _cyclotomic_factored(d: int, p: int) -> tuple[tuple[int, int], ...]:
+    """Phi_d(p) factored, as (q, e) pairs; the moduli of one law or one
+    ladder, and the keys of one cipher modulus, share their primes, so each
+    piece is factored once."""
+    return tuple(factorize(_cyclotomic_value(d, p)).items())
+
+
 def _p_power_minus_one_factored(p: int, degrees) -> list[dict[int, int]]:
     """p^j - 1 factored for each j in degrees, as the product of its
-    cyclotomic pieces Phi_d(p), d | j, which are far smaller; each piece is
-    factored once."""
-    pieces: dict[int, dict[int, int]] = {}
+    cyclotomic pieces Phi_d(p), d | j, which are far smaller."""
     out = []
     for j in degrees:
         total: dict[int, int] = {}
         for d in range(1, j + 1):
             if j % d == 0:
-                if d not in pieces:
-                    pieces[d] = factorize(_cyclotomic_value(d, p))
-                for q, e in pieces[d].items():
+                for q, e in _cyclotomic_factored(d, p):
                     total[q] = total.get(q, 0) + e
         out.append(total)
     return out
@@ -180,6 +186,13 @@ def matrix_order_multiple(k: int, m: int) -> int:
     unchanged, which checks that bound on its own.
     """
     check_modulus(m)
+    return _gl_exponent(k, m)
+
+
+@lru_cache(maxsize=256)
+def _gl_exponent(k: int, m: int) -> int:
+    """unfactor(_gl_exponent_factored(k, m)), kept because one cipher
+    modulus serves many keys."""
     return unfactor(_gl_exponent_factored(k, m))
 
 

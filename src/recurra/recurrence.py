@@ -78,12 +78,17 @@ def terms(spec: SequenceSpec, count: int) -> list[int]:
     """The list [d_0, ..., d_{count-1}]."""
     if count < 0:
         raise ValueError(f"need count >= 0, got {count}")
-    k = spec.k
-    backward = spec.coeffs[::-1]        # d_{t+k} = a_k d_t + ... + a_1 d_{t+k-1}
-    d = list(spec.initial)
-    for t in range(count - k):
+    return _extend(spec.coeffs[::-1], list(spec.initial), count)[:count]
+
+
+def _extend(backward: tuple[int, ...], d: list[int], count: int) -> list[int]:
+    """d, a prefix d_0, ..., d_{len(d)-1} holding at least one window,
+    extended in place to count terms, for backward = (a_k, ..., a_1):
+    d_{t+k} = a_k d_t + ... + a_1 d_{t+k-1}."""
+    k = len(backward)
+    for t in range(len(d) - k, count - k):
         d.append(sum(map(mul, backward, d[t:t + k])))
-    return d[:count]
+    return d
 
 
 def term_mod(spec: SequenceSpec, n: int, m: int) -> Residue:
@@ -107,26 +112,28 @@ def terms_mod(spec: SequenceSpec, count: int, m: int) -> list[int]:
     return d[:count]
 
 
+def _scaled_backward(spec: SequenceSpec, steps: int) -> list[int]:
+    """[d_{-steps}, ..., d_{-1}], each times a_k^steps.
+
+    Each backward step divides by a_k once, so every d_{-j} a_k^steps with
+    j <= steps is an integer, and the walk runs over integers with exact //.
+    """
+    k = spec.k
+    a, a_k = spec.coeffs[:-1], spec.coeffs[-1]
+    scale = a_k ** steps
+    # newest last: out[-k] is d_{t+k-1}, and out[1-k:] is d_{t+k-2}, ..., d_t
+    out = [x * scale for x in reversed(spec.initial)]
+    for _ in range(steps):
+        out.append((out[-k] - sum(map(mul, a, out[1 - k:]))) // a_k)
+    return out[:k - 1:-1]
+
+
 def term_negative(spec: SequenceSpec, n: int) -> Fraction:
     """Exact rational d_n for n < 0, by backward recursion."""
     from fractions import Fraction
     if n >= 0:
         raise ValueError("term_negative() is for n < 0")
-    k = spec.k
-    a = spec.coeffs
-    # window = (d_t, ..., d_{t+k-1}), walked down from t = 0 to t = n
-    window = [Fraction(x) for x in spec.initial]
-    for _ in range(-n):
-        d_new = (window[-1] - sum(Fraction(a[i - 1]) * window[k - 1 - i]
-                                  for i in range(1, k))) / a[-1]
-        window = [d_new] + window[:-1]
-    return window[0]
-
-
-def term_any(spec: SequenceSpec, n: int) -> Fraction:
-    """d_n for any integer n, as an exact rational."""
-    from fractions import Fraction
-    return Fraction(term(spec, n)) if n >= 0 else term_negative(spec, n)
+    return Fraction(_scaled_backward(spec, -n)[0], spec.coeffs[-1] ** -n)
 
 
 def companion(spec: SequenceSpec) -> Matrix:
@@ -162,7 +169,8 @@ def _mulmod_charpoly(u: tuple[int, ...], v: tuple[int, ...],
         if c:
             for j, a in enumerate(coeffs, 1):
                 full[top - j] += c * a
-    return tuple(full[:k]) if m is None else tuple(x % m for x in full[:k])
+    del full[k:]
+    return tuple(full) if m is None else tuple([x % m for x in full])
 
 
 def x_power(spec: SequenceSpec, n: int, m: int | None = None,
@@ -181,20 +189,29 @@ def x_power(spec: SequenceSpec, n: int, m: int | None = None,
     if n < 0:
         raise ValueError("x_power() is for n >= 0")
     k = spec.k
-    coeffs = spec.coeffs if m is None else tuple(a % m for a in spec.coeffs)
+    if n == 0:
+        return (1,) + (0,) * (k - 1)
+    coeffs = spec.coeffs if m is None else tuple([a % m for a in spec.coeffs])
     if base is None:
         base = (0, 1) + (0,) * (k - 2)
     elif m is not None:
-        base = tuple(c % m for c in base)
+        base = tuple([c % m for c in base])
+    return _power_reduced(base, n, coeffs, m)
+
+
+def _power_reduced(base: tuple[int, ...], n: int, coeffs: tuple[int, ...],
+                   m: int | None) -> tuple[int, ...]:
+    """base^n for n >= 1, as x_power does it, with nothing checked: base
+    and the coefficients a_1..a_k must already be reduced mod m."""
     result = None                       # 1, until the first set bit
-    while n:
+    while True:
         if n & 1:
             result = (base if result is None
                       else _mulmod_charpoly(result, base, coeffs, m))
         n >>= 1
-        if n:
-            base = _mulmod_charpoly(base, base, coeffs, m)
-    return (1,) + (0,) * (k - 1) if result is None else result
+        if not n:
+            return result
+        base = _mulmod_charpoly(base, base, coeffs, m)
 
 
 def x_inverse(spec: SequenceSpec, m: int) -> tuple[int, ...]:
@@ -228,59 +245,52 @@ def companion_power(spec: SequenceSpec, n: int, m: int | None = None,
     for _ in range(k):
         rows.append(c[::-1])
         top = c[-1]
-        c = tuple(top * a + low for a, low in zip(top_coeffs, (0,) + c[:-1]))
-        if m is not None:
-            c = tuple(x % m for x in c)
+        shifted = zip(top_coeffs, (0,) + c[:-1])
+        c = tuple([top * a + low for a, low in shifted] if m is None
+                  else [(top * a + low) % m for a, low in shifted])
     return Matrix._of_rows(tuple(rows[::-1]), m)
-
-
-def state_vector(spec: SequenceSpec, i: int) -> tuple[int, ...]:
-    """Y_i = (d_{i+k-1}, ..., d_{i+1}, d_i)."""
-    d = terms(spec, i + spec.k)
-    return tuple(d[i + spec.k - 1 - r] for r in range(spec.k))
-
-
-def _structure_entry(spec: SequenceSpec, n: int, r: int, j: int,
-                     d: dict[int, Fraction]) -> Fraction:
-    # D^n entry at (row r, col j), both 1-based, built from sequence terms:
-    # col 1 is d_{n+k-r}; col j>=2 is sum_{i=1}^{k-j+1} a_{i+j-1} d_{n+k-i-r}.
-    from fractions import Fraction
-    k = spec.k
-    a = spec.coeffs
-    if j == 1:
-        return d[n + k - r]
-    return sum((Fraction(a[i + j - 2]) * d[n + k - i - r]
-                for i in range(1, k - j + 2)), Fraction(0))
 
 
 def power_structure_check(spec: SequenceSpec, n: int) -> bool:
     """Does D^n equal the matrix of sequence terms, entry by entry?
 
-    For n < k-1 the term-built entries reach negative indices; those are
-    exact rationals and the comparison still holds over Q.
+    Entry (r, 1) is d_{n+k-r} and entry (r, j), j >= 2, is
+    sum_{i=1}^{k-j+1} a_{i+j-1} d_{n+k-i-r} (both indices 1-based).  For
+    n < k-1 these reach negative indices, whose terms are rationals; both
+    sides are then compared times a_k^s, s = k-1-n, which makes every term
+    an integer.
     """
     _require_default_window(spec)
     if n < 1:
         raise ValueError("need n >= 1")
     k = spec.k
-    lo, hi = n + 1 - k, n + k - 1
-    d = {t: term_any(spec, t) for t in range(lo, hi + 1)}
+    a = spec.coeffs
+    steps = max(0, k - 1 - n)
+    scale = a[-1] ** steps
+    # d[t + steps] = d_t * scale, for t from -steps to n+k-1
+    d = _scaled_backward(spec, steps) + [x * scale for x in terms(spec, n + k)]
     dn = power(companion(spec), n)
-    for r in range(1, k + 1):
-        for j in range(1, k + 1):
-            if _structure_entry(spec, n, r, j, d) != dn[r - 1, j - 1]:
-                return False
+    for r, dn_row in enumerate(dn.entries, 1):
+        top = steps + n + k - r             # d_{n+k-r}
+        # entry j pairs a_k, ..., a_j with d_{n+j-1-r}, ..., d_{n+k-1-r}
+        row = [d[top]] + [sum(map(mul, reversed(a[j - 1:]), d[top - k + j - 1:top]))
+                          for j in range(2, k + 1)]
+        if row != [x * scale for x in dn_row]:
+            return False
     return True
 
 
 def state_step_check(spec: SequenceSpec, n: int, r: int) -> bool:
-    """Y_n = D Y_{n-1}, Y_n = D^n Y_0 and Y_{n+r} = D^n Y_r, exactly."""
+    """Y_n = D Y_{n-1}, Y_n = D^n Y_0 and Y_{n+r} = D^n Y_r exactly, for
+    the windows Y_i = (d_{i+k-1}, ..., d_{i+1}, d_i)."""
     _require_default_window(spec)
     if n < 1 or r < 0:
         raise ValueError("need n >= 1 and r >= 0")
+    k = spec.k
     d = companion(spec)
     dn = power(d, n)
-    y = {i: state_vector(spec, i) for i in (0, n - 1, n, r, n + r)}
+    prefix = terms(spec, n + r + k)
+    y = {i: tuple(reversed(prefix[i:i + k])) for i in (0, n - 1, n, r, n + r)}
     return (y[n] == d.apply(y[n - 1])
             and y[n] == dn.apply(y[0])
             and y[n + r] == dn.apply(y[r]))

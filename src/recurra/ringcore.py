@@ -17,7 +17,7 @@ from __future__ import annotations
 import struct
 import sys
 from math import gcd, isqrt, prod
-from operator import attrgetter
+from operator import attrgetter, mul
 
 # How a Value subclass's __init__ sets a field, past Value.__setattr__.
 set_field = object.__setattr__
@@ -538,7 +538,7 @@ class Matrix:
         m = self.modulus
         if m is None:
             bt = list(zip(*other.entries))
-            prod = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
+            prod = tuple(tuple([sum(map(mul, row, col)) for col in bt])
                          for row in self.entries)
         else:
             prod = _packed_rows_product(self.entries, other.entries, m)
@@ -549,7 +549,7 @@ class Matrix:
         if self.cols != len(vec):
             raise ShapeMismatch(f"{self.rows}x{self.cols} applied to {len(vec)}-vector")
         m = self.modulus
-        out = tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
+        out = tuple([sum(map(mul, row, vec)) for row in self.entries])
         return out if m is None else tuple(x % m for x in out)
 
     def __pow__(self, n: int) -> "Matrix":
@@ -557,15 +557,16 @@ class Matrix:
             raise ShapeMismatch("power needs a square matrix")
         if n < 0:
             return self.inverse() ** (-n)
-        result = Matrix.identity(self.rows, self.modulus)
-        base = self
-        while n:
+        if n == 0:
+            return Matrix.identity(self.rows, self.modulus)
+        result, base = None, self       # None stands for I until the first set bit
+        while True:
             if n & 1:
-                result = result @ base
+                result = base if result is None else result @ base
             n >>= 1
-            if n:
-                base = base @ base
-        return result
+            if not n:
+                return result
+            base = base @ base
 
     def det(self) -> int:
         """Exact determinant; reduced to [0, m) for modular matrices."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 import marshal
 import os
 import random
+import select
 import sys
 import threading
 import time
@@ -515,11 +516,12 @@ def _fork_worker(queue: int, names: list[str], seed: int, deadline: float,
     """Fork a worker, started on the given CPU of cpus, that takes suite
     indices from the queue pipe one byte at a time until it is empty;
     returns its pid and the read end of its pipe.  For each suite it
-    marshals (index, None), runs it, and marshals (index, outcome): (True,
+    sends (index, None), runs it, and sends (index, outcome): (True,
     checks, out_of_time), or (False, module, qualname, message) of what the
-    suite raised.  A suite that raised or ran out of time cuts every later
-    one, so the worker then empties the queue.  It always leaves by
-    os._exit, so nothing the parent had buffered is flushed twice."""
+    suite raised; each record is marshalled after its length in 4 bytes.
+    A suite that raised or ran out of time cuts every later one, so the
+    worker then empties the queue.  It always leaves by os._exit, so
+    nothing the parent had buffered is flushed twice."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -542,25 +544,33 @@ def _fork_worker(queue: int, names: list[str], seed: int, deadline: float,
             except (AttributeError, OSError):  # no affinity call, or a stale CPU
                 pass
             with open(write_fd, "wb") as pipe:
+                def send(record):
+                    data = marshal.dumps(record)
+                    pipe.write(len(data).to_bytes(4, "little") + data)
+                    pipe.flush()
+
                 while taken := os.read(queue, 1):
                     i = taken[0]
-                    marshal.dump((i, None), pipe)
-                    pipe.flush()
+                    send((i, None))
                     try:
                         outcome = (True, *_run_suite(names[i], seed, deadline))
                     except Exception as exc:
                         cls = type(exc)
                         outcome = (False, cls.__module__, cls.__qualname__, str(exc))
                     if not outcome[0] or outcome[2]:    # raised, or out of time
-                        while os.read(queue, 256):
-                            pass
-                    marshal.dump((i, outcome), pipe)
-                    pipe.flush()
+                        _empty(queue)
+                    send((i, outcome))
             code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
     return pid, read_fd
+
+
+def _empty(queue: int) -> None:
+    """Read the queue pipe, whose write end is closed, until it is empty."""
+    while os.read(queue, 256):
+        pass
 
 
 def _worker_error(module: str, qualname: str, message: str) -> Exception:
@@ -585,31 +595,49 @@ def _suites_in_workers(names: list[str], seed: int, deadline: float,
     A suite's exception is raised here with the same type and message, and
     a suite whose worker ended before reporting it raises RuntimeError,
     once every suite before it has reported and none of them raised or ran
-    out of time.  Every worker is reaped.
+    out of time.  The workers' pipes are read together, so a worker that
+    dies mid-suite is seen at once, and the queue is then emptied: no suite
+    starts after one that can no longer report.  Every worker is reaped.
     """
     queue, fill = os.pipe()
     os.write(fill, bytes(range(len(names))))
     os.close(fill)
-    workers = []                        # (pid, read end)
+    workers = {}                        # read end -> pid
     reported = {}                       # suite index -> outcome, None while it runs
     took, ended = {}, {}                # suite index -> pid, pid -> wait status
     try:
         for cpu in cpus[:len(names)]:
-            workers.append(_fork_worker(queue, names, seed, deadline, cpu, cpus))
-        for pid, read_fd in workers:
-            with open(read_fd, "rb", closefd=False) as pipe:
-                try:
-                    while True:
-                        i, outcome = marshal.load(pipe)
-                        reported[i], took[i] = outcome, pid
-                except (EOFError, ValueError, TypeError):  # the end, or a record cut short
-                    pass
-            ended[pid] = os.waitpid(pid, 0)[1]
+            pid, read_fd = _fork_worker(queue, names, seed, deadline, cpu, cpus)
+            workers[read_fd] = pid
+        unread = dict.fromkeys(workers, b"")    # open read end -> bytes of a partial record
+        poller = select.poll()                  # unlike select(), any fd number
+        for read_fd in unread:
+            poller.register(read_fd, select.POLLIN)
+        while unread:
+            for read_fd, _ in poller.poll():
+                chunk = os.read(read_fd, 1 << 16)
+                if not chunk:
+                    # the worker has ended: after the queue ran out this
+                    # takes nothing, and after a death it stops the rest
+                    _empty(queue)
+                    poller.unregister(read_fd)
+                    del unread[read_fd]
+                    ended[workers[read_fd]] = os.waitpid(workers[read_fd], 0)[1]
+                    continue
+                data = unread[read_fd] + chunk
+                while len(data) >= 4:
+                    end = 4 + int.from_bytes(data[:4], "little")
+                    if len(data) < end:
+                        break
+                    i, outcome = marshal.loads(data[4:end])
+                    reported[i], took[i] = outcome, workers[read_fd]
+                    data = data[end:]
+                unread[read_fd] = data
     finally:
         os.close(queue)
-        for _, read_fd in workers:      # a worker whose pipe is closed stops at its next record
+        for read_fd in workers:         # a worker whose pipe is closed stops at its next record
             os.close(read_fd)
-        for pid, _ in workers:
+        for pid in workers.values():
             if pid not in ended:
                 os.waitpid(pid, 0)
     outcomes = []
@@ -634,9 +662,9 @@ def _worker_cpus(names: list[str]) -> list[int] | None:
     """The CPUs for one forked worker each, or None to run the suites in
     this process: workers pay off only with more than one suite and more
     than one CPU, take at most 256 suites (an index is one byte), and are
-    safe only where fork exists and no other thread runs (a forked child
-    copies a lock another thread may hold)."""
-    if not (1 < len(names) <= 256 and hasattr(os, "fork")
+    safe only where fork and poll exist and no other thread runs (a forked
+    child copies a lock another thread may hold)."""
+    if not (1 < len(names) <= 256 and hasattr(os, "fork") and hasattr(select, "poll")
             and threading.active_count() == 1):
         return None
     try:

@@ -18,6 +18,17 @@ def naive_terms(coeffs, count, initial=None):
     return d[:count]
 
 
+def naive_term_negative(coeffs, n, initial=None):
+    """d_n for n < 0 as a Fraction, one backward step at a time:
+    d_{j-k} = (d_j - a_1 d_{j-1} - ... - a_{k-1} d_{j-k+1}) / a_k."""
+    k = len(coeffs)
+    d = {j: Fraction(x) for j, x in enumerate(
+        initial if initial is not None else [0] * (k - 1) + [1])}
+    for j in range(k - 1, k - 1 + n, -1):
+        d[j - k] = (d[j] - sum(coeffs[i - 1] * d[j - i] for i in range(1, k))) / coeffs[-1]
+    return d[n]
+
+
 def naive_terms_mod(coeffs, count, m, initial=None):
     return [x % m for x in naive_terms(coeffs, count, initial)]
 

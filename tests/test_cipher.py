@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from recurra import cipher
 from recurra.cipher import (
     Alphabet,
     BadCoefficient,
@@ -322,3 +323,23 @@ def test_unknown_symbol_names_the_first_in_text_order():
             assert str(exc.value) == message
     with pytest.raises(UnknownSymbol, match="symbol 'AB' is not"):
         alpha.label("AB")
+
+
+def test_a_key_computes_its_enciphering_matrix_once(monkeypatch):
+    calls = []
+    real = cipher.companion_power
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cipher, "companion_power", counted)
+    key = CipherKey(3, 27, (4, -5, 2), 2)
+    alpha = Alphabet.default()
+    assert [encrypt_text(key, alpha, "SUCCESS**") for _ in range(3)] == ["QDSNYCTVS"] * 3
+    assert key.matrix() == real(key.spec(), 2, 27)
+    assert len(calls) == 1
+    # the kept matrix is no part of the value
+    assert key == CipherKey(3, 27, (4, -5, 2), 2)
+    assert hash(key) == hash(CipherKey(3, 27, (4, -5, 2), 2))
+    assert repr(key) == "CipherKey(k=3, n_mod=27, coeffs=(4, -5, 2), exponent=2)"

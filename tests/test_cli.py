@@ -484,3 +484,31 @@ def test_pisano_split_chi_mod_a_61_bit_prime(capsys):
     code, out, err = run(capsys, "pisano", "1", "1", "1", "1", "1",
                          "--mod", "2305843009213693951")
     assert (code, out, err) == (0, "5316911983139663487003542222693990400\n", "")
+
+
+def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_seq", exhausted)
+    assert run(capsys, "seq", "1", "1", "--n", "5") == (
+        3, "", "error: out of memory running 'seq'\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS caps the address space on Linux only")
+def test_a_capped_process_out_of_memory_exits_3():
+    # exact Fibonacci terms to 10^7 would take terabytes; a 256 MB address
+    # space runs out within the first 10^5 terms
+    import resource
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 256 << 20 if hard == resource.RLIM_INFINITY else min(256 << 20, hard)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run([sys.executable, "-m", "recurra.cli", "seq", "1", "1", "--n",
+                           "10000000"], capture_output=True, text=True, timeout=120,
+                          preexec_fn=limit, env=dict(os.environ, PYTHONPATH=SRC))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "error: out of memory running 'seq'\n")

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from recurra import cipher, pisano, recurrence
+from recurra import cipher, lnumbers, pisano, recurrence
 from recurra.cipher import Alphabet, CipherKey
 from recurra.recurrence import SequenceSpec
+
+from oracles import naive_lterms
 
 
 def test_concurrent_callers_agree():
@@ -31,6 +33,26 @@ def test_concurrent_callers_agree():
         assert got[1] == 54
         assert got[2] == (0, 18)
         assert got[3] == "QDSNYCTVS"
+
+
+def test_threads_sharing_one_l_number_prefix_agree():
+    # each thread grows and reads the same spec's prefix in its own order
+    spec = lnumbers.LSpec(3)
+    expected = naive_lterms(3, 400)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def work(i):
+            counts = [(i * 37 + 11 * j) % 400 for j in range(60)]
+            return [(c, lnumbers.l_terms(spec, c), lnumbers.l_term(spec, c)) for c in counts]
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(work, range(16)))
+    finally:
+        sys.setswitchinterval(old_interval)
+    for rows in results:
+        for count, prefix, term in rows:
+            assert prefix == expected[:count] and term == expected[count]
 
 
 # Eight threads of a fresh interpreter resolve every public name of the lazy

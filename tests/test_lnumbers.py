@@ -189,3 +189,29 @@ def test_m_tower_two_mod_l_squared():
 def test_pell_and_fibonacci_specials():
     assert l_terms(LSpec(2), 8) == [0, 1, 2, 5, 12, 29, 70, 169]
     assert l_terms(LSpec(1), 13) == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
+
+
+def test_one_spec_serves_shorter_and_longer_prefixes():
+    spec = LSpec(3)
+    for count in (50, 10, 0, 1, 2, 80, 79, 81, 3):
+        assert l_terms(spec, count) == naive_lterms(3, count), count
+    for n in (0, 1, 40, 80, 81, 200):
+        assert l_term(spec, n) == naive_lterms(3, n + 1)[n], n
+    with pytest.raises(ValueError):
+        l_terms(spec, -1)
+    with pytest.raises(ValueError):
+        l_term(spec, -1)
+    # the prefix is no part of the value
+    assert spec == LSpec(3) and hash(spec) == hash(LSpec(3))
+    assert repr(spec) == "LSpec(l=3)"
+
+
+def test_a_changed_prefix_list_does_not_reach_the_next_caller():
+    spec = LSpec(2)
+    first = l_terms(spec, 20)
+    first[5] = -1
+    first.append(7)
+    first.clear()
+    assert l_terms(spec, 20) == naive_lterms(2, 20)
+    assert l_terms(spec, 30) == naive_lterms(2, 30)
+    assert l_terms(spec, 20) is not l_terms(spec, 20)

@@ -1,3 +1,4 @@
+import importlib
 import random
 from math import gcd, lcm
 
@@ -16,7 +17,7 @@ from recurra.pisano import (
     state_period,
 )
 from recurra.recurrence import SequenceSpec, companion
-from recurra.ringcore import NotInvertible
+from recurra.ringcore import NotInvertible, factorize, unfactor
 
 from oracles import (companion_diagonalizable_mod_p, naive_matrix_order,
                      naive_state_period)
@@ -174,6 +175,29 @@ def test_chi_is_factored_once_per_prime():
     assert factored.cache_info().misses == 3
     state_period(SequenceSpec((1, 1, 1), (2, 0, 5)), 30)
     assert factored.cache_info().misses == 3
+
+
+def test_every_cache_is_bounded():
+    caches = {}
+    for name in ("ringcore", "recurrence", "pisano", "cipher", "lnumbers", "quaternions",
+                 "verify"):
+        module = importlib.import_module(f"recurra.{name}")
+        for attr, value in vars(module).items():
+            if callable(getattr(value, "cache_info", None)):
+                caches[f"{name}.{attr}"] = value.cache_info().maxsize
+    assert {"pisano._factor_degrees", "pisano._cyclotomic_factored",
+            "pisano._gl_exponent"} <= set(caches)
+    assert all(isinstance(size, int) and 0 < size <= 4096 for size in caches.values()), caches
+
+
+def test_cached_exponent_pieces_match_a_fresh_factorization():
+    for p in (2, 3, 5, 7, 29, 257):
+        for d in range(1, 9):
+            assert dict(pisano._cyclotomic_factored(d, p)) == factorize(
+                pisano._cyclotomic_value(d, p))
+    for k, m in ((2, 26), (5, 29), (3, 256), (5, 27)):
+        fresh = pisano._exponent_factored(factorize(m), k, lambda p: (range(1, k + 1), False))
+        assert matrix_order_multiple(k, m) == matrix_order_multiple(k, m) == unfactor(fresh)
 
 
 def test_prime_power_ladder_guards():

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from recurra import recurrence
 from recurra.recurrence import (
     SequenceSpec,
     addition_formula,
@@ -21,7 +23,8 @@ from recurra.recurrence import (
 )
 from recurra.ringcore import Matrix
 
-from oracles import naive_matpow, naive_terms, naive_terms_mod, perm_det
+from oracles import (naive_matpow, naive_term_negative, naive_terms, naive_terms_mod,
+                     perm_det)
 
 FIB = SequenceSpec((1, 1))
 TRIB = SequenceSpec((1, 1, 1))
@@ -104,6 +107,19 @@ def test_term_negative_extends_recurrence():
                                     for i in range(1, k + 1))
 
 
+def test_term_negative_against_a_fraction_recursion_on_custom_windows():
+    rng = random.Random(43)
+    for _ in range(300):
+        spec = random_spec(rng)
+        initial = tuple(rng.randint(-9, 9) for _ in range(spec.k))
+        custom = SequenceSpec(spec.coeffs, initial)
+        n = -rng.randint(1, 25)
+        for s, window in ((spec, None), (custom, initial)):
+            got = term_negative(s, n)
+            assert type(got) is Fraction
+            assert got == naive_term_negative(s.coeffs, n, window), (s, n)
+
+
 def test_companion_layouts():
     assert companion(EX3) == Matrix([[4, -5, 2], [1, 0, 0], [0, 1, 0]])
     assert companion(TRIB) == Matrix([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
@@ -144,6 +160,31 @@ def test_power_structure_randomized():
     for _ in range(60):
         spec = random_spec(rng)
         assert power_structure_check(spec, rng.randint(1, 12))
+
+
+def oracle_checks(monkeypatch, spec, n, d_n):
+    """Run the two identity checks with D^n replaced by d_n (nested lists)
+    and the forward terms by naive_terms."""
+    monkeypatch.setattr(recurrence, "terms", lambda s, count: naive_terms(s.coeffs, count))
+    monkeypatch.setattr(recurrence, "power", lambda d, e: Matrix(d_n))
+    return power_structure_check(spec, n), state_step_check(spec, n, n + 1)
+
+
+def test_identity_checks_against_naive_matpow_below_k(monkeypatch):
+    # n < k - 1 puts d_{n+1-k} at a negative index
+    rng = random.Random(47)
+    for _ in range(40):
+        spec = random_spec(rng)
+        n = rng.randint(1, spec.k)
+        d_n = naive_matpow(spec.coeffs, n)
+        assert oracle_checks(monkeypatch, spec, n, d_n) == (True, True), (spec, n)
+        for r, j in product(range(spec.k), repeat=2):
+            wrong = [row[:] for row in d_n]
+            wrong[r][j] += rng.choice([-1, 1]) * rng.randint(1, 3)
+            structure, steps = oracle_checks(monkeypatch, spec, n, wrong)
+            assert not structure, (spec, n, r, j)
+            if j == 0:                  # Y_0 = e_1 reads column 1 of D^n
+                assert not steps, (spec, n, r, j)
 
 
 def test_power_structure_rejects_custom_window():

@@ -1,0 +1,90 @@
+"""verify's random draws and counterexamples stay fixed while the checks'
+internals change: the generator state each suite leaves behind, and the
+FAIL lines two planted faults produce, are pinned to the values of the
+code before the checks read their terms off shared prefixes."""
+import random
+
+import pytest
+
+from recurra import lnumbers, ringcore, verify
+
+# rng.getrandbits(64) after the suite's generator is exhausted, seeds 0-2
+DRAWS_AFTER = {
+    "matrix": (15822119774451812899, 8100266124892751863, 7913993933179912036),
+    "pisano": (2690389735271109190, 11856611163174680625, 6011964898198253259),
+    "lnum": (7411152239515936276, 6120917388294804063, 3938161566985443385),
+    "quat": (17987125071916581816, 11987940656695176082, 15051231079220408720),
+    "cipher": (12220442571338394497, 13909723431074134951, 6079544501883074070),
+}
+
+
+@pytest.mark.parametrize("name", list(DRAWS_AFTER))
+def test_each_suite_draws_what_it_drew_before(name):
+    for seed, expected in enumerate(DRAWS_AFTER[name]):
+        rng = random.Random(f"{seed}:{name}")
+        for _ in verify.SUITES[name](rng):
+            pass
+        assert rng.getrandbits(64) == expected, (name, seed)
+
+
+def _failures(suite, seed):
+    return [r.line() for r in verify.run_suites([suite], seed) if not r.passed]
+
+
+# D^n with a wrong bottom-left entry whenever n = 3 mod 5
+POW_FAULT = {
+    0: ["FAIL matrix.power_structure seed=0 counterexample: a=(4, -4, -2) n=8",
+        "FAIL matrix.state_steps seed=0 counterexample: a=(-2, -2, 5) n=18 r=15",
+        "FAIL matrix.power_det seed=0 counterexample: a=(-4, 4, 2) n=3"],
+    1: ["FAIL matrix.power_structure seed=1 counterexample: a=(-1, 4, -3, -5) n=8",
+        "FAIL matrix.state_steps seed=1 counterexample: a=(-1, -5, -1, -1, -2) n=8 r=19",
+        "FAIL matrix.power_det seed=1 counterexample: a=(-4, 4, -4, -1) n=3"],
+    2: ["FAIL matrix.power_structure seed=2 counterexample: a=(2, 3, 3) n=8",
+        "FAIL matrix.state_steps seed=2 counterexample: a=(-5, 1, 1, 5) n=8 r=16",
+        "FAIL matrix.power_det seed=2 counterexample: a=(5, -1) n=8"],
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_wrong_matrix_power_fails_the_same_checks_on_the_same_case(monkeypatch, seed):
+    real_pow = ringcore.Matrix.__pow__
+
+    def wrong_pow(self, n):
+        out = real_pow(self, n)
+        if n % 5 != 3:
+            return out
+        rows = [list(row) for row in out.entries]
+        rows[-1][0] += 1
+        return ringcore.Matrix(rows, out.modulus)
+
+    monkeypatch.setattr(ringcore.Matrix, "__pow__", wrong_pow)
+    assert _failures("matrix", seed) == POW_FAULT[seed]
+    assert _failures("lnum", seed) == []
+
+
+# a_25 one too large in every l_terms prefix that reaches it
+L_TERMS_FAULT = [
+    "FAIL lnum.square_sum seed={seed} counterexample: l=1 n=12",
+    "FAIL lnum.index_addition seed={seed} counterexample: l=1 m={m} n={n}",
+    "FAIL lnum.divisibility seed={seed} counterexample: l=1 d=5 n=25",
+    "FAIL lnum.gap_identity seed={seed} counterexample: l=1 n=21 k=2",
+    "FAIL lnum.triple_gap seed={seed} counterexample: l=1 n=1 k=3",
+]
+INDEX_ADDITION_CASE = {0: (25, 14), 1: (5, 25), 2: (5, 25)}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_wrong_l_term_fails_the_same_checks_on_the_same_case(monkeypatch, seed):
+    real_l_terms = lnumbers.l_terms
+
+    def wrong_l_terms(spec, count):
+        out = real_l_terms(spec, count)
+        if count > 25:
+            out[25] += 1
+        return out
+
+    monkeypatch.setattr(lnumbers, "l_terms", wrong_l_terms)
+    m, n = INDEX_ADDITION_CASE[seed]
+    assert _failures("lnum", seed) == [line.format(seed=seed, m=m, n=n)
+                                       for line in L_TERMS_FAULT]
+    assert _failures("matrix", seed) == []

@@ -196,6 +196,36 @@ def test_the_first_suite_in_order_that_dies_names_its_own_worker():
                           "before reporting\n"
 
 
+# lnum's worker exits 7 while pisano's still sleeps; the parent sees the
+# death at once and empties the queue, so quat and cipher never start.
+DEATH_STOPS_THE_QUEUE = """
+import os, sys, time
+os.sched_getaffinity = lambda pid: {0, 1}
+from recurra import cli, lnumbers, verify
+run_suite = verify._run_suite
+
+def logged(name, seed, deadline):
+    with open(%r, "a") as log:
+        log.write(name + "\\n")
+    if name == "pisano":
+        time.sleep(0.5)
+    return run_suite(name, seed, deadline)
+
+verify._run_suite = logged
+lnumbers.gap_identity_check = lambda spec, n, k: os._exit(7)
+sys.exit(cli.main(["verify", "--suite", "all", "--seed", "0"]))
+"""
+
+
+def test_a_worker_that_dies_keeps_the_queued_suites_from_starting(tmp_path):
+    started = tmp_path / "started"
+    proc = run_python(DEATH_STOPS_THE_QUEUE % str(started))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: the worker for verify suite 'lnum' ended with exit code 7 " \
+                          "before reporting\n"
+    assert sorted(started.read_text().split()) == ["lnum", "matrix", "pisano"]
+
+
 def test_workers_need_several_suites_several_cpus_and_no_other_thread(monkeypatch, forks):
     set_cpus(monkeypatch, 2)
     verify.run_suites(["lnum"], 0)
@@ -256,6 +286,25 @@ def test_a_failed_fork_leaves_no_worker_behind(monkeypatch, forks):
     with pytest.raises(OSError, match="no second worker"):
         verify.run_suites(list(verify.SUITES), 0)
     assert len(forks) == 1
+
+
+def test_workers_whose_pipes_have_high_fd_numbers(monkeypatch, forks):
+    # select() takes no fd past 1023; the parent polls instead
+    import resource
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+        pytest.skip("needs 1200 open files")
+    set_cpus(monkeypatch, 2)
+    held = []
+    try:
+        while not held or held[-1] < 1100:
+            held.append(os.open(os.devnull, os.O_RDONLY))
+        workers = verify.run_suites(["lnum", "quat"], 6)
+    finally:
+        for fd in held:
+            os.close(fd)
+    assert len(forks) == 2
+    set_cpus(monkeypatch, 1)
+    assert workers == verify.run_suites(["lnum", "quat"], 6)
 
 
 def test_no_more_workers_than_suites(monkeypatch, forks):
