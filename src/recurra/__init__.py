@@ -25,6 +25,7 @@ _EXPORTS = {
                "encrypt", "encrypt_text", "normalize_exponent", "validate_key"),
     "lnumbers": ("LSpec", "l_term", "m_value"),
     "quaternions": ("LQuaternion", "QuatAlgebra", "Quaternion", "l_quaternion"),
+    "ntheory": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -7,8 +7,9 @@ token.  Exit codes:
   0  success; every requested check passed
   1  a verify check failed, or the quat census found a zero divisor
   2  bad input or usage: an invalid key, modulus or file, an unknown
-     symbol, a negative --n or --budget (argparse's own usage errors exit
-     2 as well); also a verify worker that died without reporting
+     symbol, a negative --n or --budget, a --r below 1 (argparse's own
+     usage errors exit 2 as well); also a verify worker that died without
+     reporting
   3  an arithmetic failure: a checked identity broke (ArithmeticError),
      a value overflowed (e.g. --budget 1e400s), or a number the period or
      order needs did not factor within the factoring bound, m included
@@ -24,10 +25,13 @@ one CPU with no other thread; its output is the same as running them in
 turn (see recurra.verify).
 
 Each command imports only the recurra modules it runs; `verify` is the
-one that loads them all.  No command loads `dataclasses`, `inspect`,
-`string` or `fractions`, except that `verify` loads `fractions`.  `quat`
-reads every record's coefficients off one prefix of terms mod l^r, and
-its census squares residues, not exact terms.
+one that loads them all.  Only `order` (with `ringcore` alone), `pisano`,
+`quat`, `validate-key --normalize` and `verify` load the number theory
+(`ntheory`: primality, factoring, orders).  No command loads
+`dataclasses`, `inspect`, `string` or `fractions`, except that `verify`
+loads `fractions`.  `quat` reads every record's coefficients off one
+prefix of terms mod l^r, and its census squares residues, not exact
+terms.
 """
 from __future__ import annotations
 
@@ -156,6 +160,9 @@ def _cmd_lnum(args) -> int:
 
 def _cmd_quat(args) -> int:
     from . import quaternions, recurrence
+    if args.r < 1:
+        raise ValueError(f"--r must be >= 1, got {args.r}")
+    _require_last_index(args.n)
     report = quaternions.invertibility_census(args.l, args.r, args.n)
     # A_n's coefficients are a_n..a_{n+3} mod l^r: one prefix serves every record
     a = recurrence.terms_mod(recurrence.SequenceSpec((args.l, 1)), args.n + 4,

@@ -14,9 +14,10 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm
 
-from .ringcore import (NotInvertible, Residue, Value, check_modulus, factorize,
-                       is_prime, lcm_factored, multiplicative_order,
-                       order_from_multiple, set_field, unfactor)
+from .ringcore import (NotInvertible, Residue, Value, check_modulus, multiplicative_order,
+                       set_field)
+from .ntheory import (_exponent_factored, factorize, is_prime, order_from_multiple,
+                      poly_divmod_mod_p, poly_gcd_mod_p, poly_mod_p, unfactor)
 from .recurrence import SequenceSpec, _power_reduced, terms_from, x_power
 
 
@@ -105,95 +106,25 @@ def state_period(spec: SequenceSpec, m: int) -> PeriodResult:
     return PeriodResult(tail=tail, period=period)
 
 
-def _cyclotomic_value(d: int, p: int) -> int:
-    """Phi_d(p), from p^d - 1 = prod over e | d of Phi_e(p)."""
-    value = p ** d - 1
-    for e in range(1, d):
-        if d % e == 0:
-            value //= _cyclotomic_value(e, p)
-    return value
-
-
-@lru_cache(maxsize=1024)
-def _cyclotomic_factored(d: int, p: int) -> tuple[tuple[int, int], ...]:
-    """Phi_d(p) factored, as (q, e) pairs; the moduli of one law or one
-    ladder, and the keys of one cipher modulus, share their primes, so each
-    piece is factored once."""
-    return tuple(factorize(_cyclotomic_value(d, p)).items())
-
-
-def _p_power_minus_one_factored(p: int, degrees) -> list[dict[int, int]]:
-    """p^j - 1 factored for each j in degrees, as the product of its
-    cyclotomic pieces Phi_d(p), d | j, which are far smaller."""
-    out = []
-    for j in degrees:
-        total: dict[int, int] = {}
-        for d in range(1, j + 1):
-            if j % d == 0:
-                for q, e in _cyclotomic_factored(d, p):
-                    total[q] = total.get(q, 0) + e
-        out.append(total)
-    return out
-
-
-def _exponent_factored(m_factored: dict[int, int], k: int, local) -> dict[int, int]:
-    """A multiple, factored as {q: e}, of the order of x in Z_m[x]/(chi)
-    for a degree-k chi with a unit constant term, where m is factored as
-    {p: r} and local(p) gives the degrees of the irreducible factors of
-    chi mod p and whether chi mod p is squarefree.  When p | chi(0), it is
-    a multiple of the order of x on the part of Z_{p^r}[x]/(chi) where x
-    is a unit: the factor x of chi mod p only adds the degree 1 and, when
-    repeated, the p^s below.
-
-    Z_p[x]/(chi) is a product of F_p[x]/(g^e) over the irreducible factors
-    g of chi mod p.  There x^(p^d - 1) = 1 + n for d = deg g, with n
-    nilpotent, n^e = 0, so (1 + n)^(p^s) = 1 once p^s >= e: s = 0 when
-    chi mod p is squarefree, else the least s with p^s >= k.  The kernel
-    of reduction from p^r || m to p has exponent p^(r-1) (Wall 1960 gives
-    the k = 2 case).
-    """
-    parts = []
-    for p, r in m_factored.items():
-        degrees, squarefree = local(p)
-        parts += _p_power_minus_one_factored(p, degrees)
-        s = 0
-        while not squarefree and p ** s < k:
-            s += 1
-        parts.append({p: s + r - 1})
-    return {q: e for q, e in lcm_factored(*parts).items() if e}
-
-
-def _gl_exponent_factored(k: int, m: int) -> dict[int, int]:
-    """The exponent of GL_k(Z_m) divides this, factored as {q: e}: any
-    degrees up to k may occur, and repeated factors."""
-    return _exponent_factored(factorize(m), k, lambda p: (range(1, k + 1), False))
-
-
 def _order_multiple_factored(spec: SequenceSpec,
                              m_factored: dict[int, int]) -> dict[int, int]:
     """A multiple of pi(m), factored as {q: e}, from the degrees of the
     factors of chi mod each p | m, for m factored as {p: r}; it divides
-    _gl_exponent_factored."""
+    matrix_order_multiple(k, m)."""
     return _exponent_factored(m_factored, spec.k,
                               lambda p: _factor_degrees(spec.coeffs, p))
 
 
-def matrix_order_multiple(k: int, m: int) -> int:
-    """A multiple of the order of every invertible k x k matrix mod m.
-
-    The bound on the exponent of GL_k(Z_m) that matrix_order descends
-    from.  Shifting a cipher exponent by it must leave the ciphertext
-    unchanged, which checks that bound on its own.
-    """
-    check_modulus(m)
-    return _gl_exponent(k, m)
-
-
 @lru_cache(maxsize=256)
-def _gl_exponent(k: int, m: int) -> int:
-    """unfactor(_gl_exponent_factored(k, m)), kept because one cipher
-    modulus serves many keys."""
-    return unfactor(_gl_exponent_factored(k, m))
+def matrix_order_multiple(k: int, m: int) -> int:
+    """A multiple of the order of every invertible k x k matrix mod m: the
+    bound on the exponent of GL_k(Z_m), where any degrees up to k and
+    repeated factors may occur.  Shifting a cipher exponent by it must
+    leave the ciphertext unchanged, which checks that bound on its own.
+    Cached, since one cipher modulus serves many keys; an invalid m raises
+    and is not cached."""
+    return unfactor(_exponent_factored(factorize(check_modulus(m)), k,
+                                       lambda p: (range(1, k + 1), False)))
 
 
 def order_divisibility_check(spec: SequenceSpec, m: int) -> bool:
@@ -241,45 +172,6 @@ def prime_power_ladder(spec: SequenceSpec, p: int, r_max: int) -> list[int]:
 def char_poly(spec: SequenceSpec) -> list[int]:
     """Coefficients [c_0, ..., c_k] of det(xI - D) = x^k - a_1 x^{k-1} - ... - a_k."""
     return [-a for a in reversed(spec.coeffs)] + [1]
-
-
-# -- polynomials over F_p, for the factorization of chi mod p: coefficient
-# lists, lowest degree first, reduced mod p, with no trailing zeros (the zero
-# polynomial is []) -------------------------------------------------------------
-
-def _trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def poly_mod_p(f, p: int) -> list[int]:
-    """The coefficients f reduced mod p, trailing zeros dropped."""
-    return _trim([c % p for c in f])
-
-
-def poly_divmod_mod_p(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of f by the nonzero g over F_p, p prime."""
-    rem, low, dg = f[:], g[:-1], len(g) - 1
-    inv = pow(g[-1], -1, p)
-    quot = []
-    while len(rem) > dg:
-        c = rem.pop() * inv % p
-        quot.append(c)
-        if c:
-            shift = len(rem) - dg
-            rem[shift:] = [(a - c * b) % p for a, b in zip(rem[shift:], low)]
-    return quot[::-1], _trim(rem)
-
-
-def poly_gcd_mod_p(f: list[int], g: list[int], p: int) -> list[int]:
-    """The monic gcd of f and g over F_p, p prime ([] when both are zero)."""
-    while g:
-        f, g = g, poly_divmod_mod_p(f, g, p)[1]
-    if not f:
-        return f
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
 
 
 @lru_cache(maxsize=256)

@@ -15,7 +15,8 @@ from __future__ import annotations
 from math import gcd
 
 from .ringcore import (ModulusMismatch, NotInvertible, Value, check_modulus, invert_mod,
-                       is_prime, set_field)
+                       set_field)
+from .ntheory import is_prime
 from .lnumbers import LSpec, l_terms, m_value
 from .recurrence import SequenceSpec, terms_from
 

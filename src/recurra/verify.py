@@ -33,8 +33,8 @@ from itertools import product
 from math import gcd, lcm
 
 from . import cipher, lnumbers, pisano, quaternions, recurrence
-from .ringcore import (Matrix, Residue, Value, carmichael, mod_inverse,
-                       multiplicative_order, set_field)
+from .ringcore import Matrix, Residue, Value, mod_inverse, multiplicative_order, set_field
+from .ntheory import carmichael
 from .recurrence import SequenceSpec
 
 DEFAULT_BUDGET_MS = 60_000

@@ -271,6 +271,14 @@ def test_negative_last_index_is_rejected(capsys):
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1, argv
 
 
+def test_quat_names_the_bad_flag(capsys):
+    # each flag is checked on its own, under its own name, before the census
+    for argv, message in ((("--n", "-1"), "error: --n must be >= 0, got -1\n"),
+                          (("--r", "0", "--n", "3"), "error: --r must be >= 1, got 0\n"),
+                          (("--r", "-2", "--n", "-1"), "error: --r must be >= 1, got -2\n")):
+        assert run(capsys, "quat", "3", *argv) == (2, "", message), argv
+
+
 def test_verify_reports_the_first_counterexample(capsys, monkeypatch):
     monkeypatch.setattr("recurra.lnumbers.square_sum_check", lambda spec, n: False)
     monkeypatch.setattr("recurra.lnumbers.divisibility_check", lambda spec, d, n: False)
@@ -373,7 +381,7 @@ def test_state_period_factors_the_modulus_whatever_a_k_is(capsys, monkeypatch):
     # split in 2^15 steps: --state exits 3 for a unit and a non-unit a_k
     # alike, even where the windows settle at once (x^2 = 0 mod n)
     n = (2 ** 31 - 1) * (10 ** 9 + 9)
-    monkeypatch.setattr("recurra.ringcore._RHO_STEP_LIMIT", 1 << 15)
+    monkeypatch.setattr("recurra.ntheory._RHO_STEP_LIMIT", 1 << 15)
     for coeffs in (("1", "1"), ("0", str(n))):
         code, out, err = run(capsys, "pisano", *coeffs, "--mod", str(n), "--state")
         assert code == 3 and out == "", coeffs

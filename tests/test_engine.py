@@ -6,12 +6,12 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recurra.ntheory import (_MR_BASES, _strong_lucas_probable_prime,
+                             _strong_probable_prime, carmichael, factorize, is_prime,
+                             order_from_multiple)
 from recurra.pisano import matrix_order, state_period
 from recurra.recurrence import SequenceSpec, companion, x_power
-from recurra.ringcore import (_MR_BASES, _strong_lucas_probable_prime,
-                              _strong_probable_prime, carmichael, factorize,
-                              is_prime, multiplicative_order_int,
-                              order_from_multiple)
+from recurra.ringcore import multiplicative_order_int
 
 from oracles import (carmichael_brute, naive_is_matrix_order,
                      naive_is_window_orbit, naive_matrix_order,
@@ -136,9 +136,9 @@ def test_factorize_gives_up_at_its_step_bound(monkeypatch):
     # rho splits this one after 65534 steps; the bound is exact and spans
     # every try of the rho constant
     n = (2 ** 31 - 1) * (10 ** 9 + 9)
-    monkeypatch.setattr("recurra.ringcore._RHO_STEP_LIMIT", 1 << 16)
+    monkeypatch.setattr("recurra.ntheory._RHO_STEP_LIMIT", 1 << 16)
     assert factorize(n) == {2 ** 31 - 1: 1, 10 ** 9 + 9: 1}
-    monkeypatch.setattr("recurra.ringcore._RHO_STEP_LIMIT", 1 << 15)
+    monkeypatch.setattr("recurra.ntheory._RHO_STEP_LIMIT", 1 << 15)
     with pytest.raises(ArithmeticError, match=f"cannot factor {n}: no factor found "
                                               f"in 32768 Pollard rho steps"):
         factorize(n)

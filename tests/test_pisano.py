@@ -5,6 +5,8 @@ from math import gcd, lcm
 import pytest
 
 from recurra import pisano
+from recurra.ntheory import (_cyclotomic_factored, _cyclotomic_value, _exponent_factored,
+                             factorize, unfactor)
 from recurra.pisano import (
     diagonalizable_mod_p,
     divisor_monotone_check,
@@ -17,7 +19,7 @@ from recurra.pisano import (
     state_period,
 )
 from recurra.recurrence import SequenceSpec, companion
-from recurra.ringcore import NotInvertible, factorize, unfactor
+from recurra.ringcore import NotInvertible
 
 from oracles import (companion_diagonalizable_mod_p, naive_matrix_order,
                      naive_state_period)
@@ -179,25 +181,33 @@ def test_chi_is_factored_once_per_prime():
 
 def test_every_cache_is_bounded():
     caches = {}
-    for name in ("ringcore", "recurrence", "pisano", "cipher", "lnumbers", "quaternions",
-                 "verify"):
+    for name in ("ringcore", "ntheory", "recurrence", "pisano", "cipher", "lnumbers",
+                 "quaternions", "verify"):
         module = importlib.import_module(f"recurra.{name}")
         for attr, value in vars(module).items():
             if callable(getattr(value, "cache_info", None)):
                 caches[f"{name}.{attr}"] = value.cache_info().maxsize
-    assert {"pisano._factor_degrees", "pisano._cyclotomic_factored",
-            "pisano._gl_exponent"} <= set(caches)
+    assert {"pisano._factor_degrees", "ntheory._cyclotomic_factored",
+            "pisano.matrix_order_multiple"} <= set(caches)
     assert all(isinstance(size, int) and 0 < size <= 4096 for size in caches.values()), caches
 
 
 def test_cached_exponent_pieces_match_a_fresh_factorization():
     for p in (2, 3, 5, 7, 29, 257):
         for d in range(1, 9):
-            assert dict(pisano._cyclotomic_factored(d, p)) == factorize(
-                pisano._cyclotomic_value(d, p))
+            assert dict(_cyclotomic_factored(d, p)) == factorize(_cyclotomic_value(d, p))
     for k, m in ((2, 26), (5, 29), (3, 256), (5, 27)):
-        fresh = pisano._exponent_factored(factorize(m), k, lambda p: (range(1, k + 1), False))
+        fresh = _exponent_factored(factorize(m), k, lambda p: (range(1, k + 1), False))
         assert matrix_order_multiple(k, m) == matrix_order_multiple(k, m) == unfactor(fresh)
+
+
+def test_matrix_order_multiple_caches_no_invalid_modulus():
+    before = matrix_order_multiple.cache_info()
+    for m in (1, 0, -4):
+        with pytest.raises(ValueError, match="modulus must be an integer >= 2"):
+            matrix_order_multiple(2, m)
+    after = matrix_order_multiple.cache_info()
+    assert after.currsize == before.currsize and after.hits == before.hits
 
 
 def test_prime_power_ladder_guards():

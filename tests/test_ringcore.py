@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recurra.ntheory import is_prime
 from recurra.ringcore import (
     Matrix,
     ModulusMismatch,
@@ -12,7 +13,6 @@ from recurra.ringcore import (
     Residue,
     ShapeMismatch,
     check_modulus,
-    is_prime,
     mod_inverse,
     multiplicative_order,
 )

@@ -30,7 +30,8 @@ EXPORTS = {
 }
 # __all__ holds the 43 names in sorted order
 ALL = sorted(name for names in EXPORTS.values() for name in names)
-LIBRARY = {"cipher", "lnumbers", "pisano", "quaternions", "recurrence", "ringcore", "verify"}
+LIBRARY = {"cipher", "lnumbers", "ntheory", "pisano", "quaternions", "recurrence", "ringcore",
+           "verify"}
 
 # Runs `recurra ARGS...` through runpy in this fresh interpreter, then writes
 # every module it loaded, recurra's and the standard library's, to OUT as
@@ -61,6 +62,8 @@ def loaded_by(tmp_path, *argv, stdin: str = "") -> set[str]:
             if m.startswith("recurra.")}
 
 
+# The number theory (ntheory: primality, factoring, orders) loads only where
+# an order or a period is taken: these pins name it wherever it loads.
 def test_cipher_commands_load_no_period_or_sequence_modules(tmp_path):
     (tmp_path / "key.txt").write_text("3 27 4 -5 2 2\n")
     cipher_only = {"cipher", "recurrence", "ringcore"}
@@ -68,18 +71,20 @@ def test_cipher_commands_load_no_period_or_sequence_modules(tmp_path):
     assert loaded_by(tmp_path, "decrypt", "--key", "key.txt", stdin="QDSNYCTVS") == cipher_only
     assert loaded_by(tmp_path, "validate-key", "--key", "key.txt") == cipher_only
     assert loaded_by(tmp_path, "validate-key", "--key", "key.txt",
-                     "--normalize") == cipher_only | {"pisano"}
+                     "--normalize") == cipher_only | {"pisano", "ntheory"}
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (("order", "2", "--mod", "27"), {"ringcore"}),
+    (("order", "2", "--mod", "27"), {"ringcore", "ntheory"}),
     (("seq", "1", "1", "--n", "10"), {"recurrence", "ringcore"}),
     (("seq", "1", "1", "--n", "10", "--mod", "7"), {"recurrence", "ringcore"}),
-    (("pisano", "1", "1", "--mod", "10"), {"pisano", "recurrence", "ringcore"}),
+    (("pisano", "1", "1", "--mod", "10"), {"pisano", "ntheory", "recurrence", "ringcore"}),
     (("lnum", "2", "--n", "7"), {"lnumbers", "recurrence", "ringcore"}),
-    (("quat", "3", "--n", "4"), {"quaternions", "lnumbers", "recurrence", "ringcore"}),
+    (("quat", "3", "--n", "4"),
+     {"quaternions", "lnumbers", "ntheory", "recurrence", "ringcore"}),
     (("verify", "--suite", "matrix"), LIBRARY),
     (("--help",), set()),
+    (("lnum", "2", "--n", "7", "--mod", "5"), {"lnumbers", "recurrence", "ringcore"}),
 ])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, expected):
     assert loaded_by(tmp_path, *argv) == expected

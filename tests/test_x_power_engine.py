@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recurra.cipher import CipherKey, decrypt, encrypt
-from recurra.pisano import (_gl_exponent_factored, _order_multiple_factored, char_poly,
-                            diagonalizable_mod_p, matrix_order, poly_divmod_mod_p,
-                            poly_gcd_mod_p, poly_mod_p, state_period)
+from recurra.ntheory import (factorize, order_from_multiple, poly_divmod_mod_p,
+                             poly_gcd_mod_p, poly_mod_p, unfactor)
+from recurra.pisano import (_order_multiple_factored, char_poly, diagonalizable_mod_p,
+                            matrix_order, matrix_order_multiple, state_period)
 from recurra.recurrence import (SequenceSpec, companion, companion_power, x_inverse,
                                 x_power)
-from recurra.ringcore import Matrix, NotInvertible, factorize, order_from_multiple, unfactor
+from recurra.ringcore import Matrix, NotInvertible
 
 from oracles import (companion_diagonalizable_mod_p, naive_is_matrix_order,
                      naive_is_window_orbit, naive_matmul, naive_matpow_squaring,
@@ -136,7 +137,7 @@ def test_multiple_sends_x_to_one_and_divides_the_gl_bound():
         spec = SequenceSpec(tuple(head + [a_k]))
         multiple = unfactor(_order_multiple_factored(spec, factorize(m)))
         assert x_power(spec, multiple, m) == (1,) + (0,) * (k - 1), (spec, m)
-        assert unfactor(_gl_exponent_factored(k, m)) % multiple == 0, (spec, m)
+        assert matrix_order_multiple(k, m) % multiple == 0, (spec, m)
 
 
 def test_split_chi_mod_a_61_bit_prime_by_certificate():
