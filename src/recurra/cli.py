@@ -19,10 +19,10 @@ token.  Exit codes:
 
 Codes 2 and 3 print a one-line "error: ..." message on stderr.
 
-`verify` runs its suites in one forked worker per CPU, which take them in
-order from a shared queue, when it runs more than one suite on more than
-one CPU with no other thread; its output is the same as running them in
-turn (see recurra.verify).
+`verify` runs its suites in one forked worker per CPU, each handed the
+next suite in order as it comes free, when it runs more than one suite on
+more than one CPU with no other thread; its output is the same as running
+them in turn (see recurra.verify).
 
 Each command imports only the recurra modules it runs; `verify` is the
 one that loads them all.  Only `order` (with `ringcore` alone), `pisano`,
@@ -150,8 +150,7 @@ def _cmd_lnum(args) -> int:
     _require_last_index(args.n)
     spec = lnumbers.LSpec(args.l)
     if args.mod is not None:
-        values = recurrence.terms_mod(recurrence.SequenceSpec((spec.l, 1)),
-                                      args.n + 1, args.mod)
+        values = recurrence.terms_mod(spec, args.n + 1, args.mod)
     else:
         values = lnumbers.l_terms(spec, args.n + 1)
     _print_terms(values)
@@ -159,14 +158,13 @@ def _cmd_lnum(args) -> int:
 
 
 def _cmd_quat(args) -> int:
-    from . import quaternions, recurrence
+    from . import lnumbers, quaternions, recurrence
     if args.r < 1:
         raise ValueError(f"--r must be >= 1, got {args.r}")
     _require_last_index(args.n)
     report = quaternions.invertibility_census(args.l, args.r, args.n)
     # A_n's coefficients are a_n..a_{n+3} mod l^r: one prefix serves every record
-    a = recurrence.terms_mod(recurrence.SequenceSpec((args.l, 1)), args.n + 4,
-                             args.l ** args.r)
+    a = recurrence.terms_mod(lnumbers.LSpec(args.l), args.n + 4, args.l ** args.r)
     for rec in report.records:
         n = rec.index
         print(n, a[n], a[n + 1], a[n + 2], a[n + 3], rec.norm_mod,

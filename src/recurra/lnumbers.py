@@ -18,17 +18,20 @@ from .ringcore import Value, set_field
 from .recurrence import SequenceSpec, _extend, term
 
 
-class LSpec(Value):
-    """The sequence of one l.  It keeps the longest prefix of terms asked of
-    it so far, so that identities over many short prefixes compute each
-    term once.  The prefix is a tuple that is replaced, never changed, when
-    it grows: threads that grow it at once each leave a valid prefix."""
+class LSpec(SequenceSpec):
+    """The sequence of one l: the spec (l, 1) with the default window,
+    compared, hashed and shown by l alone.  It keeps the longest prefix of
+    terms asked of it so far, so that identities over many short prefixes
+    compute each term once.  The prefix is a tuple that is replaced, never
+    changed, when it grows: threads that grow it at once each leave a
+    valid prefix."""
 
     _fields = ("l",)
 
     def __init__(self, l: int):
         if l < 1:
             raise ValueError(f"l must be >= 1, got {l}")
+        super().__init__((l, 1))
         set_field(self, "l", l)
         set_field(self, "_prefix", (0, 1))
 
@@ -60,7 +63,7 @@ def l_term(spec: LSpec, n: int) -> int:
     prefix = spec._prefix
     if 0 <= n < len(prefix):
         return prefix[n]
-    return term(SequenceSpec((spec.l, 1)), n)
+    return term(spec, n)
 
 
 def l_terms(spec: LSpec, count: int) -> list[int]:
@@ -69,7 +72,7 @@ def l_terms(spec: LSpec, count: int) -> list[int]:
         raise ValueError(f"need count >= 0, got {count}")
     prefix = spec._prefix
     if count > len(prefix):
-        prefix = tuple(_extend((1, spec.l), list(prefix), count))
+        prefix = tuple(_extend(spec.coeffs[::-1], list(prefix), count))
         set_field(spec, "_prefix", prefix)
     return list(prefix[:count])
 

@@ -18,7 +18,7 @@ from .ringcore import (ModulusMismatch, NotInvertible, Value, check_modulus, inv
                        set_field)
 from .ntheory import is_prime
 from .lnumbers import LSpec, l_terms, m_value
-from .recurrence import SequenceSpec, terms_from
+from .recurrence import terms_from
 
 
 class QuatAlgebra(Value):
@@ -132,7 +132,7 @@ def l_quaternion(l: int, r: int, n: int) -> LQuaternion:
         raise ValueError("need l >= 2; Z_{l^r} is trivial for l = 1, use "
                          "l_quaternion_norm for the integer-level identities")
     mod = l ** r
-    coeffs = terms_from(SequenceSpec((l, 1)), n, 4, mod)
+    coeffs = terms_from(LSpec(l), n, 4, mod)
     return LQuaternion(l, r, n, QuatAlgebra(-1, -1, mod).quat(*coeffs))
 
 

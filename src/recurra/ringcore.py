@@ -33,6 +33,7 @@ class Value:
     deleted afterwards.
     """
 
+    __slots__ = ()                  # so a subclass that declares slots has no __dict__
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
@@ -206,13 +207,14 @@ def _packed_rows_product(a_rows, b_rows, m: int) -> tuple:
     return tuple(out)
 
 
-class Matrix:
+class Matrix(Value):
     """Immutable matrix over Z (modulus None) or Z_m (modulus m).
 
     Entries are plain ints; modular matrices keep them reduced to [0, m).
     """
 
     __slots__ = ("rows", "cols", "modulus", "entries")
+    _fields = ("entries", "modulus")
 
     def __init__(self, entries, modulus: int | None = None):
         if modulus is None:
@@ -227,10 +229,10 @@ class Matrix:
         self._set(rows, modulus)
 
     def _set(self, rows: tuple, modulus: int | None) -> None:
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", len(rows[0]))
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "entries", rows)
+        set_field(self, "rows", len(rows))
+        set_field(self, "cols", len(rows[0]))
+        set_field(self, "modulus", modulus)
+        set_field(self, "entries", rows)
 
     @classmethod
     def _of_rows(cls, rows: tuple, modulus: int | None) -> "Matrix":
@@ -239,9 +241,6 @@ class Matrix:
         matrix = object.__new__(cls)
         matrix._set(rows, modulus)
         return matrix
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, k: int, modulus: int | None = None) -> "Matrix":
@@ -255,14 +254,6 @@ class Matrix:
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i][j]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix)
-                and self.modulus == other.modulus
-                and self.entries == other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.entries, self.modulus))
 
     def __repr__(self) -> str:
         ring = "Z" if self.modulus is None else f"Z_{self.modulus}"

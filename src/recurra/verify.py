@@ -7,9 +7,10 @@ derived from (seed, suite name) so suites are independent of each other's
 order.
 
 That independence lets run_suites run several suites at once in a pool of
-forked workers, one per CPU, that take the suites in order from a shared
-queue, when the process may use more than one CPU, fork exists and no
-other thread is running; otherwise it runs them in turn in this process.
+forked workers, one per CPU, when the process may use more than one CPU,
+fork exists and no other thread is running; otherwise it runs them in
+turn in this process.  The parent hands each worker one suite at a time,
+in order, over the worker's own pipe, and the next when it reports.
 Either way the results are the same: they are assembled in the requested
 order against one absolute deadline that every worker tests after every
 check, and cut after the first suite that spent it.  A worker's
@@ -511,28 +512,32 @@ def _run_suite(name: str, seed: int,
     return checks, False
 
 
-def _fork_worker(queue: int, names: list[str], seed: int, deadline: float,
-                 cpu: int, cpus: list[int]) -> tuple[int, int]:
-    """Fork a worker, started on the given CPU of cpus, that takes suite
-    indices from the queue pipe one byte at a time until it is empty;
-    returns its pid and the read end of its pipe.  For each suite it
-    sends (index, None), runs it, and sends (index, outcome): (True,
-    checks, out_of_time), or (False, module, qualname, message) of what the
-    suite raised; each record is marshalled after its length in 4 bytes.
-    A suite that raised or ran out of time cuts every later one, so the
-    worker then empties the queue.  It always leaves by os._exit, so
-    nothing the parent had buffered is flushed twice."""
-    read_fd, write_fd = os.pipe()
+def _fork_worker(names: list[str], seed: int, deadline: float, cpu: int,
+                 cpus: list[int]) -> tuple[int, object, object]:
+    """Fork a worker, started on the given CPU of cpus; returns its pid, its
+    order pipe opened for writing and its report pipe opened for reading.
+    The worker reads suite indices from its order pipe, one byte each,
+    until EOF, and for each sends one marshalled outcome: (True, checks,
+    out_of_time), or (False, module, qualname, message) of what the suite
+    raised.  It always leaves by os._exit, so nothing the parent had
+    buffered is flushed twice.  A later worker holds copies of the
+    parent's ends of the earlier workers' pipes, which only delays an
+    earlier worker's EOF until the later one ends."""
+    fds = []
     try:
+        fds += os.pipe()
+        fds += os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+        for fd in fds:
+            os.close(fd)
         raise
+    order_read, order_write, report_read, report_write = fds
     if pid == 0:
         code = 1
         try:
-            os.close(read_fd)
+            os.close(order_write)
+            os.close(report_read)
             # A child starts on its parent's CPU, and on a 2-vCPU VM the
             # kernel was seen to leave every worker there for a whole run,
             # no faster than running the suites in turn.  Moving to the
@@ -543,34 +548,21 @@ def _fork_worker(queue: int, names: list[str], seed: int, deadline: float,
                 os.sched_setaffinity(0, cpus)
             except (AttributeError, OSError):  # no affinity call, or a stale CPU
                 pass
-            with open(write_fd, "wb") as pipe:
-                def send(record):
-                    data = marshal.dumps(record)
-                    pipe.write(len(data).to_bytes(4, "little") + data)
-                    pipe.flush()
-
-                while taken := os.read(queue, 1):
-                    i = taken[0]
-                    send((i, None))
+            with open(report_write, "wb") as reports:
+                while taken := os.read(order_read, 1):
                     try:
-                        outcome = (True, *_run_suite(names[i], seed, deadline))
+                        outcome = (True, *_run_suite(names[taken[0]], seed, deadline))
                     except Exception as exc:
                         cls = type(exc)
                         outcome = (False, cls.__module__, cls.__qualname__, str(exc))
-                    if not outcome[0] or outcome[2]:    # raised, or out of time
-                        _empty(queue)
-                    send((i, outcome))
+                    marshal.dump(outcome, reports)
+                    reports.flush()
             code = 0
         finally:
             os._exit(code)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _empty(queue: int) -> None:
-    """Read the queue pipe, whose write end is closed, until it is empty."""
-    while os.read(queue, 256):
-        pass
+    os.close(order_read)
+    os.close(report_write)
+    return pid, open(order_write, "wb", buffering=0), open(report_read, "rb")
 
 
 def _worker_error(module: str, qualname: str, message: str) -> Exception:
@@ -588,64 +580,66 @@ def _suites_in_workers(names: list[str], seed: int, deadline: float,
                        cpus: list[int]) -> list[tuple[list, bool]]:
     """Each suite's _run_suite outcome, in the order of names, up to the
     first suite that ran out of time, from one forked worker per CPU (and
-    no more workers than suites).  Every suite index goes into one queue
-    pipe before the fork, and a free worker takes the next, so suites start
-    in order and the CPUs stay busy however their costs differ.
+    no more workers than suites).  The suites are handed out in order: one
+    to each worker as it starts, and the next to each worker that reports,
+    so the CPUs stay busy however the suites' costs differ.
 
     A suite's exception is raised here with the same type and message, and
     a suite whose worker ended before reporting it raises RuntimeError,
     once every suite before it has reported and none of them raised or ran
-    out of time.  The workers' pipes are read together, so a worker that
-    dies mid-suite is seen at once, and the queue is then emptied: no suite
-    starts after one that can no longer report.  Every worker is reaped.
+    out of time.  The workers' report pipes are read together, so a worker
+    that dies mid-suite is seen at once.  Once a suite has raised, run out
+    of time or lost its worker, no further suite is handed out: each
+    worker's order pipe is closed when it reports, so that it ends.  Every
+    worker is reaped and every pipe closed.
     """
-    queue, fill = os.pipe()
-    os.write(fill, bytes(range(len(names))))
-    os.close(fill)
-    workers = {}                        # read end -> pid
-    reported = {}                       # suite index -> outcome, None while it runs
-    took, ended = {}, {}                # suite index -> pid, pid -> wait status
+    reported = {}   # suite index -> outcome, or the wait status of a worker that died running it
+    workers = {}    # report fd -> [pid, order pipe, report pipe, index of the suite it runs]
+    todo = iter(range(len(names)))  # emptied once a suite raises, runs out of time or is lost
+    poller = select.poll()          # unlike select(), any fd number
     try:
         for cpu in cpus[:len(names)]:
-            pid, read_fd = _fork_worker(queue, names, seed, deadline, cpu, cpus)
-            workers[read_fd] = pid
-        unread = dict.fromkeys(workers, b"")    # open read end -> bytes of a partial record
-        poller = select.poll()                  # unlike select(), any fd number
-        for read_fd in unread:
-            poller.register(read_fd, select.POLLIN)
-        while unread:
-            for read_fd, _ in poller.poll():
-                chunk = os.read(read_fd, 1 << 16)
-                if not chunk:
-                    # the worker has ended: after the queue ran out this
-                    # takes nothing, and after a death it stops the rest
-                    _empty(queue)
-                    poller.unregister(read_fd)
-                    del unread[read_fd]
-                    ended[workers[read_fd]] = os.waitpid(workers[read_fd], 0)[1]
+            pid, orders, reports = _fork_worker(names, seed, deadline, cpu, cpus)
+            workers[reports.fileno()] = [pid, orders, reports, None]
+            poller.register(reports, select.POLLIN)
+        free = list(workers.values())
+        while workers:
+            for worker in free:
+                worker[3] = i = next(todo, None)
+                if i is None:
+                    worker[1].close()
                     continue
-                data = unread[read_fd] + chunk
-                while len(data) >= 4:
-                    end = 4 + int.from_bytes(data[:4], "little")
-                    if len(data) < end:
-                        break
-                    i, outcome = marshal.loads(data[4:end])
-                    reported[i], took[i] = outcome, workers[read_fd]
-                    data = data[end:]
-                unread[read_fd] = data
-    finally:
-        os.close(queue)
-        for read_fd in workers:         # a worker whose pipe is closed stops at its next record
-            os.close(read_fd)
-        for pid in workers.values():
-            if pid not in ended:
-                os.waitpid(pid, 0)
+                try:
+                    worker[1].write(bytes((i,)))
+                except BrokenPipeError:         # the worker has ended: its EOF reports suite i
+                    pass
+            free = []
+            for fd, _ in poller.poll():
+                pid, orders, reports, i = worker = workers[fd]
+                try:    # one report per order, so the buffer never holds the next
+                    reported[i] = outcome = marshal.load(reports)
+                except EOFError:                # the worker has ended
+                    poller.unregister(fd)
+                    del workers[fd]
+                    orders.close()
+                    reports.close()
+                    status = os.waitpid(pid, 0)[1]
+                    if i is not None:
+                        reported[i], todo = status, iter(())
+                    continue
+                if not outcome[0] or outcome[2]:    # raised, or out of time
+                    todo = iter(())
+                free.append(worker)
+    finally:            # close all before any wait: later workers hold copies of the pipes
+        for _, orders, reports, _ in workers.values():
+            orders.close()
+            reports.close()
+        for pid, *_ in workers.values():
+            os.waitpid(pid, 0)
     outcomes = []
     for i, name in enumerate(names):
-        if reported.get(i) is None:
-            # an index lost between a worker's read and its first record is
-            # charged to a worker that ended early
-            code = os.waitstatus_to_exitcode(ended.get(took.get(i), max(ended.values())))
+        if isinstance(reported[i], int):
+            code = os.waitstatus_to_exitcode(reported[i])
             how = f"signal {-code}" if code < 0 else f"exit code {code}"
             raise RuntimeError(f"the worker for verify suite {name!r} ended with "
                                f"{how} before reporting")
@@ -679,8 +673,8 @@ def run_suites(names: list[str], seed: int,
     """The checks of the named suites, in order, cut after the first suite
     that spends the budget with one `budget` line.
 
-    Where _worker_cpus allows, one forked worker per CPU takes the suites
-    in order from a shared queue, against one absolute deadline; the
+    Where _worker_cpus allows, one forked worker per CPU is handed the
+    suites in order, one at a time, against one absolute deadline; the
     results are the same as running them in turn in this process, which is
     what happens otherwise.
     """

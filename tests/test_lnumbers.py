@@ -18,6 +18,7 @@ from recurra.lnumbers import (
     square_sum_check,
     triple_gap_check,
 )
+from recurra.recurrence import SequenceSpec, term, terms_mod
 
 from oracles import naive_lterms
 
@@ -215,3 +216,14 @@ def test_a_changed_prefix_list_does_not_reach_the_next_caller():
     assert l_terms(spec, 20) == naive_lterms(2, 20)
     assert l_terms(spec, 30) == naive_lterms(2, 30)
     assert l_terms(spec, 20) is not l_terms(spec, 20)
+
+
+def test_an_lspec_is_the_spec_l_1():
+    for l in L_VALUES:
+        spec = LSpec(l)
+        assert isinstance(spec, SequenceSpec)
+        assert (spec.coeffs, spec.initial) == ((l, 1), (0, 1))
+        assert spec != SequenceSpec((l, 1)) and repr(spec) == f"LSpec(l={l})"
+        assert term(spec, 60) == l_term(spec, 60) == naive_lterms(l, 61)[60]
+        for m in (2, 7, 10 ** 9 + 7):
+            assert terms_mod(spec, 50, m) == [x % m for x in l_terms(spec, 50)]

@@ -225,6 +225,24 @@ def test_product_is_an_ordinary_matrix():
     assert z == Matrix([[17], [-9]]) and z.modulus is None
 
 
+
+def test_matrix_fields_can_be_neither_assigned_nor_deleted():
+    a = Matrix([[1, 2, 3], [4, 5, 6]], 7)
+    same = Matrix([[8, 2, 3], [4, 12, -1]], 7)
+    key = (a == same, hash(a), repr(a))
+    for name in ("rows", "cols", "entries", "modulus"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert (a.rows, a.cols, a.entries, a.modulus) == (2, 3, ((1, 2, 3), (4, 5, 6)), 7)
+    assert key == (True, hash(same), "Matrix[Z_7](1 2 3; 4 5 6)")
+    assert hash(a) == hash((a.entries, 7))
+    assert a != Matrix(a.entries, 11) and a != Matrix(a.entries) and a != a.entries
+
+
 def test_inverse_printed_pair_mod_27():
     a = Matrix([[2, 24, 2], [1, 22, 2], [1, 0, 0]], 27)
     b = Matrix([[0, 0, 1], [14, 13, 13], [8, 6, 5]], 27)

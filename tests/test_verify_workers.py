@@ -330,3 +330,69 @@ def test_more_suites_than_one_byte_indexes_run_in_this_process(monkeypatch, fork
     assert len(forks) == 2
     assert verify.run_suites(["matrix"] * 257, 0, budget_ms=0) == workers
     assert len(forks) == 2 and len(workers) == 2
+
+
+# lnum's worker flushes its report and then exits 4 before it reads its
+# next order, while pisano's still sleeps, so the parent hands that worker
+# quat.  When the parent waits before it reads a report on, the order finds
+# the worker gone (BrokenPipeError); when the worker waits before it exits,
+# the order is written and never read.  Either way quat is the suite lost.
+DIES_AFTER_A_REPORT = """
+import marshal, os, sys, time
+os.sched_getaffinity = lambda pid: {0, 1}
+from recurra import cli, verify
+run_suite, read, load = verify._run_suite, os.read, marshal.load
+ran = []
+
+def logged(name, seed, deadline):
+    if name == "pisano":
+        time.sleep(1)
+    ran.append(name)
+    return run_suite(name, seed, deadline)
+
+def read_order(fd, n):
+    if "lnum" in ran:
+        time.sleep(%s)
+        os._exit(4)
+    return read(fd, n)
+
+def slow_load(file):
+    report = load(file)
+    time.sleep(%s)
+    return report
+
+verify._run_suite = logged
+os.read = read_order
+marshal.load = slow_load
+sys.exit(cli.main(["verify", "--suite", "all", "--seed", "0"]))
+"""
+
+
+@pytest.mark.parametrize("worker_wait, parent_wait", [(0, 0.1), (0.1, 0)])
+def test_a_worker_that_dies_right_after_a_report_loses_its_next_suite(worker_wait,
+                                                                       parent_wait):
+    proc = run_python(DIES_AFTER_A_REPORT % (worker_wait, parent_wait))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: the worker for verify suite 'quat' ended with exit code 4 " \
+                          "before reporting\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_the_pool_closes_every_fd_it_opens(monkeypatch, forks):
+    set_cpus(monkeypatch, 2)
+    before = sorted(os.listdir("/proc/self/fd"))
+    verify.run_suites(list(verify.SUITES), 1)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+    def raises(spec, n, k):
+        raise ValueError("gap identity broke")
+
+    monkeypatch.setattr("recurra.lnumbers.gap_identity_check", raises)
+    with pytest.raises(ValueError, match="gap identity broke"):
+        verify.run_suites(list(verify.SUITES), 1)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    monkeypatch.setattr("recurra.lnumbers.gap_identity_check", lambda spec, n, k: os._exit(7))
+    with pytest.raises(RuntimeError, match="'lnum' ended with exit code 7"):
+        verify.run_suites(list(verify.SUITES), 1)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert len(forks) == 6
