@@ -334,12 +334,9 @@ def bordered_det(spec: SequenceSpec, n: int) -> int:
     _require_default_window(spec)
     if n < 1:
         raise ValueError("need n >= 1")
-    from fractions import Fraction
     value = bordered_matrix(spec, n).det()
-    expected = (Fraction(-1) ** (n * (spec.k + 1))
-                * Fraction(spec.coeffs[-1]) ** n
-                * term_negative(spec, -n))
-    if expected.denominator != 1 or value != expected:
+    expected = (-1) ** (n * (spec.k + 1)) * _scaled_backward(spec, n)[0]
+    if value != expected:
         raise ArithmeticError(f"bordered determinant identity broke: "
                               f"{value} != {expected} for {spec}, n={n}")
     return value

@@ -1,10 +1,16 @@
 """Seeded randomized property suites behind `recurra verify`.
 
-Each suite is a generator of named checks; a check runs its random cases
-and reports the first counterexample it finds.  The time budget is tested
-after every check, so a slow suite is stopped part-way.  Sub-seeds are
-derived from (seed, suite name) so suites are independent of each other's
-order.
+A suite is a run of named checks that share one random.Random.  A check
+is a generator function of that rng (lnum's also take the suite's LSpecs)
+that draws its cases and yields each counterexample it finds as the
+detail to report.  One runner, _run_checks, fails a check on its first
+counterexample and never resumes it, so the check draws nothing more; a
+check that yields nothing passes, with the note it returns, if any, as
+its detail.  An exception a check raises ends the run, except that the
+four identities that raise ArithmeticError when they break catch it and
+yield its message.  The time budget is tested after every check, so a
+slow suite is stopped part-way.  Sub-seeds are derived from (seed, suite
+name) so suites are independent of each other's order.
 
 That independence lets run_suites run several suites at once in a pool of
 forked workers, one per CPU, when the process may use more than one CPU,
@@ -30,6 +36,7 @@ import threading
 import time
 from collections.abc import Iterator
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import gcd, lcm
 
@@ -63,17 +70,15 @@ def random_spec(rng: random.Random, kmax: int = 5, amax: int = 5) -> SequenceSpe
     return SequenceSpec(tuple(coeffs))
 
 
-def random_unit_spec(rng: random.Random, m: int, kmax: int = 4,
-                     amax: int = 4) -> SequenceSpec:
-    """Random spec with gcd(a_k, m) = 1."""
+def random_unit_spec(rng: random.Random, m: int) -> SequenceSpec:
+    """Random spec with k <= 4, |a_i| <= 4 and gcd(a_k, m) = 1."""
     while True:
-        spec = random_spec(rng, kmax, amax)
+        spec = random_spec(rng, 4, 4)
         if gcd(spec.coeffs[-1], m) == 1:
             return spec
 
 
-def _suite_matrix(rng: random.Random) -> Iterator[tuple[str, bool, str]]:
-    bad = ""
+def _residue_inverse(rng):
     for _ in range(200):
         m = rng.randint(2, 10_000)
         x = rng.randrange(m)
@@ -81,101 +86,87 @@ def _suite_matrix(rng: random.Random) -> Iterator[tuple[str, bool, str]]:
             continue
         r = Residue(x, m)
         if (r * mod_inverse(r)).value != 1 % m:
-            bad = f"x={x} m={m}"
-            break
-    yield ("residue_inverse", not bad, bad)
+            yield f"x={x} m={m}"
 
-    bad = ""
+
+def _order_divides_carmichael(rng):
     for _ in range(60):
         m = rng.randint(2, 10_000)
         x = rng.randrange(1, m)
-        if gcd(x, m) != 1:
-            continue
-        if carmichael(m) % multiplicative_order(Residue(x, m)) != 0:
-            bad = f"x={x} m={m}"
-            break
-    yield ("order_divides_carmichael", not bad, bad)
+        if gcd(x, m) == 1 and carmichael(m) % multiplicative_order(Residue(x, m)) != 0:
+            yield f"x={x} m={m}"
 
-    bad = ""
+
+def _adjugate_inverse(rng):
     for _ in range(80):
         m = rng.choice([4, 9, 26, 27, 29, 49, 256])
         k = rng.randint(2, 4)
         a = Matrix([[rng.randrange(m) for _ in range(k)] for _ in range(k)], m)
-        if gcd(a.det(), m) != 1:
-            continue
-        if a.inverse() @ a != Matrix.identity(k, m):
-            bad = f"a={a!r}"
-            break
-    yield ("adjugate_inverse", not bad, bad)
+        if gcd(a.det(), m) == 1 and a.inverse() @ a != Matrix.identity(k, m):
+            yield f"a={a!r}"
 
-    bad = ""
+
+def _rational_exact(rng):
     for _ in range(200):
         p, q = rng.randint(-99, 99), rng.randint(1, 99)
         r, s = rng.randint(-99, 99), rng.randint(1, 99)
         if Fraction(p, q) + Fraction(r, s) - Fraction(r, s) != Fraction(p, q):
-            bad = f"{p}/{q} {r}/{s}"
-            break
-    yield ("rational_exact", not bad, bad)
+            yield f"{p}/{q} {r}/{s}"
 
-    bad = ""
+
+def _power_structure(rng):
     for _ in range(120):
         spec = random_spec(rng)
         n = rng.randint(1, 12)
         if not recurrence.power_structure_check(spec, n):
-            bad = f"a={spec.coeffs} n={n}"
-            break
-    yield ("power_structure", not bad, bad)
+            yield f"a={spec.coeffs} n={n}"
 
-    bad = ""
+
+def _state_steps(rng):
     for _ in range(120):
         spec = random_spec(rng)
         n, r = rng.randint(1, 20), rng.randint(0, 20)
         if not recurrence.state_step_check(spec, n, r):
-            bad = f"a={spec.coeffs} n={n} r={r}"
-            break
-    yield ("state_steps", not bad, bad)
+            yield f"a={spec.coeffs} n={n} r={r}"
 
-    bad = ""
+
+# The next three, and prime_power_ladder, test identities that raise
+# ArithmeticError when they break.
+
+def _window_det(rng):
     try:
         for _ in range(120):
-            spec = random_spec(rng)
-            recurrence.window_det(spec, rng.randint(0, 12))
+            recurrence.window_det(random_spec(rng), rng.randint(0, 12))
     except ArithmeticError as exc:
-        bad = str(exc)
-    yield ("window_det", not bad, bad)
+        yield str(exc)
 
-    bad = ""
+
+def _bordered_det(rng):
     try:
         for _ in range(120):
-            spec = random_spec(rng)
-            recurrence.bordered_det(spec, rng.randint(1, 8))
+            recurrence.bordered_det(random_spec(rng), rng.randint(1, 8))
     except ArithmeticError as exc:
-        bad = str(exc)
-    yield ("bordered_det", not bad, bad)
+        yield str(exc)
 
-    bad = ""
+
+def _addition_formula(rng):
     try:
         for _ in range(120):
-            spec = random_spec(rng)
-            recurrence.addition_formula(spec, rng.randint(0, 15), rng.randint(0, 15))
+            recurrence.addition_formula(random_spec(rng), rng.randint(0, 15), rng.randint(0, 15))
     except ArithmeticError as exc:
-        bad = str(exc)
-    yield ("addition_formula", not bad, bad)
+        yield str(exc)
 
-    bad = ""
+
+def _power_det(rng):
     for _ in range(80):
         spec = random_spec(rng)
         n = rng.randint(0, 10)
-        d = recurrence.companion(spec)
         expected = ((-1) ** (spec.k + 1) * spec.coeffs[-1]) ** n
-        if (d ** n).det() != expected:
-            bad = f"a={spec.coeffs} n={n}"
-            break
-    yield ("power_det", not bad, bad)
+        if (recurrence.companion(spec) ** n).det() != expected:
+            yield f"a={spec.coeffs} n={n}"
 
 
-def _suite_pisano(rng: random.Random) -> Iterator[tuple[str, bool, str]]:
-    bad = ""
+def _state_divides_order(rng):
     equal = 0
     for _ in range(40):
         m = rng.randint(2, 50)
@@ -184,22 +175,20 @@ def _suite_pisano(rng: random.Random) -> Iterator[tuple[str, bool, str]]:
         st = pisano.state_period(spec, m)
         equal += st.as_tuple() == (0, order)
         if st.tail != 0 or order % st.period != 0:
-            bad = f"a={spec.coeffs} m={m} state={st.as_tuple()} order={order}"
-            break
-    yield ("state_divides_order", not bad,
-           bad or f"state==order in {equal}/40 samples")
+            yield f"a={spec.coeffs} m={m} state={st.as_tuple()} order={order}"
+    return f"state==order in {equal}/40 samples"
 
-    bad = ""
+
+def _divisor_monotone(rng):
     for _ in range(25):
         s1 = rng.randint(2, 12)
         s2 = s1 * rng.randint(1, 4)
         spec = random_unit_spec(rng, s2)
         if not pisano.divisor_monotone_check(spec, s1, s2):
-            bad = f"a={spec.coeffs} s1={s1} s2={s2}"
-            break
-    yield ("divisor_monotone", not bad, bad)
+            yield f"a={spec.coeffs} s1={s1} s2={s2}"
 
-    bad = ""
+
+def _lcm_law(rng):
     for _ in range(20):
         while True:
             s1, s2 = rng.randint(2, 20), rng.randint(2, 20)
@@ -207,117 +196,104 @@ def _suite_pisano(rng: random.Random) -> Iterator[tuple[str, bool, str]]:
                 break
         spec = random_unit_spec(rng, lcm(s1, s2))
         if not pisano.lcm_check(spec, s1, s2):
-            bad = f"a={spec.coeffs} s1={s1} s2={s2}"
-            break
-    yield ("lcm_law", not bad, bad)
+            yield f"a={spec.coeffs} s1={s1} s2={s2}"
 
-    bad = ""
+
+def _det_order_divides(rng):
     for _ in range(30):
         m = rng.randint(2, 50)
         spec = random_unit_spec(rng, m)
         if not pisano.order_divisibility_check(spec, m):
-            bad = f"a={spec.coeffs} m={m}"
-            break
-    yield ("det_order_divides", not bad, bad)
+            yield f"a={spec.coeffs} m={m}"
 
-    bad = ""
+
+def _prime_power_ladder(rng):
     try:
         for _ in range(20):
             p = rng.choice([3, 5, 7])
-            spec = random_unit_spec(rng, p, kmax=4, amax=4)
-            pisano.prime_power_ladder(spec, p, 3)
+            pisano.prime_power_ladder(random_unit_spec(rng, p), p, 3)
     except ArithmeticError as exc:
-        bad = str(exc)
-    yield ("prime_power_ladder", not bad, bad)
+        yield str(exc)
 
-    bad = ""
+
+def _pigeonhole_bound(rng):
     for _ in range(40):
         m = rng.randint(2, 20)
-        spec = random_spec(rng, kmax=4, amax=4)
+        spec = random_spec(rng, 4, 4)
         st = pisano.state_period(spec, m)
         if st.tail + st.period > m ** spec.k:
-            bad = f"a={spec.coeffs} m={m} visited={st.tail + st.period}"
-            break
-    yield ("pigeonhole_bound", not bad, bad)
+            yield f"a={spec.coeffs} m={m} visited={st.tail + st.period}"
 
-    bad = ""
+
+def _all_odd_mod2_period(rng):
     for k in range(2, 9):
         coeffs = tuple(rng.choice([-3, -1, 1, 3, 5]) for _ in range(k))
-        spec = SequenceSpec(coeffs)
-        if not pisano.pi2_all_odd_check(spec):
-            bad = f"a={coeffs}"
-            break
-    yield ("all_odd_mod2_period", not bad, bad)
+        if not pisano.pi2_all_odd_check(SequenceSpec(coeffs)):
+            yield f"a={coeffs}"
 
 
-def _suite_lnum(rng: random.Random) -> Iterator[tuple[str, bool, str]]:
-    specs = [lnumbers.LSpec(l) for l in (1, 2, 3, 5, 7)]
+# lnum's checks take the suite's LSpecs too, one per l: l = 1, 2, 3, 5, 7.
 
-    bad = ""
+def _square_sum(rng, specs):
     for spec, n in product(specs, range(31)):
         if not lnumbers.square_sum_check(spec, n):
-            bad = f"l={spec.l} n={n}"
-            break
-    yield ("square_sum", not bad, bad)
+            yield f"l={spec.l} n={n}"
 
-    bad = ""
+
+def _index_addition(rng, specs):
     for spec, _ in product(specs, range(40)):
         m, n = rng.randint(1, 30), rng.randint(0, 30)
         if not lnumbers.index_addition_check(spec, m, n):
-            bad = f"l={spec.l} m={m} n={n}"
-            break
-    yield ("index_addition", not bad, bad)
+            yield f"l={spec.l} m={m} n={n}"
 
-    bad = ""
+
+def _divisibility(rng, specs):
     for spec, n, d in product(specs, range(1, 31), range(1, 31)):
         if n % d == 0 and not lnumbers.divisibility_check(spec, d, n):
-            bad = f"l={spec.l} d={d} n={n}"
-            break
-    yield ("divisibility", not bad, bad)
+            yield f"l={spec.l} d={d} n={n}"
 
-    bad = ""
+
+def _gap_identity(rng, specs):
     for spec, k, n in product(specs, range(2, 6), range(0, 31, 3)):
         if not lnumbers.gap_identity_check(spec, n, k):
-            bad = f"l={spec.l} n={n} k={k}"
-            break
-    yield ("gap_identity", not bad, bad)
+            yield f"l={spec.l} n={n} k={k}"
 
-    bad = ""
+
+def _triple_gap(rng, specs):
     for spec, k, n in product(specs, range(2, 5), range(0, 11)):
         if not lnumbers.triple_gap_check(spec, n, k):
-            bad = f"l={spec.l} n={n} k={k}"
-            break
-    yield ("triple_gap", not bad, bad)
+            yield f"l={spec.l} n={n} k={k}"
 
-    bad = ""
+
+def _residue_dichotomy(rng, specs):
     for spec, n in product(specs[1:], range(61)):
         expected = (lnumbers.ResidueClass.DIVISIBLE_BY_L if n % 2 == 0
                     else lnumbers.ResidueClass.ONE_MOD_L_SQUARED)
         if lnumbers.residue_class(spec, n) is not expected:
-            bad = f"l={spec.l} n={n}"
-            break
-    yield ("residue_dichotomy", not bad, bad)
+            yield f"l={spec.l} n={n}"
 
-    bad = ""
+
+def _even_index_gcd(rng, specs):
     for spec in specs[1:]:
         if not lnumbers.ideal_check(spec, 6):
-            bad = f"l={spec.l}"
-            break
-    yield ("even_index_gcd", not bad, bad)
+            yield f"l={spec.l}"
 
-    bad = ""
+
+def _binet_float(rng, specs):
     for spec, n in product(specs[:4], range(41)):
         if not lnumbers.binet_check(spec, n):
-            bad = f"l={spec.l} n={n}"
-            break
-    yield ("binet_float", not bad, bad)
+            yield f"l={spec.l} n={n}"
 
-    bad = ""
+
+def _m_tower_mod_l2(rng, specs):
     for spec, k in product(specs[1:], range(2, 13)):
-        if lnumbers.m_value(spec, k) % (spec.l ** 2) != 2:
-            bad = f"l={spec.l} k={k}"
-            break
-    yield ("m_tower_mod_l2", not bad, bad)
+        if not quaternions.m_two_mod_l2_check(spec.l, k):
+            yield f"l={spec.l} k={k}"
+
+
+def _random_algebra(rng: random.Random) -> quaternions.QuatAlgebra:
+    p = rng.choice([3, 5, 7, 11, 13, 31, 97])
+    return quaternions.QuatAlgebra(rng.randrange(p), rng.randrange(p), p)
 
 
 def _random_quat(rng: random.Random, algebra: quaternions.QuatAlgebra):
@@ -325,147 +301,119 @@ def _random_quat(rng: random.Random, algebra: quaternions.QuatAlgebra):
     return algebra.quat(*(rng.randrange(m) for _ in range(4)))
 
 
-def _suite_quat(rng: random.Random) -> Iterator[tuple[str, bool, str]]:
-    primes = [3, 5, 7, 11, 13, 31, 97]
-
-    bad = ""
+def _associativity(rng):
     for _ in range(60):
-        p = rng.choice(primes)
-        alg = quaternions.QuatAlgebra(rng.randrange(p), rng.randrange(p), p)
+        alg = _random_algebra(rng)
         x, y, z = (_random_quat(rng, alg) for _ in range(3))
         if (x * y) * z != x * (y * z):
-            bad = f"p={p} alpha={alg.alpha} beta={alg.beta}"
-            break
-    yield ("associativity", not bad, bad)
+            yield f"p={alg.modulus} alpha={alg.alpha} beta={alg.beta}"
 
-    bad = ""
+
+def _norm_multiplicative(rng):
     for _ in range(60):
-        p = rng.choice(primes)
-        alg = quaternions.QuatAlgebra(rng.randrange(p), rng.randrange(p), p)
+        alg = _random_algebra(rng)
         x, y = _random_quat(rng, alg), _random_quat(rng, alg)
-        if (x * y).norm() != x.norm() * y.norm() % p:
-            bad = f"p={p} x={x.coeffs} y={y.coeffs}"
-            break
-    yield ("norm_multiplicative", not bad, bad)
+        if (x * y).norm() != x.norm() * y.norm() % alg.modulus:
+            yield f"p={alg.modulus} x={x.coeffs} y={y.coeffs}"
 
-    bad = ""
+
+def _inverse_roundtrip(rng):
     for _ in range(60):
-        p = rng.choice(primes)
-        alg = quaternions.QuatAlgebra(rng.randrange(p), rng.randrange(p), p)
+        alg = _random_algebra(rng)
         x = _random_quat(rng, alg)
-        if gcd(x.norm(), p) != 1:
-            continue
-        if x * x.inverse() != alg.one():
-            bad = f"p={p} x={x.coeffs}"
-            break
-    yield ("inverse_roundtrip", not bad, bad)
+        if gcd(x.norm(), alg.modulus) == 1 and x * x.inverse() != alg.one():
+            yield f"p={alg.modulus} x={x.coeffs}"
 
-    bad = ""
+
+def _conj_antiautomorphism(rng):
     for _ in range(60):
-        p = rng.choice(primes)
-        alg = quaternions.QuatAlgebra(rng.randrange(p), rng.randrange(p), p)
+        alg = _random_algebra(rng)
         x, y = _random_quat(rng, alg), _random_quat(rng, alg)
         if (x * y).conjugate() != y.conjugate() * x.conjugate():
-            bad = f"p={p} x={x.coeffs} y={y.coeffs}"
-            break
-    yield ("conj_antiautomorphism", not bad, bad)
+            yield f"p={alg.modulus} x={x.coeffs} y={y.coeffs}"
 
-    bad = ""
+
+def _lquat_norm_identity(rng):
     for l, n in product((1, 2, 3, 5), range(21)):
         if not quaternions.l_quat_norm_check(l, n):
-            bad = f"l={l} n={n}"
-            break
-    yield ("lquat_norm_identity", not bad, bad)
+            yield f"l={l} n={n}"
 
-    bad = ""
+
+def _unit_census(rng):
     for l, r in product((3, 5, 7), (1, 2, 3)):
         report = quaternions.invertibility_census(l, r, 30)
         if not (report.all_invertible and report.all_norms_two_mod_l2):
-            bad = f"l={l} r={r}"
-            break
-    yield ("unit_census", not bad, bad)
+            yield f"l={l} r={r}"
 
-    bad = ""
+
+def _period_two(rng):
     for l, n in product((3, 5, 7), range(31)):
         if not quaternions.period_two_check(l, n):
-            bad = f"l={l} n={n}"
-            break
-    yield ("period_two", not bad, bad)
+            yield f"l={l} n={n}"
 
-    bad = ""
+
+def _gap_congruences(rng):
     for l, k, n in product((3, 5), (2, 3), range(11)):
         if not (quaternions.quat_gap_check(l, n, k, 2 ** k)
                 and quaternions.quat_gap_check(l, n, k, 3 * 2 ** k)):
-            bad = f"l={l} k={k} n={n}"
-            break
-    yield ("gap_congruences", not bad, bad)
+            yield f"l={l} k={k} n={n}"
 
-    bad = ""
+
+def _window_sum_zero(rng):
     for l, n in product((3, 5), (0, 1, 3, 7)):
         total = quaternions.quat_window_sum(l, n)
         if total.coeffs != (0, 0, 0, 0):
-            bad = f"l={l} n={n} sum={total.coeffs}"
-            break
-    yield ("window_sum_zero", not bad, bad)
+            yield f"l={l} n={n} sum={total.coeffs}"
 
 
 CIPHER_MODULI = (2, 26, 27, 29, 256)
 
 
-def random_key(rng: random.Random, moduli=CIPHER_MODULI,
-               kmax: int = 5, nmax: int = 50) -> cipher.CipherKey:
-    n_mod = rng.choice(moduli)
-    k = rng.randint(2, kmax)
+def random_key(rng: random.Random, nmax: int = 50) -> cipher.CipherKey:
+    """Random key with N in CIPHER_MODULI, k <= 5 and exponent <= nmax."""
+    n_mod = rng.choice(CIPHER_MODULI)
+    k = rng.randint(2, 5)
     coeffs = [rng.randrange(n_mod) for _ in range(k - 1)]
     units = [a for a in range(1, n_mod) if gcd(a, n_mod) == 1]
     coeffs.append(rng.choice(units))
     return cipher.CipherKey(k, n_mod, tuple(coeffs), rng.randint(1, nmax))
 
 
-def random_block(rng: random.Random, key: cipher.CipherKey,
-                 max_cols: int = 6) -> Matrix:
-    cols = rng.randint(1, max_cols)
+def random_block(rng: random.Random, key: cipher.CipherKey) -> Matrix:
+    """Random k-row block of 1 to 6 columns."""
+    cols = rng.randint(1, 6)
     return Matrix([[rng.randrange(key.n_mod) for _ in range(cols)]
                    for _ in range(key.k)], key.n_mod)
 
 
-def _suite_cipher(rng: random.Random) -> Iterator[tuple[str, bool, str]]:
-    bad = ""
+def _round_trip(rng):
     for _ in range(80):
         key = random_key(rng)
         block = random_block(rng, key)
         encrypted = cipher.encrypt(key, block)
         if cipher.decrypt(key, encrypted) != block:
-            bad = f"key={key.to_line()!r}"
-            break
+            yield f"key={key.to_line()!r}"
         if cipher.decrypt_via_period(key, encrypted) != block:
-            bad = f"key={key.to_line()!r} (period route)"
-            break
-    yield ("round_trip", not bad, bad)
+            yield f"key={key.to_line()!r} (period route)"
 
-    bad = ""
+
+def _exponent_periodicity(rng):
     for _ in range(30):
         key = random_key(rng, nmax=20)
         block = random_block(rng, key)
         base = cipher.encrypt(key, block)
         # Any multiple of pi(N) must leave the ciphertext unchanged: the
         # group-exponent multiple and the literal order.
-        periods = [pisano.matrix_order_multiple(key.k, key.n_mod),
-                   pisano.matrix_order(key.spec(), key.n_mod)]
-        for period in periods:
+        for period in (pisano.matrix_order_multiple(key.k, key.n_mod),
+                       pisano.matrix_order(key.spec(), key.n_mod)):
             for shift in (1, 2):
                 shifted = cipher.CipherKey(key.k, key.n_mod, key.coeffs,
                                            key.exponent + shift * period)
                 if cipher.encrypt(shifted, block) != base:
-                    bad = f"key={key.to_line()!r} l={shift} T={period}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    yield ("exponent_periodicity", not bad, bad)
+                    yield f"key={key.to_line()!r} l={shift} T={period}"
 
-    bad = ""
+
+def _columnwise_linear(rng):
     for _ in range(30):
         key = random_key(rng)
         b1, b2 = random_block(rng, key), random_block(rng, key)
@@ -475,25 +423,50 @@ def _suite_cipher(rng: random.Random) -> Iterator[tuple[str, bool, str]]:
         expected = Matrix([r1 + r2 for r1, r2 in zip(c1.entries, c2.entries)],
                           key.n_mod)
         if cipher.encrypt(key, joined) != expected:
-            bad = f"key={key.to_line()!r}"
-            break
-    yield ("columnwise_linear", not bad, bad)
+            yield f"key={key.to_line()!r}"
 
-    bad = ""
+
+def _power_det_unit(rng):
     for _ in range(40):
         key = random_key(rng)
         if gcd(key.matrix().det(), key.n_mod) != 1:
-            bad = f"key={key.to_line()!r}"
-            break
-    yield ("power_det_unit", not bad, bad)
+            yield f"key={key.to_line()!r}"
+
+
+def _run_checks(checks, *args) -> Iterator[tuple[str, bool, str]]:
+    """(check, passed, detail) for each check in turn, called with args:
+    the check named c is the generator function _c, failed by the first
+    counterexample it yields and never resumed, or passed with the note
+    it returns."""
+    for check in checks:
+        found = check(*args)
+        try:
+            detail = next(found)
+        except StopIteration as end:
+            yield check.__name__[1:], True, end.value or ""
+        else:
+            yield check.__name__[1:], False, detail
 
 
 SUITES = {
-    "matrix": _suite_matrix,
-    "pisano": _suite_pisano,
-    "lnum": _suite_lnum,
-    "quat": _suite_quat,
-    "cipher": _suite_cipher,
+    "matrix": partial(_run_checks, (
+        _residue_inverse, _order_divides_carmichael, _adjugate_inverse,
+        _rational_exact, _power_structure, _state_steps, _window_det,
+        _bordered_det, _addition_formula, _power_det)),
+    "pisano": partial(_run_checks, (
+        _state_divides_order, _divisor_monotone, _lcm_law, _det_order_divides,
+        _prime_power_ladder, _pigeonhole_bound, _all_odd_mod2_period)),
+    # one LSpec per l for the whole suite, so that each term is computed once a run
+    "lnum": lambda rng: _run_checks((
+        _square_sum, _index_addition, _divisibility, _gap_identity, _triple_gap,
+        _residue_dichotomy, _even_index_gcd, _binet_float, _m_tower_mod_l2),
+        rng, [lnumbers.LSpec(l) for l in (1, 2, 3, 5, 7)]),
+    "quat": partial(_run_checks, (
+        _associativity, _norm_multiplicative, _inverse_roundtrip,
+        _conj_antiautomorphism, _lquat_norm_identity, _unit_census, _period_two,
+        _gap_congruences, _window_sum_zero)),
+    "cipher": partial(_run_checks, (
+        _round_trip, _exponent_periodicity, _columnwise_linear, _power_det_unit)),
 }
 
 
