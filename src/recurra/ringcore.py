@@ -5,12 +5,14 @@ Matrix inversion goes through the adjugate and the inverse of the
 determinant, never Gaussian elimination: over a composite modulus a matrix
 can be invertible while every candidate pivot is a zero divisor.
 
-Products over Z_m pack each row of the right-hand factor into one integer
-(Kronecker substitution), one fixed-width slot per entry.  Entries are
-reduced to [0, m), so an entry of A @ B with inner dimension k is at most
-k * (m - 1)^2; slots wide enough for that bound never carry into each
-other, and each row of the product is a sum of k big-integer multiples
-that run in C.  Products over Z use the plain row-by-column sums.
+Products over Z_m with a wide right-hand factor pack each of its rows into
+one integer (Kronecker substitution), one native 1, 2, 4 or 8-byte slot
+per entry.  Entries are reduced to [0, m), so an entry of A @ B with inner
+dimension k is at most k * (m - 1)^2; slots wide enough for that bound
+never carry into each other, and each row of the product is a sum of k
+big-integer multiples that run in C.  Every other product, over Z, with
+fewer than PACKED_MIN_COLS columns, or whose bound needs more than 8
+bytes, uses the plain row-by-column sums.
 """
 from __future__ import annotations
 
@@ -178,32 +180,31 @@ def _det_bareiss(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-# struct/memoryview format of each slot width that is a native C integer
-_SLOT_FORMATS = {struct.calcsize(f): f for f in "BHIQ"}
+# Right factors over Z_m with at least this many columns are multiplied by
+# packed rows.  Against plain sums (timeit, 2-vCPU VM, Python 3.11, native
+# slots, k <= 8) packing took 1.05-3.2x as long at 1-3 columns, about as
+# long at 4-7, less in 12 of 14 cases at 8, and 0.2-0.8x as long from 12 on.
+PACKED_MIN_COLS = 8
 
 
-def _packed_rows_product(a_rows, b_rows, m: int) -> tuple:
-    """Rows of A @ B mod m for entries already in [0, m), by packed rows."""
-    cols = len(b_rows[0])
-    nbytes = (len(b_rows) * (m - 1) ** 2).bit_length() + 7 >> 3
-    width = next((w for w in (1, 2, 4, 8) if w >= nbytes), nbytes)
+def _slot_format(k: int, m: int) -> str | None:
+    """The struct format of the narrowest native slot that holds
+    k * (m - 1)^2, or None when none does."""
+    bits = (k * (m - 1) ** 2).bit_length()
+    return next((f for f in "BHIQ" if bits <= 8 * struct.calcsize(f)), None)
+
+
+def _packed_rows_product(a_rows, b_rows, m: int, fmt: str) -> tuple:
+    """Rows of A @ B mod m for entries already in [0, m), by rows of B
+    packed into slots of struct format fmt."""
+    layout = f"{len(b_rows[0])}{fmt}"
+    size = struct.calcsize(layout)
     order = sys.byteorder
-    fmt = _SLOT_FORMATS.get(width)
-    if fmt:
-        layout = f"{cols}{fmt}"
-        packed = [int.from_bytes(struct.pack(layout, *row), order) for row in b_rows]
-    else:
-        packed = [int.from_bytes(b"".join(x.to_bytes(width, order) for x in row), order)
-                  for row in b_rows]
+    packed = [int.from_bytes(struct.pack(layout, *row), order) for row in b_rows]
     out = []
     for row in a_rows:
-        data = sum(a * p for a, p in zip(row, packed) if a).to_bytes(cols * width, order)
-        if fmt:
-            slots = memoryview(data).cast(fmt)
-        else:
-            slots = [int.from_bytes(data[j:j + width], order)
-                     for j in range(0, len(data), width)]
-        out.append(tuple([x % m for x in slots]))
+        data = sum(a * p for a, p in zip(row, packed) if a).to_bytes(size, order)
+        out.append(tuple([x % m for x in memoryview(data).cast(fmt)]))
     return tuple(out)
 
 
@@ -284,24 +285,30 @@ class Matrix(Value):
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """The product self @ other.
 
-        Over Z_m each row of other becomes one integer with a slot per
-        entry, each slot the fewest of 1, 2, 4 or 8 bytes (or, past 8, the
-        fewest bytes) that hold k * (m - 1)^2 for inner dimension k, the
-        largest value an entry of the product can take before reduction, so
-        slots never carry.  Row i of the product is then
+        Over Z_m, when other has at least PACKED_MIN_COLS columns and a
+        native slot of 1, 2, 4 or 8 bytes holds k * (m - 1)^2 for inner
+        dimension k, the largest value an entry of the product can take
+        before reduction, each row of other becomes one integer with a slot
+        per entry, so slots never carry.  Row i of the product is then
         sum(a_it * packed_t) over the nonzero a_it, unpacked and reduced
-        slot by slot.  Over Z the entries are row-by-column sums.
+        slot by slot.  Every other product is row-by-column sums, reduced
+        mod m over Z_m.
         """
         self._match(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         m = self.modulus
-        if m is None:
-            bt = list(zip(*other.entries))
-            prod = tuple(tuple([sum(map(mul, row, col)) for col in bt])
-                         for row in self.entries)
+        fmt = m and other.cols >= PACKED_MIN_COLS and _slot_format(other.rows, m)
+        if fmt:
+            prod = _packed_rows_product(self.entries, other.entries, m, fmt)
         else:
-            prod = _packed_rows_product(self.entries, other.entries, m)
+            bt = list(zip(*other.entries))
+            if m is None:
+                prod = tuple(tuple([sum(map(mul, row, col)) for col in bt])
+                             for row in self.entries)
+            else:
+                prod = tuple(tuple([sum(map(mul, row, col)) % m for col in bt])
+                             for row in self.entries)
         return Matrix._of_rows(prod, m)
 
     def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:

@@ -485,10 +485,10 @@ def _run_suite(name: str, seed: int,
     return checks, False
 
 
-def _fork_worker(names: list[str], seed: int, deadline: float, cpu: int,
-                 cpus: list[int]) -> tuple[int, object, object]:
-    """Fork a worker, started on the given CPU of cpus; returns its pid, its
-    order pipe opened for writing and its report pipe opened for reading.
+def _fork_worker(names: list[str], seed: int,
+                 deadline: float) -> tuple[int, object, object]:
+    """Fork a worker; returns its pid, its order pipe opened for writing
+    and its report pipe opened for reading.
     The worker reads suite indices from its order pipe, one byte each,
     until EOF, and for each sends one marshalled outcome: (True, checks,
     out_of_time), or (False, module, qualname, message) of what the suite
@@ -511,16 +511,6 @@ def _fork_worker(names: list[str], seed: int, deadline: float, cpu: int,
         try:
             os.close(order_write)
             os.close(report_read)
-            # A child starts on its parent's CPU, and on a 2-vCPU VM the
-            # kernel was seen to leave every worker there for a whole run,
-            # no faster than running the suites in turn.  Moving to the
-            # CPU and then allowing all of them again places the worker
-            # without pinning it.
-            try:
-                os.sched_setaffinity(0, {cpu})
-                os.sched_setaffinity(0, cpus)
-            except (AttributeError, OSError):  # no affinity call, or a stale CPU
-                pass
             with open(report_write, "wb") as reports:
                 while taken := os.read(order_read, 1):
                     try:
@@ -550,7 +540,7 @@ def _worker_error(module: str, qualname: str, message: str) -> Exception:
 
 
 def _suites_in_workers(names: list[str], seed: int, deadline: float,
-                       cpus: list[int]) -> list[tuple[list, bool]]:
+                       cpus: int) -> list[tuple[list, bool]]:
     """Each suite's _run_suite outcome, in the order of names, up to the
     first suite that ran out of time, from one forked worker per CPU (and
     no more workers than suites).  The suites are handed out in order: one
@@ -571,8 +561,8 @@ def _suites_in_workers(names: list[str], seed: int, deadline: float,
     todo = iter(range(len(names)))  # emptied once a suite raises, runs out of time or is lost
     poller = select.poll()          # unlike select(), any fd number
     try:
-        for cpu in cpus[:len(names)]:
-            pid, orders, reports = _fork_worker(names, seed, deadline, cpu, cpus)
+        for _ in range(min(cpus, len(names))):
+            pid, orders, reports = _fork_worker(names, seed, deadline)
             workers[reports.fileno()] = [pid, orders, reports, None]
             poller.register(reports, select.POLLIN)
         free = list(workers.values())
@@ -625,20 +615,20 @@ def _suites_in_workers(names: list[str], seed: int, deadline: float,
     return outcomes
 
 
-def _worker_cpus(names: list[str]) -> list[int] | None:
-    """The CPUs for one forked worker each, or None to run the suites in
-    this process: workers pay off only with more than one suite and more
+def _worker_cpus(names: list[str]) -> int:
+    """The number of CPUs, one forked worker each, or 0 to run the suites
+    in this process: workers pay off only with more than one suite and more
     than one CPU, take at most 256 suites (an index is one byte), and are
     safe only where fork and poll exist and no other thread runs (a forked
     child copies a lock another thread may hold)."""
     if not (1 < len(names) <= 256 and hasattr(os, "fork") and hasattr(select, "poll")
             and threading.active_count() == 1):
-        return None
+        return 0
     try:
-        cpus = sorted(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:              # no affinity call on this platform
-        cpus = list(range(os.cpu_count() or 1))
-    return cpus if len(cpus) > 1 else None
+        cpus = os.cpu_count() or 1
+    return cpus if cpus > 1 else 0
 
 
 def run_suites(names: list[str], seed: int,

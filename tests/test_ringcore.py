@@ -173,7 +173,7 @@ def check_product(a, b, m):
 def test_modular_product_shapes_and_moduli():
     rng = random.Random(23)
     for m in PRODUCT_MODULI:
-        for cols in (0, 1, 2, 7, 1000):
+        for cols in (0, 1, 2, 7, 8, 1000):
             for _ in range(3):
                 r, k = rng.randint(1, 8), rng.randint(1, 8)
                 a = [[rng.randrange(m) for _ in range(k)] for _ in range(r)]
@@ -186,10 +186,11 @@ def test_modular_product_at_the_slot_bound():
     # every entry m - 1, so each product entry is k * (m - 1)^2 before
     # reduction, the largest a slot must hold; at k = 20 that needs 3 bytes
     # mod 59 and 5 mod 15001 where k = 19 fits in 2 and 4, and 9 or more
-    # bytes past 8
+    # bytes past 8, where no native slot fits and the sums are plain; 7 and
+    # 8 columns sit on either side of PACKED_MIN_COLS
     for m in (2, 27, 59, 257, 15001, 65537, 2 ** 32 + 15, 2 ** 64 + 13):
         for k in (1, 19, 20):
-            for cols in (1, 7, 1000):
+            for cols in (1, 7, 8, 1000):
                 check_product([[m - 1] * k] * 3, [[m - 1] * cols] * k, m)
 
 
@@ -199,7 +200,7 @@ def test_modular_product_property(data):
     m = data.draw(st.sampled_from(PRODUCT_MODULI) | st.integers(2, 2 ** 70), label="m")
     r = data.draw(st.integers(1, 6), label="r")
     k = data.draw(st.integers(1, 8), label="k")
-    cols = data.draw(st.sampled_from((0, 1, 2, 7, 40)), label="cols")
+    cols = data.draw(st.sampled_from((0, 1, 2, 7, 8, 40)), label="cols")
     entry = st.integers(0, m - 1) | st.sampled_from((0, m - 1))
     a = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r))
     b = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
