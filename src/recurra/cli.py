@@ -64,16 +64,17 @@ def _print_terms(values: list[int]) -> None:
     print(" ".join(map(str, values)))
 
 
-def _cmd_seq(args) -> int:
+def _print_prefix(spec, n: int, mod: int | None) -> int:
+    """Prints d_0, ..., d_n of spec, reduced mod `mod` when it is given."""
     from . import recurrence
-    _require_last_index(args.n)
-    spec = _spec_from_args(args)
-    if args.mod is not None:
-        values = recurrence.terms_mod(spec, args.n + 1, args.mod)
-    else:
-        values = recurrence.terms(spec, args.n + 1)
-    _print_terms(values)
+    _print_terms(recurrence.terms(spec, n + 1) if mod is None
+                 else recurrence.terms_mod(spec, n + 1, mod))
     return 0
+
+
+def _cmd_seq(args) -> int:
+    _require_last_index(args.n)
+    return _print_prefix(_spec_from_args(args), args.n, args.mod)
 
 
 def _cmd_pisano(args) -> int:
@@ -146,15 +147,9 @@ def _cmd_validate_key(args) -> int:
 
 
 def _cmd_lnum(args) -> int:
-    from . import lnumbers, recurrence
+    from .lnumbers import LSpec
     _require_last_index(args.n)
-    spec = lnumbers.LSpec(args.l)
-    if args.mod is not None:
-        values = recurrence.terms_mod(spec, args.n + 1, args.mod)
-    else:
-        values = lnumbers.l_terms(spec, args.n + 1)
-    _print_terms(values)
-    return 0
+    return _print_prefix(LSpec(args.l), args.n, args.mod)
 
 
 def _cmd_quat(args) -> int:

@@ -18,7 +18,7 @@ from .ringcore import (NotInvertible, Residue, Value, check_modulus, multiplicat
                        set_field)
 from .ntheory import (_exponent_factored, factorize, is_prime, order_from_multiple,
                       poly_divmod_mod_p, poly_gcd_mod_p, poly_mod_p, unfactor)
-from .recurrence import SequenceSpec, _power_reduced, terms_from, x_power
+from .recurrence import SequenceSpec, _power_reduced, terms_from, terms_mod, x_power
 
 
 class PeriodResult(Value):
@@ -78,17 +78,19 @@ def state_period(spec: SequenceSpec, m: int) -> PeriodResult:
     window(T + t) = window(T) are exactly the multiples of the period.
     The multiple of pi(m) that matrix_order descends from sends x to 1 on
     the unit part, so one descent from it finds the period.  Once
-    window(t + period) = window(t) holds, it holds for every later t, so
-    the tail, the least such t, is bisected for in [0, T].
+    window(t + period) = window(t) holds, it holds for every later t, and
+    it holds at T, so the tail is the first t <= T at which the prefixes
+    d_0, ... and d_period, ... agree over a window.
     """
     check_modulus(m)
     k = spec.k
     m_factored = factorize(m)
     bound = k * max((r for p, r in m_factored.items() if spec.coeffs[-1] % p == 0),
                     default=0)
+    prefix = terms_mod(spec, bound + 2 * k - 1, m)
     # x^t = sum c_i x^i gives d_{T+t+j} = sum c_i d_{T+i+j}: the window at
     # time T + t from the terms d_T .. d_{T+2k-2}, T = bound
-    terms = terms_from(spec, bound, 2 * k - 1, m)
+    terms = prefix[bound:]
 
     def returns(c: tuple[int, ...]) -> bool:
         return all(sum(ci * d for ci, d in zip(c, terms[j:])) % m == terms[j]
@@ -97,12 +99,9 @@ def state_period(spec: SequenceSpec, m: int) -> PeriodResult:
     period = unfactor(_descend(spec, m, _order_multiple_factored(spec, m_factored),
                                returns))
     tail = 0
-    while tail < bound:
-        mid = (tail + bound) // 2
-        if terms_from(spec, mid, k, m) == terms_from(spec, mid + period, k, m):
-            bound = mid
-        else:
-            tail = mid + 1
+    if bound:
+        shifted = terms_from(spec, period, bound + k, m)
+        tail = next(t for t in range(bound + 1) if prefix[t:t + k] == shifted[t:t + k])
     return PeriodResult(tail=tail, period=period)
 
 

@@ -225,10 +225,10 @@ def quat_window_sum(l: int, n: int) -> Quaternion:
     if n < 0:
         raise ValueError("need n >= 0")
     algebra = QuatAlgebra(-1, -1, l * l)
-    a = l_terms(LSpec(l), n + 2 * l * l + 4)
+    a = terms_from(LSpec(l), n, 2 * l * l + 3, l * l)
     total = algebra.zero()
-    for t in range(n, n + 2 * l * l):
-        total = total + algebra.quat(a[t], a[t + 1], a[t + 2], a[t + 3])
+    for t in range(2 * l * l):
+        total = total + algebra.quat(*a[t:t + 4])
     return total
 
 

@@ -57,12 +57,13 @@ def terms_from(spec: SequenceSpec, n: int, count: int,
 
     With x^n = sum c_j x^j mod chi, d_{n+i} = sum c_j d_{i+j} for any
     initial window (Fiduccia's method), so one x^n costs O(k^2 log n)
-    products and each further term O(k).
+    products and each further term O(k).  Mod m, both x^n and the prefix
+    d_0, ..., d_{count+k-2} are computed with reduced intermediates.
     """
     if n < 0 or count < 0:
         raise ValueError(f"need n, count >= 0, got {n}, {count}")
     c = x_power(spec, n, m)
-    d = terms(spec, count + spec.k - 1)
+    d = terms(spec, count + spec.k - 1) if m is None else terms_mod(spec, count + spec.k - 1, m)
     out = [sum(map(mul, c, d[i:i + spec.k])) for i in range(count)]
     return out if m is None else [x % m for x in out]
 

@@ -248,10 +248,6 @@ class Matrix(Value):
         return cls([[1 if i == j else 0 for j in range(k)] for i in range(k)],
                    modulus)
 
-    @classmethod
-    def zero(cls, rows: int, cols: int, modulus: int | None = None) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)], modulus)
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i][j]

@@ -64,6 +64,22 @@ def test_state_period_examples():
     assert state_period(SequenceSpec((1, 2)), 4).as_tuple() == (2, 2)
     # all coefficients vanish mod m: the orbit collapses onto the zero state
     assert state_period(SequenceSpec((6, 3)), 3).period == 1
+    # d_n = p d_{n-k}: the last term nonzero mod p^r is d_{kr-1}, so the tail is T = k r
+    for k, p, r in ((2, 2, 3), (3, 3, 4), (4, 5, 2), (5, 2, 60)):
+        spec = SequenceSpec((0,) * (k - 1) + (p,))
+        assert state_period(spec, p ** r).as_tuple() == (k * r, 1)
+    # T = 2 > 0, yet the zero window is fixed from the start
+    assert state_period(SequenceSpec((2, 2), (0, 0)), 4).as_tuple() == (0, 1)
+
+
+def test_state_period_reads_the_shifted_terms_once(monkeypatch):
+    calls = []
+    real = pisano.terms_from
+    monkeypatch.setattr(pisano, "terms_from", lambda *a: calls.append(a) or real(*a))
+    assert state_period(SequenceSpec((1, 2)), 4).as_tuple() == (2, 2)
+    assert len(calls) == 1                          # T = 4
+    assert state_period(SequenceSpec((1, 1)), 10 ** 18).tail == 0
+    assert len(calls) == 1                          # T = 0: no second read
 
 
 def test_state_period_against_oracle():
