@@ -4,7 +4,9 @@ randomized verification suites.
 All numeric output is plain decimal, one value per whitespace-separated
 token.  Exit codes:
 
-  0  success; every requested check passed
+  0  success; every requested check passed; also a stdout that its
+     reader closed early (as `| head` does), which ends the command
+     with nothing on stderr
   1  a verify check failed, or the quat census found a zero divisor
   2  bad input or usage: an invalid key, modulus or file, an unknown
      symbol, a negative --n or --budget, a --r below 1 (argparse's own
@@ -19,10 +21,11 @@ token.  Exit codes:
 
 Codes 2 and 3 print a one-line "error: ..." message on stderr.
 
-`verify` runs its suites in one forked worker per CPU, each handed the
-next suite in order as it comes free, when it runs more than one suite on
-more than one CPU with no other thread; its output is the same as running
-them in turn (see recurra.verify).
+`verify` runs each suite in its own forked child, all at once, when it
+runs more than one suite on more than one CPU with no other thread.  The
+results come back in suite order, and whatever is still running is
+killed after the first suite that raised, died or spent the budget, so
+the output is the same as running them in turn (see recurra.verify).
 
 Each command imports only the recurra modules it runs; `verify` is the
 one that loads them all.  Only `order` (with `ringcore` alone), `pisano`,
@@ -291,7 +294,14 @@ def main(argv: list[str] | None = None) -> int:
         if not args.ladder and args.mod is None:
             parser.error("pisano needs --mod (or --ladder P R)")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # inside the try, so a closed stdout is caught here
+        return code
+    except BrokenPipeError:     # the reader closed stdout: stop, as `head` expects
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)     # the exit-time flush then writes nowhere, silently
+        os.close(devnull)
+        return 0
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,25 +12,24 @@ yield its message.  The time budget is tested after every check, so a
 slow suite is stopped part-way.  Sub-seeds are derived from (seed, suite
 name) so suites are independent of each other's order.
 
-That independence lets run_suites run several suites at once in a pool of
-forked workers, one per CPU, when the process may use more than one CPU,
-fork exists and no other thread is running; otherwise it runs them in
-turn in this process.  The parent hands each worker one suite at a time,
-in order, over the worker's own pipe, and the next when it reports.
-Either way the results are the same: they are assembled in the requested
-order against one absolute deadline that every worker tests after every
-check, and cut after the first suite that spent it.  A worker's
-exception is raised again in the parent with its type and message, and a
-worker that dies without reporting raises RuntimeError.  Workers report
-through a pipe with marshal, so no process-pool or pickle machinery is
-loaded.
+That independence lets run_suites run each suite in its own forked
+child, all at once, when the process may use more than one CPU, fork
+exists and no other thread is running; otherwise it runs them in turn in
+this process.  Either way the results are the same: they are read back
+in the requested order against one absolute deadline that every child
+tests after every check, and cut after the first suite that spent it.
+A child's exception is raised again in the parent with its type and
+message, and a child that dies without reporting raises RuntimeError.
+Whatever is still running after the first suite that raised, died or
+spent the budget is killed.  Children report through a pipe with
+marshal, so no process-pool or pickle machinery is loaded.
 """
 from __future__ import annotations
 
 import marshal
 import os
 import random
-import select
+import signal
 import sys
 import threading
 import time
@@ -485,47 +484,34 @@ def _run_suite(name: str, seed: int,
     return checks, False
 
 
-def _fork_worker(names: list[str], seed: int,
-                 deadline: float) -> tuple[int, object, object]:
-    """Fork a worker; returns its pid, its order pipe opened for writing
-    and its report pipe opened for reading.
-    The worker reads suite indices from its order pipe, one byte each,
-    until EOF, and for each sends one marshalled outcome: (True, checks,
-    out_of_time), or (False, module, qualname, message) of what the suite
-    raised.  It always leaves by os._exit, so nothing the parent had
-    buffered is flushed twice.  A later worker holds copies of the
-    parent's ends of the earlier workers' pipes, which only delays an
-    earlier worker's EOF until the later one ends."""
-    fds = []
+def _fork_suite(name: str, seed: int, deadline: float) -> tuple[int, object]:
+    """Fork a child that runs one suite; returns its pid and its report
+    pipe opened for reading.  The child sends one marshalled outcome:
+    (True, checks, out_of_time), or (False, module, qualname, message) of
+    what the suite raised.  It always leaves by os._exit, so nothing the
+    parent had buffered is flushed twice."""
+    report_read, report_write = os.pipe()
     try:
-        fds += os.pipe()
-        fds += os.pipe()
         pid = os.fork()
     except OSError:
-        for fd in fds:
-            os.close(fd)
+        os.close(report_read)
+        os.close(report_write)
         raise
-    order_read, order_write, report_read, report_write = fds
     if pid == 0:
         code = 1
         try:
-            os.close(order_write)
-            os.close(report_read)
+            try:
+                outcome = (True, *_run_suite(name, seed, deadline))
+            except Exception as exc:
+                cls = type(exc)
+                outcome = (False, cls.__module__, cls.__qualname__, str(exc))
             with open(report_write, "wb") as reports:
-                while taken := os.read(order_read, 1):
-                    try:
-                        outcome = (True, *_run_suite(names[taken[0]], seed, deadline))
-                    except Exception as exc:
-                        cls = type(exc)
-                        outcome = (False, cls.__module__, cls.__qualname__, str(exc))
-                    marshal.dump(outcome, reports)
-                    reports.flush()
+                marshal.dump(outcome, reports)
             code = 0
         finally:
             os._exit(code)
-    os.close(order_read)
     os.close(report_write)
-    return pid, open(order_write, "wb", buffering=0), open(report_read, "rb")
+    return pid, open(report_read, "rb")
 
 
 def _worker_error(module: str, qualname: str, message: str) -> Exception:
@@ -539,96 +525,61 @@ def _worker_error(module: str, qualname: str, message: str) -> Exception:
     return RuntimeError(f"{module}.{qualname} in a verify worker: {message}")
 
 
-def _suites_in_workers(names: list[str], seed: int, deadline: float,
-                       cpus: int) -> list[tuple[list, bool]]:
+def _suites_in_workers(names: list[str], seed: int,
+                       deadline: float) -> list[tuple[list, bool]]:
     """Each suite's _run_suite outcome, in the order of names, up to the
-    first suite that ran out of time, from one forked worker per CPU (and
-    no more workers than suites).  The suites are handed out in order: one
-    to each worker as it starts, and the next to each worker that reports,
-    so the CPUs stay busy however the suites' costs differ.
+    first suite that ran out of time, from one forked child per suite, all
+    started at once.
 
-    A suite's exception is raised here with the same type and message, and
-    a suite whose worker ended before reporting it raises RuntimeError,
-    once every suite before it has reported and none of them raised or ran
-    out of time.  The workers' report pipes are read together, so a worker
-    that dies mid-suite is seen at once.  Once a suite has raised, run out
-    of time or lost its worker, no further suite is handed out: each
-    worker's order pipe is closed when it reports, so that it ends.  Every
-    worker is reaped and every pipe closed.
+    The reports are read in suite order.  A suite's exception is raised
+    here with the same type and message, and a suite whose child ended
+    before reporting raises RuntimeError, once every suite before it has
+    reported and none of them raised or ran out of time.  After the first
+    suite that raised, died or ran out of time, the children still running
+    are killed.  Every child is reaped and every pipe closed.
     """
-    reported = {}   # suite index -> outcome, or the wait status of a worker that died running it
-    workers = {}    # report fd -> [pid, order pipe, report pipe, index of the suite it runs]
-    todo = iter(range(len(names)))  # emptied once a suite raises, runs out of time or is lost
-    poller = select.poll()          # unlike select(), any fd number
-    try:
-        for _ in range(min(cpus, len(names))):
-            pid, orders, reports = _fork_worker(names, seed, deadline)
-            workers[reports.fileno()] = [pid, orders, reports, None]
-            poller.register(reports, select.POLLIN)
-        free = list(workers.values())
-        while workers:
-            for worker in free:
-                worker[3] = i = next(todo, None)
-                if i is None:
-                    worker[1].close()
-                    continue
-                try:
-                    worker[1].write(bytes((i,)))
-                except BrokenPipeError:         # the worker has ended: its EOF reports suite i
-                    pass
-            free = []
-            for fd, _ in poller.poll():
-                pid, orders, reports, i = worker = workers[fd]
-                try:    # one report per order, so the buffer never holds the next
-                    reported[i] = outcome = marshal.load(reports)
-                except EOFError:                # the worker has ended
-                    poller.unregister(fd)
-                    del workers[fd]
-                    orders.close()
-                    reports.close()
-                    status = os.waitpid(pid, 0)[1]
-                    if i is not None:
-                        reported[i], todo = status, iter(())
-                    continue
-                if not outcome[0] or outcome[2]:    # raised, or out of time
-                    todo = iter(())
-                free.append(worker)
-    finally:            # close all before any wait: later workers hold copies of the pipes
-        for _, orders, reports, _ in workers.values():
-            orders.close()
-            reports.close()
-        for pid, *_ in workers.values():
-            os.waitpid(pid, 0)
+    children = []       # [pid, report pipe] of each child; pid None once reaped
     outcomes = []
-    for i, name in enumerate(names):
-        if isinstance(reported[i], int):
-            code = os.waitstatus_to_exitcode(reported[i])
-            how = f"signal {-code}" if code < 0 else f"exit code {code}"
-            raise RuntimeError(f"the worker for verify suite {name!r} ended with "
-                               f"{how} before reporting")
-        ok, *rest = reported[i]
-        if not ok:
-            raise _worker_error(*rest)
-        outcomes.append(rest)
-        if rest[1]:
-            break
+    try:
+        for name in names:
+            children.append(list(_fork_suite(name, seed, deadline)))
+        for name, child in zip(names, children):
+            try:
+                ok, *rest = marshal.load(child[1])
+            except EOFError:            # the child ended without reporting
+                code = os.waitstatus_to_exitcode(os.waitpid(child[0], 0)[1])
+                child[0] = None
+                how = f"signal {-code}" if code < 0 else f"exit code {code}"
+                raise RuntimeError(f"the worker for verify suite {name!r} ended with "
+                                   f"{how} before reporting") from None
+            if not ok:
+                raise _worker_error(*rest)
+            outcomes.append(rest)
+            if rest[1]:
+                break
+    finally:
+        for pid, reports in children:
+            reports.close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return outcomes
 
 
-def _worker_cpus(names: list[str]) -> int:
-    """The number of CPUs, one forked worker each, or 0 to run the suites
-    in this process: workers pay off only with more than one suite and more
-    than one CPU, take at most 256 suites (an index is one byte), and are
-    safe only where fork and poll exist and no other thread runs (a forked
-    child copies a lock another thread may hold)."""
-    if not (1 < len(names) <= 256 and hasattr(os, "fork") and hasattr(select, "poll")
+def _use_workers(names: list[str]) -> bool:
+    """Whether to run the suites in forked children, one per suite: they pay
+    off only with more than one suite and more than one CPU, number at most
+    the suites verify has (a longer list runs in this process), and are
+    safe only where fork exists and no other thread runs (a forked child
+    copies a lock another thread may hold)."""
+    if not (1 < len(names) <= len(SUITES) and hasattr(os, "fork")
             and threading.active_count() == 1):
-        return 0
+        return False
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:              # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return cpus if cpus > 1 else 0
+    return cpus > 1
 
 
 def run_suites(names: list[str], seed: int,
@@ -636,15 +587,14 @@ def run_suites(names: list[str], seed: int,
     """The checks of the named suites, in order, cut after the first suite
     that spends the budget with one `budget` line.
 
-    Where _worker_cpus allows, one forked worker per CPU is handed the
-    suites in order, one at a time, against one absolute deadline; the
-    results are the same as running them in turn in this process, which is
-    what happens otherwise.
+    Where _use_workers allows, each suite runs in its own forked child,
+    all at once, against one absolute deadline; the results are the same
+    as running them in turn in this process, which is what happens
+    otherwise.
     """
     deadline = time.monotonic() + budget_ms / 1000.0
-    cpus = _worker_cpus(names)
-    if cpus:
-        outcomes = _suites_in_workers(names, seed, deadline, cpus)
+    if _use_workers(names):
+        outcomes = _suites_in_workers(names, seed, deadline)
     else:
         outcomes = (_run_suite(name, seed, deadline) for name in names)
     results = []

@@ -520,3 +520,31 @@ def test_a_capped_process_out_of_memory_exits_3():
                           preexec_fn=limit, env=dict(os.environ, PYTHONPATH=SRC))
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         3, "", "error: out of memory running 'seq'\n")
+
+
+# A reader that stops early (`| head -c 10`) closes the pipe while the
+# command still writes.  Both buffering modes are run: unbuffered, the
+# next print meets the closed pipe; buffered, so may the flush at the end.
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [
+    ("quat", "3", "--n", "50000"),
+    ("seq", "1", "1", "--n", "200000", "--mod", "7"),
+    ("lnum", "1", "--n", "200000", "--mod", "7"),
+    ("verify", "--suite", "all", "--seed", "0"),
+])
+def test_a_stdout_closed_early_ends_the_command_with_exit_0_and_no_error(argv, unbuffered):
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered)
+    with subprocess.Popen([sys.executable, "-m", "recurra.cli", *argv], bufsize=0,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(10)
+        proc.stdout.close()
+        assert (proc.stderr.read(), proc.wait(timeout=120)) == (b"", 0)
+
+
+def test_a_stdout_closed_before_the_first_write_ends_the_command_with_exit_0():
+    # buffered, all of the output is written by the flush at the end
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="")
+    with subprocess.Popen([sys.executable, "-m", "recurra.cli", "seq", "1", "1", "--n", "10"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        assert (proc.stderr.read(), proc.wait(timeout=120)) == (b"", 0)

@@ -1,8 +1,8 @@
-"""verify's suites in a pool of forked workers against the same suites run
-in turn in this process: the same stdout, the same errors and exit codes,
-and no worker left unreaped (tests/conftest.py checks that after every
-test).  The CPU count is set by patching the affinity call, so both paths
-run on any machine that has fork."""
+"""verify's suites in forked children, one per suite, against the same
+suites run in turn in this process: the same stdout, the same errors and
+exit codes, and no child left unreaped (tests/conftest.py checks that
+after every test).  The CPU count is set by patching the affinity call,
+so both paths run on any machine that has fork."""
 import os
 import subprocess
 import sys
@@ -138,30 +138,39 @@ def test_a_spent_budget_cuts_the_run_after_the_first_suite(capsys, monkeypatch, 
                                         "FAILED 1/2 checks\n", "")
 
 
-def test_a_raise_keeps_the_queued_suites_from_starting(monkeypatch, forks, tmp_path):
-    # matrix raises at its first check while pisano's worker sleeps, so the
-    # queue is emptied before any worker is free to take another suite
-    started = tmp_path / "started"
+@pytest.mark.parametrize("ending", ["raise", "death", "budget"])
+def test_a_raise_a_death_or_a_spent_budget_kills_the_suites_still_running(
+        monkeypatch, forks, ending):
+    # matrix raises, dies or spends the budget at its first check while
+    # pisano's child sleeps for 30 s; the run ends once pisano's is killed
     run_suite = verify._run_suite
 
-    def logged(name, seed, deadline):
-        with open(started, "a") as log:
-            log.write(name + "\n")
+    def sleepy(name, seed, deadline):
         if name == "pisano":
-            time.sleep(0.5)
+            time.sleep(30)
         return run_suite(name, seed, deadline)
 
     def raises(r):
         raise ValueError("from the matrix suite")
 
-    monkeypatch.setattr(verify, "_run_suite", logged)
-    monkeypatch.setattr(verify, "mod_inverse", raises)
+    monkeypatch.setattr(verify, "_run_suite", sleepy)
+    if ending == "raise":
+        monkeypatch.setattr(verify, "mod_inverse", raises)
+    elif ending == "death":
+        monkeypatch.setattr(verify, "mod_inverse", lambda r: os._exit(7))
     set_cpus(monkeypatch, 2)
-    with pytest.raises(ValueError, match="from the matrix suite"):
-        verify.run_suites(list(verify.SUITES), 0)
-    assert len(forks) == 2
-    assert "matrix" in started.read_text().split()
-    assert set(started.read_text().split()) <= {"matrix", "pisano"}
+    begun = time.monotonic()
+    if ending == "raise":
+        with pytest.raises(ValueError, match="from the matrix suite"):
+            verify.run_suites(list(verify.SUITES), 0)
+    elif ending == "death":
+        with pytest.raises(RuntimeError, match="'matrix' ended with exit code 7"):
+            verify.run_suites(list(verify.SUITES), 0)
+    else:
+        results = verify.run_suites(list(verify.SUITES), 0, budget_ms=0)
+        assert [r.name for r in results] == ["residue_inverse", "budget"]
+    assert time.monotonic() - begun < 10
+    assert len(forks) == 5
 
 
 # Workers that end mid-suite without reporting, in a fresh interpreter so
@@ -188,42 +197,12 @@ def test_a_worker_that_dies_gives_a_one_line_error(ending, how):
 
 
 def test_the_first_suite_in_order_that_dies_names_its_own_worker():
-    # lnum's worker exits 5; the other worker takes quat and exits 6
+    # lnum's child exits 5 and quat's, later in the order, exits 6
     proc = run_python(WORKER_DIES % "lnumbers.gap_identity_check = lambda spec, n, k: os._exit(5)\n"
                                     "quaternions.l_quat_norm_check = lambda l, n: os._exit(6)")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: the worker for verify suite 'lnum' ended with exit code 5 " \
                           "before reporting\n"
-
-
-# lnum's worker exits 7 while pisano's still sleeps; the parent sees the
-# death at once and empties the queue, so quat and cipher never start.
-DEATH_STOPS_THE_QUEUE = """
-import os, sys, time
-os.sched_getaffinity = lambda pid: {0, 1}
-from recurra import cli, lnumbers, verify
-run_suite = verify._run_suite
-
-def logged(name, seed, deadline):
-    with open(%r, "a") as log:
-        log.write(name + "\\n")
-    if name == "pisano":
-        time.sleep(0.5)
-    return run_suite(name, seed, deadline)
-
-verify._run_suite = logged
-lnumbers.gap_identity_check = lambda spec, n, k: os._exit(7)
-sys.exit(cli.main(["verify", "--suite", "all", "--seed", "0"]))
-"""
-
-
-def test_a_worker_that_dies_keeps_the_queued_suites_from_starting(tmp_path):
-    started = tmp_path / "started"
-    proc = run_python(DEATH_STOPS_THE_QUEUE % str(started))
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: the worker for verify suite 'lnum' ended with exit code 7 " \
-                          "before reporting\n"
-    assert sorted(started.read_text().split()) == ["lnum", "matrix", "pisano"]
 
 
 def test_workers_need_several_suites_several_cpus_and_no_other_thread(monkeypatch, forks):
@@ -247,8 +226,8 @@ def test_workers_need_several_suites_several_cpus_and_no_other_thread(monkeypatc
     assert len(forks) == 2
 
 
-def test_one_worker_per_cpu_at_a_time(monkeypatch, forks):
-    # five suites on two CPUs: a pool of two workers runs them all
+def test_one_child_per_suite_all_at_once(monkeypatch, forks):
+    # five suites on two CPUs: five children, all running before any is reaped
     set_cpus(monkeypatch, 2)
     running, most = [0], [0]
     spy_fork, real_waitpid = os.fork, os.waitpid
@@ -269,11 +248,11 @@ def test_one_worker_per_cpu_at_a_time(monkeypatch, forks):
     monkeypatch.setattr(os, "waitpid", waitpid)
     results = verify.run_suites(list(verify.SUITES), 5)
     assert len(results) == 39 and all(r.passed for r in results)
-    assert (len(forks), most[0], running[0]) == (2, 2, 0)
+    assert (len(forks), most[0], running[0]) == (5, 5, 0)
 
 
 def test_a_failed_fork_leaves_no_worker_behind(monkeypatch, forks):
-    # the first worker stops at its next record once its pipe is closed
+    # the first child is killed and reaped
     set_cpus(monkeypatch, 2)
     spy_fork = os.fork
 
@@ -289,7 +268,8 @@ def test_a_failed_fork_leaves_no_worker_behind(monkeypatch, forks):
 
 
 def test_workers_whose_pipes_have_high_fd_numbers(monkeypatch, forks):
-    # select() takes no fd past 1023; the parent polls instead
+    # select() takes no fd past 1023; the parent reads each report pipe
+    # through its file object, which takes any fd number
     import resource
     if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
         pytest.skip("needs 1200 open files")
@@ -317,64 +297,20 @@ def test_a_repeated_suite_runs_again(monkeypatch, forks):
     names = ["lnum", "quat", "lnum"]
     set_cpus(monkeypatch, 2)
     workers = verify.run_suites(names, 4)
-    assert len(forks) == 2
+    assert len(forks) == 3
     set_cpus(monkeypatch, 1)
     assert workers == verify.run_suites(names, 4)
-    assert len(forks) == 2 and len(workers) == 27
+    assert len(forks) == 3 and len(workers) == 27
 
 
-def test_more_suites_than_one_byte_indexes_run_in_this_process(monkeypatch, forks):
-    # with no budget each run is cut after matrix's first check
+def test_more_suites_than_verify_has_run_in_this_process(monkeypatch, forks):
+    # no call forks more children than verify has suites; with no budget
+    # each run is cut after matrix's first check
     set_cpus(monkeypatch, 2)
-    workers = verify.run_suites(["matrix"] * 256, 0, budget_ms=0)
-    assert len(forks) == 2
-    assert verify.run_suites(["matrix"] * 257, 0, budget_ms=0) == workers
-    assert len(forks) == 2 and len(workers) == 2
-
-
-# lnum's worker flushes its report and then exits 4 before it reads its
-# next order, while pisano's still sleeps, so the parent hands that worker
-# quat.  When the parent waits before it reads a report on, the order finds
-# the worker gone (BrokenPipeError); when the worker waits before it exits,
-# the order is written and never read.  Either way quat is the suite lost.
-DIES_AFTER_A_REPORT = """
-import marshal, os, sys, time
-os.sched_getaffinity = lambda pid: {0, 1}
-from recurra import cli, verify
-run_suite, read, load = verify._run_suite, os.read, marshal.load
-ran = []
-
-def logged(name, seed, deadline):
-    if name == "pisano":
-        time.sleep(1)
-    ran.append(name)
-    return run_suite(name, seed, deadline)
-
-def read_order(fd, n):
-    if "lnum" in ran:
-        time.sleep(%s)
-        os._exit(4)
-    return read(fd, n)
-
-def slow_load(file):
-    report = load(file)
-    time.sleep(%s)
-    return report
-
-verify._run_suite = logged
-os.read = read_order
-marshal.load = slow_load
-sys.exit(cli.main(["verify", "--suite", "all", "--seed", "0"]))
-"""
-
-
-@pytest.mark.parametrize("worker_wait, parent_wait", [(0, 0.1), (0.1, 0)])
-def test_a_worker_that_dies_right_after_a_report_loses_its_next_suite(worker_wait,
-                                                                       parent_wait):
-    proc = run_python(DIES_AFTER_A_REPORT % (worker_wait, parent_wait))
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: the worker for verify suite 'quat' ended with exit code 4 " \
-                          "before reporting\n"
+    workers = verify.run_suites(["matrix"] * 5, 0, budget_ms=0)
+    assert len(forks) == 5
+    assert verify.run_suites(["matrix"] * 6, 0, budget_ms=0) == workers
+    assert len(forks) == 5 and len(workers) == 2
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -395,4 +331,4 @@ def test_the_pool_closes_every_fd_it_opens(monkeypatch, forks):
     with pytest.raises(RuntimeError, match="'lnum' ended with exit code 7"):
         verify.run_suites(list(verify.SUITES), 1)
     assert sorted(os.listdir("/proc/self/fd")) == before
-    assert len(forks) == 6
+    assert len(forks) == 15
