@@ -16,10 +16,15 @@ token.  Exit codes:
      a value overflowed (e.g. --budget 1e400s), or a number the period or
      order needs did not factor within the factoring bound, m included
      (`pisano` factors m for the order and for --state, whatever a_k is);
-     also a request that ran out of memory (MemoryError), such as exact
-     terms far past what the address space holds
+     also a request that ran out of memory (MemoryError), such as
+     `quat 3 --r 200 --n 100000` in a 256 MB address space
 
 Codes 2 and 3 print a one-line "error: ..." message on stderr.
+
+`seq` and `lnum` stream their one line: terms come from one recurrence
+step (recurrence.stream) and are written in chunks of about CHUNK_CHARS
+characters, so memory stays one window and one chunk whatever --n is,
+and a stdout closed by its reader stops the command at the next chunk.
 
 `verify` runs each suite in its own forked child, all at once, when it
 runs more than one suite on more than one CPU with no other thread.  The
@@ -41,6 +46,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 
 # verify.SUITES and verify.DEFAULT_BUDGET_MS, kept here so that building
 # the parser does not import verify (tests hold the two in step)
@@ -59,19 +65,44 @@ def _require_last_index(n: int) -> None:
         raise ValueError(f"--n must be >= 0, got {n}")
 
 
-def _print_terms(values: list[int]) -> None:
-    """One line of decimal terms.  The widest term is converted first, so
-    a term past Python's int-to-str digit limit raises its ValueError
-    before any other is converted and before anything is printed."""
-    str(max(values, key=int.bit_length, default=0))
-    print(" ".join(map(str, values)))
+# seq and lnum write their line in pieces of about this many characters
+CHUNK_CHARS = 1 << 16
+
+
+def _widest(values) -> int:
+    """The term of most digits among values, or the first whose bit length
+    alone puts it past Python's int-to-str digit limit, where the scan
+    stops: converting the result raises exactly when some term would."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 2^(b-1) > 10^limit for every bit length b above this bound
+    max_bits = limit * 10 // 3 + 2 if limit else None
+    widest = top = 0
+    for x in values:
+        if abs(x) > top:
+            widest, top = x, abs(x)
+            if max_bits and top.bit_length() > max_bits:
+                break
+    return widest
 
 
 def _print_prefix(spec, n: int, mod: int | None) -> int:
-    """Prints d_0, ..., d_n of spec, reduced mod `mod` when it is given."""
+    """Prints d_0, ..., d_n of spec on one line, reduced mod `mod` when it
+    is given, streamed a chunk at a time so that memory stays one window
+    and one chunk.  Exact terms are generated twice: the first pass keeps
+    only the widest and converts it, so a term past the digit limit raises
+    its ValueError after one conversion and before anything is printed.
+    Terms mod m have fewer digits than m, which was parsed from decimal."""
     from . import recurrence
-    _print_terms(recurrence.terms(spec, n + 1) if mod is None
-                 else recurrence.terms_mod(spec, n + 1, mod))
+    if mod is None:
+        str(_widest(islice(recurrence.stream(spec), n + 1)))
+    chunk, size, sep = [], 0, ""
+    for token in map(str, islice(recurrence.stream(spec, mod), n + 1)):
+        if size >= CHUNK_CHARS:         # flushed only before a further token
+            sys.stdout.write(sep + " ".join(chunk))
+            chunk, size, sep = [], 0, " "
+        chunk.append(token)
+        size += len(token) + 1
+    sys.stdout.write(sep + " ".join(chunk) + "\n")
     return 0
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import islice
 from math import gcd
 
 from .ringcore import Value, set_field
-from .recurrence import SequenceSpec, _extend, term
+from .recurrence import SequenceSpec, stream, term
 
 
 class LSpec(SequenceSpec):
@@ -72,7 +73,8 @@ def l_terms(spec: LSpec, count: int) -> list[int]:
         raise ValueError(f"need count >= 0, got {count}")
     prefix = spec._prefix
     if count > len(prefix):
-        prefix = tuple(_extend(spec.coeffs[::-1], list(prefix), count))
+        # the stream restarts at the prefix's last window, whose two terms it repeats
+        prefix += tuple(islice(stream(spec, window=prefix[-2:]), 2, count - len(prefix) + 2))
         set_field(spec, "_prefix", prefix)
     return list(prefix[:count])
 

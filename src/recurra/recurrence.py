@@ -11,6 +11,8 @@ d_{j-k} = (d_j - a_1 d_{j-1} - ... - a_{k-1} d_{j-k+1}) / a_k.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import islice
 from operator import mul
 
 from .ringcore import Matrix, Residue, Value, check_modulus, invert_mod, set_field
@@ -79,17 +81,38 @@ def terms(spec: SequenceSpec, count: int) -> list[int]:
     """The list [d_0, ..., d_{count-1}]."""
     if count < 0:
         raise ValueError(f"need count >= 0, got {count}")
-    return _extend(spec.coeffs[::-1], list(spec.initial), count)[:count]
+    return list(islice(stream(spec), count))
 
 
-def _extend(backward: tuple[int, ...], d: list[int], count: int) -> list[int]:
-    """d, a prefix d_0, ..., d_{len(d)-1} holding at least one window,
-    extended in place to count terms, for backward = (a_k, ..., a_1):
-    d_{t+k} = a_k d_t + ... + a_1 d_{t+k-1}."""
-    k = len(backward)
-    for t in range(len(d) - k, count - k):
-        d.append(sum(map(mul, backward, d[t:t + k])))
-    return d
+def stream(spec: SequenceSpec, m: int | None = None,
+           window: tuple[int, ...] | None = None) -> Iterator[int]:
+    """d_t, d_{t+1}, ... without end, exact or reduced mod m, for the
+    window (d_t, ..., d_{t+k-1}); the default window is the spec's own,
+    so that t = 0.  Only one window is held: each step is
+    d_{t+k} = a_k d_t + ... + a_1 d_{t+k-1}.  The modulus and the window
+    are checked here, before the first term is asked for."""
+    if m is not None:
+        check_modulus(m)
+    if window is None:
+        window = spec.initial
+    elif len(window) != spec.k:
+        raise ValueError("window must have length k")
+    backward = spec.coeffs[::-1]
+    if m is not None:
+        backward = tuple([a % m for a in backward])
+        window = tuple([x % m for x in window])
+    return _steps(backward, list(window), m)
+
+
+def _steps(backward: tuple[int, ...], w: list[int], m: int | None) -> Iterator[int]:
+    yield from w
+    while True:
+        x = sum(map(mul, backward, w))
+        if m is not None:
+            x %= m
+        w.append(x)
+        del w[0]
+        yield x
 
 
 def term_mod(spec: SequenceSpec, n: int, m: int) -> Residue:
@@ -102,15 +125,9 @@ def term_mod(spec: SequenceSpec, n: int, m: int) -> Residue:
 
 def terms_mod(spec: SequenceSpec, count: int, m: int) -> list[int]:
     """[d_0, ..., d_{count-1}] reduced mod m, with reduced intermediates."""
-    check_modulus(m)
     if count < 0:
         raise ValueError(f"need count >= 0, got {count}")
-    k = spec.k
-    backward = [a % m for a in reversed(spec.coeffs)]
-    d = [x % m for x in spec.initial]
-    for t in range(count - k):
-        d.append(sum(map(mul, backward, d[t:t + k])) % m)
-    return d[:count]
+    return list(islice(stream(spec, m), count))
 
 
 def _scaled_backward(spec: SequenceSpec, steps: int) -> list[int]:

@@ -1,16 +1,23 @@
+import contextlib
 import hashlib
 import io
 import os
 import random
 import subprocess
 import sys
+import threading
+from itertools import chain, cycle, islice
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recurra import cli, recurrence
 from recurra.cipher import Alphabet, CipherKey, encrypt_text
 from recurra.cli import main
 from recurra.quaternions import QuatAlgebra
+
+from oracles import naive_lterms, naive_state_period, naive_terms, naive_terms_mod
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -503,23 +510,39 @@ def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch):
         3, "", "error: out of memory running 'seq'\n")
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="RLIMIT_AS caps the address space on Linux only")
-def test_a_capped_process_out_of_memory_exits_3():
-    # exact Fibonacci terms to 10^7 would take terabytes; a 256 MB address
-    # space runs out within the first 10^5 terms
-    import resource
-    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-    cap = 256 << 20 if hard == resource.RLIM_INFINITY else min(256 << 20, hard)
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    proc = subprocess.run([sys.executable, "-m", "recurra.cli", "seq", "1", "1", "--n",
-                           "10000000"], capture_output=True, text=True, timeout=120,
-                          preexec_fn=limit, env=dict(os.environ, PYTHONPATH=SRC))
+def test_a_capped_process_out_of_memory_exits_3(capped_cli):
+    # a census mod 3^200 holds 10^5 records of 200-digit residues, more
+    # than a 256 MB address space can take
+    proc = capped_cli("quat", "3", "--r", "200", "--n", "100000", cap_mb=256)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        3, "", "error: out of memory running 'seq'\n")
+        3, "", "error: out of memory running 'quat'\n")
+    # exact Fibonacci terms to 10^7 would take terabytes; the scan for the
+    # widest term stops at the first one past the int-to-str digit limit
+    proc = capped_cli("seq", "1", "1", "--n", "10000000", cap_mb=256)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: Exceeds the limit (4300 digits)")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def periodic_terms_mod(coeffs, count, m, initial=None):
+    """The oracle's terms mod m, repeated from its (tail, period) of
+    windows, so that no exact term past the first cycle is built."""
+    tail, period = naive_state_period(coeffs, m, initial)
+    head = naive_terms_mod(coeffs, tail + period, m, initial)
+    return islice(chain(head[:tail], cycle(head[tail:])), count)
+
+
+def joined(values) -> str:
+    return " ".join(map(str, values)) + "\n"
+
+
+def test_a_long_prefix_mod_m_prints_in_bounded_memory(capped_cli):
+    # 3 * 10^6 terms, 6 MB of output: held whole, the prefix list alone
+    # would take about 100 MB
+    n = 3_000_000
+    proc = capped_cli("seq", "1", "1", "--n", str(n), "--mod", "7", cap_mb=128)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == joined(periodic_terms_mod((1, 1), n + 1, 7))
 
 
 # A reader that stops early (`| head -c 10`) closes the pipe while the
@@ -548,3 +571,73 @@ def test_a_stdout_closed_before_the_first_write_ends_the_command_with_exit_0():
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         proc.stdout.close()
         assert (proc.stderr.read(), proc.wait(timeout=120)) == (b"", 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ("seq", "1", "1", "--n", "1000000000", "--mod", "7"),
+    ("lnum", "1", "--n", "1000000000", "--mod", "7"),
+])
+def test_a_closed_stdout_stops_a_long_prefix_at_the_next_chunk(argv):
+    # 10^9 terms would take minutes to print; the prefix is streamed, so
+    # the reader's close ends the command at its next write.  A command
+    # that writes nothing for 30 s is killed, which fails the read.
+    env = dict(os.environ, PYTHONPATH=SRC)
+    with subprocess.Popen([sys.executable, "-m", "recurra.cli", *argv], bufsize=0,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        deadline = threading.Timer(30, proc.kill)
+        deadline.start()
+        try:
+            assert proc.stdout.read(10)
+            proc.stdout.close()
+            assert (proc.wait(timeout=30), proc.stderr.read()) == (0, b"")
+        finally:
+            deadline.cancel()
+            proc.kill()
+
+
+def stdout_of(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_streamed_seq_and_lnum_match_the_oracle(data):
+    k = data.draw(st.integers(2, 5), label="k")
+    coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k).filter(
+        lambda c: c[-1]), label="coeffs")
+    initial = data.draw(st.none() | st.lists(st.integers(-50, 50), min_size=k, max_size=k),
+                        label="initial")
+    n = data.draw(st.sampled_from((0, 1, k - 1, k)) | st.integers(0, 200), label="n")
+    m = data.draw(st.none() | st.integers(2, 10 ** 6) | st.integers(2 ** 64, 2 ** 70),
+                  label="m")
+    l = data.draw(st.integers(1, 30), label="l")
+    # chunks of one token each, of a few, and of the real size
+    chunk = data.draw(st.sampled_from((1, 2, 7, 40, cli.CHUNK_CHARS)), label="chunk")
+    argv = ["seq", *map(str, coeffs), "--n", str(n)]
+    if initial is not None:
+        argv += ["--initial", *map(str, initial)]
+    lnum = ["lnum", str(l), "--n", str(n)]
+    if m is not None:
+        argv += ["--mod", str(m)]
+        lnum += ["--mod", str(m)]
+    with mock.patch.object(cli, "CHUNK_CHARS", chunk):
+        seq_out, lnum_out = stdout_of(*argv), stdout_of(*lnum)
+    ref, lref = naive_terms(coeffs, n + 1, initial), naive_lterms(l, n + 1)
+    if m is not None:
+        ref, lref = [x % m for x in ref], [x % m for x in lref]
+    assert seq_out == joined(ref)
+    assert lnum_out == joined(lref)
+
+
+@pytest.mark.parametrize("n", [32766, 32767, 32768, 65535, 65536])
+def test_prefixes_on_either_side_of_a_chunk_boundary_match_the_oracle(n):
+    # terms mod 7 print as one digit and a space: a chunk is 32768 terms
+    assert cli.CHUNK_CHARS == 2 * 32768
+    expected = joined(periodic_terms_mod((1, 1), n + 1, 7))
+    assert stdout_of("seq", "1", "1", "--n", str(n), "--mod", "7") == expected
+    assert stdout_of("lnum", "1", "--n", str(n), "--mod", "7") == expected
+    assert stdout_of("seq", "3", "-2", "--initial", "5", "-4", "--n", str(n), "--mod", "7") == (
+        joined(periodic_terms_mod((3, -2), n + 1, 7, (5, -4))))

@@ -1,12 +1,14 @@
 """The term engine against brute force: single terms read off x^n mod chi
 (Fiduccia's method), exact and mod m, and everything built on it: the
 l-numbers as the spec (l, 1), sequence quaternions and the unit census."""
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from recurra.lnumbers import LSpec, l_term, l_terms
 from recurra.quaternions import invertibility_census, l_quaternion, l_quaternion_norm
-from recurra.recurrence import (SequenceSpec, term, term_mod, terms, terms_from,
+from recurra.recurrence import (SequenceSpec, stream, term, term_mod, terms, terms_from,
                                 terms_mod)
 
 from oracles import naive_lterms, naive_matpow_squaring, naive_terms, naive_terms_mod
@@ -40,6 +42,42 @@ def test_terms_property(data):
     assert terms_from(spec, n, count, m) == [x % m for x in ref[n:n + count]]
     assert terms(spec, n + 1) == ref[:n + 1]
     assert terms_mod(spec, n + 1, m) == naive_terms_mod(coeffs, n + 1, m, initial)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_stream_from_any_window(data):
+    # terms and terms_mod are the stream from the spec's own window; from
+    # the window at t, it goes on with d_t, d_{t+1}, ...
+    k = data.draw(st.integers(2, 6), label="k")
+    coeffs = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k).filter(
+        lambda c: c[-1]), label="coeffs"))
+    initial = data.draw(st.none() | st.tuples(*[st.integers(-50, 50)] * k), label="initial")
+    t = data.draw(st.integers(0, 200), label="t")
+    count = data.draw(st.integers(0, 50), label="count")
+    m = data.draw(st.none() | MODULI, label="m")
+    spec = SequenceSpec(coeffs, initial)
+    ref = naive_terms(coeffs, t + max(count, k), initial)
+    if m is not None:
+        ref = [x % m for x in ref]
+    assert list(islice(stream(spec, m), t + count)) == ref[:t + count]
+    # the window need not be reduced: the stream reduces it
+    window = tuple(naive_terms(coeffs, t + k, initial)[t:])
+    assert list(islice(stream(spec, m, window), count)) == ref[t:t + count]
+
+
+def test_stream_checks_its_arguments_when_called():
+    spec = SequenceSpec((1, 1))
+    for m, window in ((1, None), (0, None), (7, (1, 2, 3)), (None, (1,))):
+        with pytest.raises(ValueError):
+            stream(spec, m, window)
+
+
+def test_l_terms_extends_its_prefix_from_the_last_window():
+    spec = LSpec(3)
+    for count in (0, 1, 2, 3, 5, 4, 40, 41, 300, 7, 1000):
+        assert l_terms(spec, count) == naive_lterms(3, count), count
+    assert len(spec._prefix) == 1000
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
