@@ -9,9 +9,9 @@ token.  Exit codes:
      with nothing on stderr
   1  a verify check failed, or the quat census found a zero divisor
   2  bad input or usage: an invalid key, modulus or file, an unknown
-     symbol, a negative --n or --budget, a --r below 1 (argparse's own
-     usage errors exit 2 as well); also a verify worker that died without
-     reporting
+     symbol, a negative --budget, an --n below 0 or above sys.maxsize - 4,
+     a --r below 1 (argparse's own usage errors exit 2 as well); also a
+     verify worker that died without reporting
   3  an arithmetic failure: a checked identity broke (ArithmeticError),
      a value overflowed (e.g. --budget 1e400s), or a number the period or
      order needs did not factor within the factoring bound, m included
@@ -63,6 +63,8 @@ def _spec_from_args(args):
 def _require_last_index(n: int) -> None:
     if n < 0:
         raise ValueError(f"--n must be >= 0, got {n}")
+    if n > sys.maxsize - 4:             # quat reads n + 4 terms
+        raise ValueError(f"--n must be <= {sys.maxsize - 4}, got {n}")
 
 
 # seq and lnum write their line in pieces of about this many characters

@@ -84,21 +84,14 @@ def terms(spec: SequenceSpec, count: int) -> list[int]:
     return list(islice(stream(spec), count))
 
 
-def stream(spec: SequenceSpec, m: int | None = None,
-           window: tuple[int, ...] | None = None) -> Iterator[int]:
-    """d_t, d_{t+1}, ... without end, exact or reduced mod m, for the
-    window (d_t, ..., d_{t+k-1}); the default window is the spec's own,
-    so that t = 0.  Only one window is held: each step is
-    d_{t+k} = a_k d_t + ... + a_1 d_{t+k-1}.  The modulus and the window
-    are checked here, before the first term is asked for."""
-    if m is not None:
-        check_modulus(m)
-    if window is None:
-        window = spec.initial
-    elif len(window) != spec.k:
-        raise ValueError("window must have length k")
+def stream(spec: SequenceSpec, m: int | None = None) -> Iterator[int]:
+    """d_0, d_1, ... without end, exact or reduced mod m.  Only one window
+    is held: each step is d_{t+k} = a_k d_t + ... + a_1 d_{t+k-1}.  The
+    modulus is checked here, before the first term is asked for."""
+    window = spec.initial
     backward = spec.coeffs[::-1]
     if m is not None:
+        check_modulus(m)
         backward = tuple([a % m for a in backward])
         window = tuple([x % m for x in window])
     return _steps(backward, list(window), m)

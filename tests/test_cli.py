@@ -3,6 +3,7 @@ import hashlib
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -278,6 +279,16 @@ def test_negative_last_index_is_rejected(capsys):
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1, argv
 
 
+def test_a_last_index_past_the_index_bound_names_the_flag(capsys):
+    # quat reads n + 4 terms, so the bound is sys.maxsize - 4 for every command
+    message = f"error: --n must be <= {sys.maxsize - 4}, got "
+    for n in (sys.maxsize, 10 ** 23):
+        for argv in (("seq", "1", "1", "--n", str(n), "--mod", "7"),
+                     ("lnum", "1", "--n", str(n)),
+                     ("quat", "3", "--n", str(n))):
+            assert run(capsys, *argv) == (2, "", f"{message}{n}\n"), argv
+
+
 def test_quat_names_the_bad_flag(capsys):
     # each flag is checked on its own, under its own name, before the census
     for argv, message in ((("--n", "-1"), "error: --n must be >= 0, got -1\n"),
@@ -511,8 +522,10 @@ def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch):
 
 
 def test_a_capped_process_out_of_memory_exits_3(capped_cli):
-    # a census mod 3^200 holds 10^5 records of 200-digit residues, more
-    # than a 256 MB address space can take
+    # the census reduces an exact prefix of 10^5 terms of l_terms, about
+    # 26k digits each on average and some 1 GB in all, which a 256 MB
+    # address space cannot take; its records, 96-digit residues mod
+    # 3^200, would fit
     proc = capped_cli("quat", "3", "--r", "200", "--n", "100000", cap_mb=256)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         3, "", "error: out of memory running 'quat'\n")
@@ -641,3 +654,58 @@ def test_prefixes_on_either_side_of_a_chunk_boundary_match_the_oracle(n):
     assert stdout_of("lnum", "1", "--n", str(n), "--mod", "7") == expected
     assert stdout_of("seq", "3", "-2", "--initial", "5", "-4", "--n", str(n), "--mod", "7") == (
         joined(periodic_terms_mod((3, -2), n + 1, 7, (5, -4))))
+
+
+# The CLI contract over small grammars of argv: whatever the numbers, a
+# command ends with a defined exit code and at most one error line.
+NUMBERS = st.integers(-3, 3) | st.just(10 ** 30)
+LAST_INDICES = st.sampled_from((-1, 0, 1, 40, sys.maxsize, 10 ** 23))
+MODULI_ARGS = st.sampled_from((-5, 0, 1, 2, 10, 27, 1000003))
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(("seq", "lnum", "quat", "order", "pisano")))
+    mod = ["--mod", str(draw(MODULI_ARGS))]
+    last = ["--n", str(draw(LAST_INDICES))]
+    if command in ("seq", "pisano"):
+        argv = [command, *map(str, draw(st.lists(NUMBERS, min_size=1, max_size=4)))]
+    else:                               # 3, quat's one odd prime here, comes often
+        argv = [command, str(draw(st.just(3) | NUMBERS))]
+    if command == "seq":
+        argv += last + (mod if draw(st.booleans()) else [])
+        if draw(st.booleans()):
+            argv += ["--initial", *map(str, draw(st.lists(NUMBERS, min_size=1, max_size=4)))]
+    elif command == "lnum":
+        argv += last + (mod if draw(st.booleans()) else [])
+    elif command == "quat":
+        argv += last + ["--r", str(draw(st.sampled_from((-1, 0, 1, 2, 3))))]
+    elif command == "order":
+        argv += mod
+    else:
+        ladder = ["--ladder", str(draw(st.sampled_from((-3, 1, 2, 3, 7)))),
+                  str(draw(st.sampled_from((-1, 0, 1, 3))))]
+        # the three modes, or any combination, the ones refused included
+        modes = st.sampled_from((mod, mod + ["--state"], ladder))
+        combos = st.tuples(*[st.sampled_from(([], part)) for part in (mod, ["--state"], ladder)])
+        argv += draw(modes | combos.map(lambda parts: sum(parts, [])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cli_argv())
+def test_every_argv_ends_with_an_exit_code_and_at_most_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse's usage errors
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code)
+    if err.startswith("usage: "):
+        assert code == 2 and re.match(r"recurra( [\w-]+)?: error: ", err.splitlines()[-1]), (
+            argv, err)
+    else:
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1
+                             and err.endswith("\n")), (argv, err)

@@ -94,7 +94,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, expected):
 # needs: dataclasses (with inspect behind it), fractions (with decimal),
 # string, and the process-pool machinery (multiprocessing, pickle,
 # concurrent.futures), which verify's forked workers do without.  Only
-# verify, which checks rational identities, may load fractions.
+# verify, which checks rational identities, may load fractions, and
+# decimal through it.
 @pytest.mark.parametrize("argv, allowed", [
     (("order", "2", "--mod", "27"), set()),
     (("seq", "1", "1", "--n", "10"), set()),
@@ -108,15 +109,15 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, expected):
     (("encrypt", "--key", "key.txt"), set()),
     (("decrypt", "--key", "key.txt", "--strip-pad"), set()),
     (("validate-key", "--key", "key.txt", "--normalize"), set()),
-    (("verify", "--suite", "matrix"), {"fractions"}),
-    (("verify", "--suite", "all"), {"fractions"}),
+    (("verify", "--suite", "matrix"), {"fractions", "decimal"}),
+    (("verify", "--suite", "all"), {"fractions", "decimal"}),
 ])
 def test_no_command_loads_dataclasses_or_fractions(tmp_path, argv, allowed):
     (tmp_path / "key.txt").write_text("3 27 4 -5 2 2\n")
     loaded = modules_after(tmp_path, *argv, stdin="SUCCESS**")
     assert "recurra.ringcore" in loaded
-    assert {"dataclasses", "inspect", "fractions", "string", "multiprocessing", "pickle",
-            "concurrent.futures"} & loaded == allowed
+    assert {"dataclasses", "inspect", "fractions", "decimal", "string", "multiprocessing",
+            "pickle", "concurrent.futures"} & loaded == allowed
 
 
 def test_importing_the_package_loads_no_submodule():
