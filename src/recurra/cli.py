@@ -37,9 +37,8 @@ one that loads them all.  Only `order` (with `ringcore` alone), `pisano`,
 `quat`, `validate-key --normalize` and `verify` load the number theory
 (`ntheory`: primality, factoring, orders).  No command loads
 `dataclasses`, `inspect`, `string` or `fractions`, except that `verify`
-loads `fractions`.  `quat` reads every record's coefficients off one
-prefix of terms mod l^r, and its census squares residues, not exact
-terms.
+loads `fractions`.  `quat` prints the unit census, which still reduces an
+exact l_terms prefix but builds no power of l past exactness.
 """
 from __future__ import annotations
 
@@ -189,17 +188,13 @@ def _cmd_lnum(args) -> int:
 
 
 def _cmd_quat(args) -> int:
-    from . import lnumbers, quaternions, recurrence
+    from . import quaternions
     if args.r < 1:
         raise ValueError(f"--r must be >= 1, got {args.r}")
     _require_last_index(args.n)
     report = quaternions.invertibility_census(args.l, args.r, args.n)
-    # A_n's coefficients are a_n..a_{n+3} mod l^r: one prefix serves every record
-    a = recurrence.terms_mod(lnumbers.LSpec(args.l), args.n + 4, args.l ** args.r)
     for rec in report.records:
-        n = rec.index
-        print(n, a[n], a[n + 1], a[n + 2], a[n + 3], rec.norm_mod,
-              "unit" if rec.invertible else "zero-divisor")
+        print(rec.index, *rec.coeffs, rec.norm_mod, "unit" if rec.invertible else "zero-divisor")
     return 0 if report.all_invertible else 1
 
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .ringcore import (ModulusMismatch, NotInvertible, Value, check_modulus, invert_mod,
-                       set_field)
+from .ringcore import ModulusMismatch, Value, check_modulus, invert_mod, set_field
 from .ntheory import is_prime
 from .lnumbers import LSpec, l_terms, m_value
 from .recurrence import terms_from
@@ -151,11 +150,12 @@ def l_quat_norm_check(l: int, n: int) -> bool:
 
 
 class CensusRecord(Value):
-    _fields = ("index", "norm_mod", "invertible", "norm_is_two_mod_l2")
+    _fields = ("index", "coeffs", "norm_mod", "invertible", "norm_is_two_mod_l2")
 
-    def __init__(self, index: int, norm_mod: int, invertible: bool,
-                 norm_is_two_mod_l2: bool):
+    def __init__(self, index: int, coeffs: tuple[int, int, int, int], norm_mod: int,
+                 invertible: bool, norm_is_two_mod_l2: bool):
         set_field(self, "index", index)
+        set_field(self, "coeffs", tuple(coeffs))
         set_field(self, "norm_mod", norm_mod)
         set_field(self, "invertible", invertible)
         set_field(self, "norm_is_two_mod_l2", norm_is_two_mod_l2)
@@ -179,22 +179,26 @@ class CensusReport(Value):
 
 
 def invertibility_census(l: int, r: int, n_max: int) -> CensusReport:
-    """For n = 0..n_max: is A_n a unit mod l^r, and is its norm 2 mod l^2?
+    """For n = 0..n_max: A_n mod l^r, is it a unit, is its norm 2 mod l^2?
 
     Both hold for every n when l is an odd prime; the report makes that
-    checkable instead of assumed.  Each answer depends only on the norm
-    mod l^max(r, 2), so the terms are reduced mod that power of l before
-    they are squared.
+    checkable instead of assumed.  The terms are reduced mod l^max(s, 2),
+    s = min(r, 4*n_max + 10), as a_t <= (l+1)^(t-1) <= l^(2t-2) for t >= 1:
+      every coefficient (a_t, t <= n_max + 3) is below l^(2*n_max + 4),
+      every norm (at most 4*a_{n_max+3}^2) is below l^(4*n_max + 10),
+    so past s a residue is the exact value.  A unit has a norm prime to l.
     """
     _require_odd_prime(l)
     if r < 1 or n_max < 0:
         raise ValueError("need r >= 1 and n_max >= 0")
-    mod, l2, big = l ** r, l * l, l ** max(r, 2)
+    s = min(r, 4 * n_max + 10)
+    mod, l2, big = l ** s, l * l, l ** max(s, 2)
     a = [x % big for x in l_terms(LSpec(l), n_max + 4)]
     records = []
     for n in range(n_max + 1):
         norm = a[n] ** 2 + a[n + 1] ** 2 + a[n + 2] ** 2 + a[n + 3] ** 2
-        records.append(CensusRecord(n, norm % mod, gcd(norm, mod) == 1, norm % l2 == 2))
+        records.append(CensusRecord(n, tuple(x % mod for x in a[n:n + 4]), norm % mod,
+                                    norm % l != 0, norm % l2 == 2))
     return CensusReport(l, r, tuple(records))
 
 

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 from itertools import chain, cycle, islice
 from unittest import mock
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recurra import cli, recurrence
-from recurra.cipher import Alphabet, CipherKey, encrypt_text
+from recurra.cipher import DEFAULT_SYMBOLS, Alphabet, CipherKey, encrypt_text
 from recurra.cli import main
 from recurra.quaternions import QuatAlgebra
 
@@ -537,6 +538,14 @@ def test_a_capped_process_out_of_memory_exits_3(capped_cli):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def test_a_power_of_l_past_exactness_costs_nothing(capped_cli):
+    # past r = 4*n + 10 the census's residues are its exact values, so
+    # 3^(10^7), some 2 MB, is never built: the records are those of r = 18
+    proc = capped_cli("quat", "3", "--r", "10000000", "--n", "2", cap_mb=256, cpu_s=5)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == stdout_of("quat", "3", "--r", "18", "--n", "2")
+
+
 def periodic_terms_mod(coeffs, count, m, initial=None):
     """The oracle's terms mod m, repeated from its (tail, period) of
     windows, so that no exact term past the first cycle is built."""
@@ -679,7 +688,7 @@ def cli_argv(draw) -> list[str]:
     elif command == "lnum":
         argv += last + (mod if draw(st.booleans()) else [])
     elif command == "quat":
-        argv += last + ["--r", str(draw(st.sampled_from((-1, 0, 1, 2, 3))))]
+        argv += last + ["--r", str(draw(st.sampled_from((-1, 0, 1, 2, 3, 10 ** 7))))]
     elif command == "order":
         argv += mod
     else:
@@ -692,20 +701,95 @@ def cli_argv(draw) -> list[str]:
     return argv
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(cli_argv())
-def test_every_argv_ends_with_an_exit_code_and_at_most_one_error_line(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+def exit_code_and_stderr(argv) -> tuple[int, str]:
+    """main(argv) in-process, stdout discarded; argparse's exit as a code."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:       # argparse's usage errors
             code = exc.code
-    err = err.getvalue()
+    return code, err.getvalue()
+
+
+def is_one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cli_argv())
+def test_every_argv_ends_with_an_exit_code_and_at_most_one_error_line(argv):
+    code, err = exit_code_and_stderr(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     if err.startswith("usage: "):
         assert code == 2 and re.match(r"recurra( [\w-]+)?: error: ", err.splitlines()[-1]), (
             argv, err)
     else:
-        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1
-                             and err.endswith("\n")), (argv, err)
+        assert err == "" or is_one_error_line(err), (argv, err)
+
+
+# The same contract for the cipher commands, whose input is in files and
+# on stdin: keys of any shape, alphabets that do or do not fit them.  About
+# half of the runs draw only a usable key, a fitting alphabet and a text of
+# its symbols, so that the commands' success paths are drawn as often.
+@st.composite
+def key_file(draw, n_mod: int, usable: bool) -> bytes:
+    def pick(good, bad):
+        return draw(st.sampled_from(good if usable else good + bad))
+
+    kind = pick(("key",), ("key", "non-integer", "empty", "non-UTF-8"))
+    if kind == "empty":
+        return b""
+    if kind == "non-UTF-8":
+        return b"\xff\xfe2 27 1 1 1\n"
+    k = pick((2, 3), (1,))
+    # a unit, zero, or a non-unit mod N (3 shares a factor with 27, 2 with 2 and 256)
+    a_k = pick((1,), (0, 3 if n_mod == 27 else 2))
+    tokens = [k, n_mod, *draw(st.lists(st.integers(-3, 3), min_size=k - 1, max_size=k - 1)),
+              a_k, pick((1, 10 ** 30), (-5, 0))]
+    tokens = list(map(str, tokens))
+    if kind == "non-integer":
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(("x", "1.5")))
+    return (" ".join(tokens) + "\n").encode()
+
+
+@st.composite
+def cipher_run(draw) -> tuple[list[str], bytes, bytes | None, str]:
+    usable = draw(st.booleans())
+    n_mod = draw(st.sampled_from((2, 27, 256) if usable else (0, 1, 2, 27, 256)))
+    command = draw(st.sampled_from(("encrypt", "decrypt", "validate-key")))
+    flags = {"decrypt": ["--strip-pad"], "validate-key": ["--normalize"]}.get(command, [])
+    argv = [command, *draw(st.sampled_from(([], flags)))]
+    symbols = [chr(0x100 + i) for i in range(n_mod)]
+    if usable:
+        pad = draw(st.sampled_from(([], ["pad=\u0100"])))
+        alphabet = None if n_mod == 27 and draw(st.booleans()) else "\n".join(pad + symbols)
+        text = st.sampled_from(list(DEFAULT_SYMBOLS) if alphabet is None else symbols)
+    else:                               # repeated symbols, multi-character and blank lines
+        lines = draw(st.just(symbols) | st.lists(
+            st.sampled_from(("A", "B", "AB", "", " ", "\u0100")), max_size=5))
+        pad = draw(st.sampled_from(([], ["pad=\u0100"], ["pad=A"], ["pad=Z"], ["pad="])))
+        alphabet = draw(st.sampled_from((None, "\n".join(pad + lines))))
+        text = st.sampled_from(("A", "B", "*", "\u0100", "\u0101", "\u00e9", "\u00fc"))
+    if alphabet is not None and command != "validate-key":
+        alphabet = (alphabet + draw(st.sampled_from(("", "\n")))).encode()
+    else:
+        alphabet = None
+    stdin = "".join(draw(st.lists(text, max_size=12))) + draw(st.sampled_from(("", "\n")))
+    return argv, draw(key_file(n_mod, usable)), alphabet, stdin
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cipher_run())
+def test_every_cipher_run_ends_with_an_exit_code_and_at_most_one_error_line(run_):
+    argv, key, alphabet, stdin = run_
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"--key": key} if alphabet is None else {"--key": key, "--alphabet": alphabet}
+        for flag, content in files.items():
+            argv = [*argv, flag, os.path.join(tmp, flag.lstrip("-"))]
+            with open(argv[-1], "wb") as fh:
+                fh.write(content)
+        with mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+            code, err = exit_code_and_stderr(argv)
+    assert code in (0, 1, 2, 3), (run_, code)
+    assert err == "" or is_one_error_line(err), (run_, err)

@@ -167,18 +167,38 @@ def test_census():
         invertibility_census(2, 1, 5)
 
 
+def exact_census(l, r, n_max):
+    """The census from exact terms and exact norms, reduced only at the end."""
+    a, mod = naive_lterms(l, n_max + 4), l ** r
+    records = []
+    for n in range(n_max + 1):
+        norm = sum(x * x for x in a[n:n + 4])
+        records.append(CensusRecord(n, tuple(x % mod for x in a[n:n + 4]), norm % mod,
+                                    gcd(norm, mod) == 1, norm % (l * l) == 2))
+    return CensusReport(l, r, tuple(records))
+
+
 @pytest.mark.parametrize("l", (3, 5, 7))
 @pytest.mark.parametrize("r", (1, 2, 3))
 def test_census_against_exact_squares(l, r):
-    a = naive_lterms(l, 304)
-    records = []
-    for n in range(301):
-        norm = sum(x * x for x in a[n:n + 4])
-        records.append(CensusRecord(n, norm % l ** r, gcd(norm, l ** r) == 1,
-                                    norm % (l * l) == 2))
     for n_max in (0, 1, 2, 37, 300):
-        expected = CensusReport(l, r, tuple(records[:n_max + 1]))
-        assert invertibility_census(l, r, n_max) == expected
+        assert invertibility_census(l, r, n_max) == exact_census(l, r, n_max)
+
+
+@pytest.mark.parametrize("l", (3, 5, 7))
+@pytest.mark.parametrize("n_max", (0, 1, 2, 37))
+def test_census_against_exact_squares_around_its_exactness_cap(l, n_max):
+    # the census works mod l^min(r, 4*n_max + 10); from there on its
+    # records are the exact coefficients and norms, whatever r is
+    cap = 4 * n_max + 10
+    exact = exact_census(l, cap, n_max).records
+    for r in (cap - 1, cap, cap + 1, 10 ** 6):
+        report = invertibility_census(l, r, n_max)
+        assert report == exact_census(l, r, n_max)
+        if r >= cap:
+            assert report.records == exact
+            assert [rec.norm_mod for rec in exact] == [
+                l_quaternion_norm(l, n) for n in range(n_max + 1)]
 
 
 def test_period_two():

@@ -16,8 +16,9 @@ H7 = QuatAlgebra(-1, -1, 7)
 Q = Quaternion(H7, (8, 1, 2, 3))
 H7_REPR = "QuatAlgebra(alpha=6, beta=6, modulus=7)"
 Q_REPR = f"Quaternion(algebra={H7_REPR}, coeffs=(1, 1, 2, 3))"
-RECORD = CensusRecord(0, 2, True, True)
-RECORD_REPR = "CensusRecord(index=0, norm_mod=2, invertible=True, norm_is_two_mod_l2=True)"
+RECORD = CensusRecord(0, (0, 1, 0, 1), 2, True, True)
+RECORD_REPR = ("CensusRecord(index=0, coeffs=(0, 1, 0, 1), norm_mod=2, invertible=True, "
+               "norm_is_two_mod_l2=True)")
 
 # class, positional args, keyword args for the same value (defaults left
 # out where they apply), a keyword change that gives a different value, the
@@ -51,10 +52,12 @@ CASES = [
     (LQuaternion, (3, 1, 0, Q), {"l": 3, "r": 1, "index": 0, "quat": Q}, {"index": 1},
      {"l": 3, "r": 1, "index": 0, "quat": Q},
      f"LQuaternion(l=3, r=1, index=0, quat={Q_REPR})", []),
-    (CensusRecord, (0, 2, True, True),
-     {"index": 0, "norm_mod": 2, "invertible": True, "norm_is_two_mod_l2": True},
+    (CensusRecord, (0, [0, 1, 0, 1], 2, True, True),
+     {"index": 0, "coeffs": (0, 1, 0, 1), "norm_mod": 2, "invertible": True,
+      "norm_is_two_mod_l2": True},
      {"invertible": False},
-     {"index": 0, "norm_mod": 2, "invertible": True, "norm_is_two_mod_l2": True},
+     {"index": 0, "coeffs": (0, 1, 0, 1), "norm_mod": 2, "invertible": True,
+      "norm_is_two_mod_l2": True},
      RECORD_REPR, []),
     (CensusReport, (3, 1, (RECORD,)), {"l": 3, "r": 1, "records": (RECORD,)}, {"records": ()},
      {"l": 3, "r": 1, "records": (RECORD,)},
