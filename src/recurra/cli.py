@@ -10,7 +10,8 @@ token.  Exit codes:
   1  a verify check failed, or the quat census found a zero divisor
   2  bad input or usage: an invalid key, modulus or file, an unknown
      symbol, a negative --budget, an --n below 0 or above sys.maxsize - 4,
-     a --r below 1 (argparse's own usage errors exit 2 as well); also a
+     a --r below 1 (argparse's own usage errors exit 2 as well); a value
+     past Python's int-to-str digit limit (`seq`, `lnum`, `quat`); also a
      verify worker that died without reporting
   3  an arithmetic failure: a checked identity broke (ArithmeticError),
      a value overflowed (e.g. --budget 1e400s), or a number the period or
@@ -19,7 +20,8 @@ token.  Exit codes:
      also a request that ran out of memory (MemoryError), such as
      `quat 3 --r 200 --n 100000` in a 256 MB address space
 
-Codes 2 and 3 print a one-line "error: ..." message on stderr.
+Codes 2 and 3 print a one-line "error: ..." message on stderr and
+nothing on stdout.
 
 `seq` and `lnum` stream their one line: terms come from one recurrence
 step (recurrence.stream) and are written in chunks of about CHUNK_CHARS
@@ -45,7 +47,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 # verify.SUITES and verify.DEFAULT_BUDGET_MS, kept here so that building
 # the parser does not import verify (tests hold the two in step)
@@ -70,32 +72,28 @@ def _require_last_index(n: int) -> None:
 CHUNK_CHARS = 1 << 16
 
 
-def _widest(values) -> int:
-    """The term of most digits among values, or the first whose bit length
-    alone puts it past Python's int-to-str digit limit, where the scan
-    stops: converting the result raises exactly when some term would."""
+def _check_digits(values) -> None:
+    """Converts the first of values that Python's int-to-str digit limit
+    refuses, so that its ValueError is raised, and converts nothing else:
+    the conversion fails exactly when abs(x) >= 10 ** limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # 2^(b-1) > 10^limit for every bit length b above this bound
-    max_bits = limit * 10 // 3 + 2 if limit else None
-    widest = top = 0
-    for x in values:
-        if abs(x) > top:
-            widest, top = x, abs(x)
-            if max_bits and top.bit_length() > max_bits:
-                break
-    return widest
+    if limit:
+        bound = 10 ** limit
+        for x in values:
+            if not -bound < x < bound:
+                str(x)
 
 
 def _print_prefix(spec, n: int, mod: int | None) -> int:
     """Prints d_0, ..., d_n of spec on one line, reduced mod `mod` when it
     is given, streamed a chunk at a time so that memory stays one window
-    and one chunk.  Exact terms are generated twice: the first pass keeps
-    only the widest and converts it, so a term past the digit limit raises
-    its ValueError after one conversion and before anything is printed.
-    Terms mod m have fewer digits than m, which was parsed from decimal."""
+    and one chunk.  Exact terms are generated twice: the first pass checks
+    each term's width, so a term past the digit limit raises its ValueError
+    after one conversion and before anything is printed.  Terms mod m have
+    fewer digits than m, which was parsed from decimal."""
     from . import recurrence
     if mod is None:
-        str(_widest(islice(recurrence.stream(spec), n + 1)))
+        _check_digits(islice(recurrence.stream(spec), n + 1))
     chunk, size, sep = [], 0, ""
     for token in map(str, islice(recurrence.stream(spec, mod), n + 1)):
         if size >= CHUNK_CHARS:         # flushed only before a further token
@@ -193,6 +191,7 @@ def _cmd_quat(args) -> int:
         raise ValueError(f"--r must be >= 1, got {args.r}")
     _require_last_index(args.n)
     report = quaternions.invertibility_census(args.l, args.r, args.n)
+    _check_digits(chain.from_iterable((*rec.coeffs, rec.norm_mod) for rec in report.records))
     for rec in report.records:
         print(rec.index, *rec.coeffs, rec.norm_mod, "unit" if rec.invertible else "zero-divisor")
     return 0 if report.all_invertible else 1

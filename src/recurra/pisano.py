@@ -114,14 +114,11 @@ def _order_multiple_factored(spec: SequenceSpec,
                               lambda p: _factor_degrees(spec.coeffs, p))
 
 
-@lru_cache(maxsize=256)
 def matrix_order_multiple(k: int, m: int) -> int:
     """A multiple of the order of every invertible k x k matrix mod m: the
     bound on the exponent of GL_k(Z_m), where any degrees up to k and
     repeated factors may occur.  Shifting a cipher exponent by it must
-    leave the ciphertext unchanged, which checks that bound on its own.
-    Cached, since one cipher modulus serves many keys; an invalid m raises
-    and is not cached."""
+    leave the ciphertext unchanged, which checks that bound on its own."""
     return unfactor(_exponent_factored(factorize(check_modulus(m)), k,
                                        lambda p: (range(1, k + 1), False)))
 

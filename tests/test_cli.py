@@ -19,7 +19,8 @@ from recurra.cipher import DEFAULT_SYMBOLS, Alphabet, CipherKey, encrypt_text
 from recurra.cli import main
 from recurra.quaternions import QuatAlgebra
 
-from oracles import naive_lterms, naive_state_period, naive_terms, naive_terms_mod
+from oracles import (naive_is_matrix_order, naive_is_window_orbit, naive_lterms,
+                     naive_state_period, naive_terms, naive_terms_mod)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -317,8 +318,9 @@ def test_verify_reports_the_first_counterexample(capsys, monkeypatch):
 
 def test_terms_past_the_digit_limit_fail_before_converting_the_rest(capsys, monkeypatch):
     # fib(20000) is the first term past Python's 4300-digit int-to-str
-    # limit; the widest term is converted first, so the error comes after a
-    # single conversion instead of ~20000
+    # limit, and record 536 of the quat census the first one; every width is
+    # checked before anything is printed, and only the first value past the
+    # limit is converted, so the error comes after a single conversion
     conversions = []
 
     def counting_str(x):
@@ -326,7 +328,8 @@ def test_terms_past_the_digit_limit_fail_before_converting_the_rest(capsys, monk
         return str(x)
 
     monkeypatch.setattr(cli, "str", counting_str, raising=False)
-    for argv in (("seq", "1", "1", "--n", "21000"), ("lnum", "1", "--n", "21000")):
+    for argv in (("seq", "1", "1", "--n", "21000"), ("lnum", "1", "--n", "21000"),
+                 ("quat", "10007", "--r", "1000000", "--n", "540")):
         conversions.clear()
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
@@ -336,7 +339,20 @@ def test_terms_past_the_digit_limit_fail_before_converting_the_rest(capsys, monk
     conversions.clear()
     code, out, _ = run(capsys, "seq", "1", "1", "--n", "10")
     assert code == 0 and out == "0 1 1 2 3 5 8 13 21 34 55\n"
-    assert len(conversions) == 12       # the widest term, then all eleven
+    assert len(conversions) == 11       # each term once, as it is printed
+
+
+def test_the_digit_limit_is_exact_for_either_sign(capsys):
+    # the sign is not counted: a term of 4300 digits prints, and +-10^4300,
+    # of 4301, does not
+    for sign in ("", "-"):
+        widest = sign + "9" * 4300
+        code, out, err = run(capsys, "seq", "0", "1", "--initial", widest, "5", "--n", "3")
+        assert (code, out, err) == (0, f"{widest} 5 {widest} 5\n", ""), sign
+        code, out, err = run(capsys, "seq", "0", f"{sign}10", "--initial", "1" + "0" * 4299, "1",
+                             "--n", "2")
+        assert code == 2 and out == "", sign
+        assert err.startswith("error: Exceeds the limit (4300 digits)"), sign
 
 
 def test_lnum_mod_below_two_is_rejected(capsys):
@@ -546,6 +562,42 @@ def test_a_power_of_l_past_exactness_costs_nothing(capped_cli):
     assert proc.stdout == stdout_of("quat", "3", "--r", "18", "--n", "2")
 
 
+# Each period command answers in well under a second, far inside a 5 s CPU
+# cap.  The answers are checked by the oracles' certificates, which need no
+# walk of the period.
+PISANO_LADDER_3 = [6 * 3 ** r for r in range(12)]
+
+
+@pytest.mark.parametrize("argv, expected, certified", [
+    (("order", "3", "--mod", "1000000007"), "500000003",
+     lambda: naive_is_matrix_order((3,), 1000000007, 500000003)),
+    (("pisano", "1", "1", "1", "--mod", "1000003"), "1000002",
+     lambda: naive_is_matrix_order((1, 1, 1), 1000003, 1000002)),
+    (("pisano", "1", "2", "--mod", str(10 ** 18), "--state"), "18 3051757812500",
+     lambda: naive_is_window_orbit((1, 2), 10 ** 18, 18, 3051757812500)),
+    (("pisano", "4", "-5", "2", "--ladder", "3", "12"), " ".join(map(str, PISANO_LADDER_3)),
+     lambda: all(naive_is_matrix_order((4, -5, 2), 3 ** r, t)
+                 for r, t in enumerate(PISANO_LADDER_3, 1))),
+], ids=["order", "pisano", "state", "ladder"])
+def test_a_period_command_answers_in_a_capped_process(capped_cli, argv, expected, certified):
+    proc = capped_cli(*argv, cap_mb=256, cpu_s=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected + "\n", "")
+    assert certified()
+
+
+def test_a_long_lnum_prefix_and_every_verify_suite_run_in_a_capped_process(capped_cli):
+    n = 200_000
+    proc = capped_cli("lnum", "3", "--n", str(n), "--mod", "1000000007", cap_mb=256, cpu_s=5)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    a = [0, 1]
+    while len(a) < n + 1:
+        a.append((3 * a[-1] + a[-2]) % 1000000007)
+    assert proc.stdout == joined(a)
+    proc = capped_cli("verify", "--suite", "all", "--seed", "0", cap_mb=256, cpu_s=5)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == stdout_of("verify", "--suite", "all", "--seed", "0")
+
+
 def periodic_terms_mod(coeffs, count, m, initial=None):
     """The oracle's terms mod m, repeated from its (tail, period) of
     windows, so that no exact term past the first cycle is built."""
@@ -702,13 +754,15 @@ def cli_argv(draw) -> list[str]:
 
 
 def exit_code_and_stderr(argv) -> tuple[int, str]:
-    """main(argv) in-process, stdout discarded; argparse's exit as a code."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    """main(argv) in-process; argparse's exit as a code.  A run that ends
+    in exit 2 or 3 must have printed nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:       # argparse's usage errors
             code = exc.code
+    assert code not in (2, 3) or out.getvalue() == "", (argv, code, out.getvalue()[:200])
     return code, err.getvalue()
 
 
@@ -716,16 +770,44 @@ def is_one_error_line(err: str) -> bool:
     return err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(cli_argv())
-def test_every_argv_ends_with_an_exit_code_and_at_most_one_error_line(argv):
-    code, err = exit_code_and_stderr(argv)
+def assert_a_defined_end(argv, code: int, err: str) -> None:
     assert code in (0, 1, 2, 3), (argv, code)
     if err.startswith("usage: "):
         assert code == 2 and re.match(r"recurra( [\w-]+)?: error: ", err.splitlines()[-1]), (
             argv, err)
     else:
         assert err == "" or is_one_error_line(err), (argv, err)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cli_argv())
+def test_every_argv_ends_with_an_exit_code_and_at_most_one_error_line(argv):
+    assert_a_defined_end(argv, *exit_code_and_stderr(argv))
+
+
+# verify's flags: every suite, unknown ones, seeds of any size, and a budget
+# from the flag or the variable, never the 60 s default.  The budgets that
+# parse are at most 5 ms ("5 ms" reads as 5), so that no run goes much past
+# the first check of a suite; the others are refused, or overflow.
+BUDGETS = ("0", "0ms", "0s", "1", "1ms", "nan", "nans", "inf", "1e400s", "-1", "-0.5s", "",
+           "abc", "5 ms", "1e3ms", "1.5")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(suite=st.sampled_from((*cli.SUITE_NAMES, "all", "nope", "")),
+       seed=st.sampled_from((0, 1, -1, 2 ** 63, -10 ** 30)),
+       budget=st.sampled_from(BUDGETS), from_env=st.booleans())
+def test_every_verify_argv_ends_with_an_exit_code_and_at_most_one_error_line(
+        suite, seed, budget, from_env):
+    argv = ["verify", "--suite", suite, "--seed", str(seed)]
+    if from_env:
+        env = {"RECURRA_BUDGET_MS": budget}
+    else:
+        env = {}
+        argv.append(f"--budget={budget}")   # "-0.5s" after a space reads as an option
+    with mock.patch.dict(os.environ, env):
+        code, err = exit_code_and_stderr(argv)
+    assert_a_defined_end((argv, env), code, err)
 
 
 # The same contract for the cipher commands, whose input is in files and

@@ -203,8 +203,7 @@ def test_every_cache_is_bounded():
         for attr, value in vars(module).items():
             if callable(getattr(value, "cache_info", None)):
                 caches[f"{name}.{attr}"] = value.cache_info().maxsize
-    assert {"pisano._factor_degrees", "ntheory._cyclotomic_factored",
-            "pisano.matrix_order_multiple"} <= set(caches)
+    assert {"pisano._factor_degrees", "ntheory._cyclotomic_factored"} <= set(caches)
     assert all(isinstance(size, int) and 0 < size <= 4096 for size in caches.values()), caches
 
 
@@ -217,13 +216,10 @@ def test_cached_exponent_pieces_match_a_fresh_factorization():
         assert matrix_order_multiple(k, m) == matrix_order_multiple(k, m) == unfactor(fresh)
 
 
-def test_matrix_order_multiple_caches_no_invalid_modulus():
-    before = matrix_order_multiple.cache_info()
+def test_matrix_order_multiple_rejects_an_invalid_modulus():
     for m in (1, 0, -4):
         with pytest.raises(ValueError, match="modulus must be an integer >= 2"):
             matrix_order_multiple(2, m)
-    after = matrix_order_multiple.cache_info()
-    assert after.currsize == before.currsize and after.hits == before.hits
 
 
 def test_prime_power_ladder_guards():
