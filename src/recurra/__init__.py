@@ -14,17 +14,17 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "ringcore": ("Matrix", "ModulusMismatch", "NotInvertible", "Residue",
-                 "ShapeMismatch", "mod_inverse", "multiplicative_order"),
+                 "ShapeMismatch", "multiplicative_order"),
     "recurrence": ("SequenceSpec", "addition_formula", "bordered_det", "companion",
-                   "power", "power_structure_check", "state_step_check", "term",
-                   "term_mod", "term_negative", "window_det"),
+                   "power_structure_check", "state_step_check", "term", "term_mod",
+                   "term_negative", "window_det"),
     "pisano": ("DiagnosisResult", "PeriodResult", "diagonalizable_mod_p",
                "matrix_order", "prime_power_ladder", "state_period"),
     "cipher": ("Alphabet", "BadCoefficient", "BadShape", "CipherKey",
                "DegenerateExponent", "UnknownSymbol", "decrypt", "decrypt_text",
                "encrypt", "encrypt_text", "normalize_exponent", "validate_key"),
     "lnumbers": ("LSpec", "l_term", "m_value"),
-    "quaternions": ("LQuaternion", "QuatAlgebra", "Quaternion", "l_quaternion"),
+    "quaternions": ("QuatAlgebra", "Quaternion", "l_quaternion"),
     "ntheory": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -53,12 +53,8 @@ class CipherKey(Value):
         return SequenceSpec(self.coeffs)
 
     def matrix(self) -> Matrix:
-        """The enciphering matrix D^n mod N, computed once per key."""
-        try:
-            return self._matrix
-        except AttributeError:
-            set_field(self, "_matrix", companion_power(self.spec(), self.exponent, self.n_mod))
-            return self._matrix
+        """The enciphering matrix D^n mod N."""
+        return companion_power(self.spec(), self.exponent, self.n_mod)
 
     def to_line(self) -> str:
         parts = [self.k, self.n_mod, *self.coeffs, self.exponent]
@@ -136,9 +132,6 @@ class Alphabet(Value):
     def size(self) -> int:
         return len(self.symbols)
 
-    def label(self, symbol: str) -> int:
-        return self.labels([symbol])[0]
-
     def labels(self, text) -> list[int]:
         """The label of each symbol of text, in one pass; UnknownSymbol names
         the first symbol that is not in the alphabet."""
@@ -146,9 +139,6 @@ class Alphabet(Value):
             return list(map(self._labels.__getitem__, text))
         except KeyError as exc:
             raise UnknownSymbol(f"symbol {exc.args[0]!r} is not in the alphabet") from None
-
-    def symbol(self, label: int) -> str:
-        return self.symbols[label % self.size]
 
     @classmethod
     def default(cls) -> "Alphabet":
@@ -177,7 +167,7 @@ def encode_text(alpha: Alphabet, text: str, k: int) -> Matrix:
     if k < 2:
         raise BadShape(f"k must be >= 2, got {k}")
     labels = alpha.labels(text)
-    labels += [alpha.label(alpha.pad)] * (-len(labels) % k)
+    labels += alpha.labels(alpha.pad) * (-len(labels) % k)
     return Matrix._of_rows(tuple(tuple(labels[i::k]) for i in range(k)), alpha.size)
 
 
@@ -212,17 +202,6 @@ def decrypt(key: CipherKey, block: Matrix) -> Matrix:
     _check_block(key, block)
     spec = key.spec()
     return companion_power(spec, key.exponent, key.n_mod, x_inverse(spec, key.n_mod)) @ block
-
-
-def decrypt_via_period(key: CipherKey, block: Matrix) -> Matrix:
-    """Cross-check route: D^{-n} = D^{pi(N) - (n mod pi(N))}, with no
-    matrix inverse."""
-    from .pisano import matrix_order
-    validate_key(key)
-    _check_block(key, block)
-    period = matrix_order(key.spec(), key.n_mod)
-    complement = (-key.exponent) % period
-    return companion_power(key.spec(), complement, key.n_mod) @ block
 
 
 def _check_block(key: CipherKey, block: Matrix) -> None:

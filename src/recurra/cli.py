@@ -9,7 +9,8 @@ token.  Exit codes:
      with nothing on stderr
   1  a verify check failed, or the quat census found a zero divisor
   2  bad input or usage: an invalid key, modulus or file, an unknown
-     symbol, a negative --budget, an --n below 0 or above sys.maxsize - 4,
+     symbol, a budget that is negative or outside the grammar below, an
+     --n below 0 or above sys.maxsize - 4,
      a --r below 1 (argparse's own usage errors exit 2 as well); a value
      past Python's int-to-str digit limit (`seq`, `lnum`, `quat`); also a
      verify worker that died without reporting
@@ -22,6 +23,13 @@ token.  Exit codes:
 
 Codes 2 and 3 print a one-line "error: ..." message on stderr and
 nothing on stdout.
+
+A budget (`verify --budget`, or RECURRA_BUDGET_MS when the flag is not
+given) is the whole text, with nothing before or after it, and one of:
+ASCII digits, as milliseconds (500); ASCII digits and "ms" (500ms); or an
+ASCII decimal, digits with an optional fraction and exponent, and "s"
+(0.5s, 60s, 1e3s).  A "-" before any of these is refused as negative, and
+any other text (" 5ms", "1_000", "+5", "infs") with the usage message.
 
 `seq` and `lnum` stream their one line: terms come from one recurrence
 step (recurrence.stream) and are written in chunks of about CHUNK_CHARS
@@ -46,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from itertools import chain, islice
 
@@ -197,27 +206,23 @@ def _cmd_quat(args) -> int:
     return 0 if report.all_invertible else 1
 
 
+# the budget grammar of the module docstring, with an optional "-" in front
+BUDGET = re.compile(r"-?(?:(?P<ms>[0-9]+)(?:ms)?"
+                    r"|(?P<s>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)s)")
+
+
 def _parse_budget(text: str, source: str = "--budget") -> int:
-    """Milliseconds, at least 0; accepts a bare count or an 'ms'/'s' suffix
-    ('60s').  source names the flag or variable the text came from in the
-    error."""
-    text = text.strip()
-    usage = (f"{source} takes milliseconds (500 or 500ms) or seconds "
-             f"with an 's' suffix (60s), got {text!r}")
-    try:
-        if text.endswith("ms"):
-            ms = int(text[:-2])
-        elif text.endswith("s"):
-            ms = float(text[:-1]) * 1000
-        else:
-            ms = int(text)
-    except ValueError:
-        raise ValueError(usage) from None
-    if ms < 0:
+    """Milliseconds, at least 0, of a text that BUDGET matches whole.
+    source names the flag or variable the text came from in the error."""
+    match = BUDGET.fullmatch(text)
+    if match is None:
+        raise ValueError(f"{source} takes milliseconds (500 or 500ms) or seconds "
+                         f"with an 's' suffix (60s), got {text!r}")
+    if text.startswith("-"):
         raise ValueError(f"{source} must not be negative, got {text!r}")
-    if ms != ms:                        # nan
-        raise ValueError(usage)
-    return int(ms)                      # inf overflows: exit 3
+    if match["ms"] is not None:
+        return int(match["ms"])
+    return int(float(match["s"]) * 1000)        # 1e400s overflows: exit 3
 
 
 def _cmd_verify(args) -> int:

@@ -15,7 +15,7 @@ from enum import Enum
 from itertools import islice
 from math import gcd
 
-from .ringcore import Value, set_field
+from .ringcore import set_field
 from .recurrence import SequenceSpec, stream, term
 
 
@@ -43,23 +43,6 @@ class ResidueClass(Enum):
     ONE_MOD_L_SQUARED = "one-mod-l-squared"
 
 
-class BinetRoots(Value):
-    """Floating-point roots of x^2 - l*x - 1: alpha + beta = l, alpha*beta = -1."""
-
-    _fields = ("alpha", "beta", "discriminant")
-
-    def __init__(self, alpha: float, beta: float, discriminant: int):
-        set_field(self, "alpha", alpha)
-        set_field(self, "beta", beta)
-        set_field(self, "discriminant", discriminant)
-
-
-def binet_roots(spec: LSpec) -> BinetRoots:
-    disc = spec.l * spec.l + 4
-    root = math.sqrt(disc)
-    return BinetRoots((spec.l + root) / 2, (spec.l - root) / 2, disc)
-
-
 def l_term(spec: LSpec, n: int) -> int:
     """a_n: off the spec's prefix when that reaches n, else by x^n."""
     prefix = spec._prefix
@@ -81,15 +64,16 @@ def l_terms(spec: LSpec, count: int) -> list[int]:
     return list(prefix[:count])
 
 
-def binet_check(spec: LSpec, n: int, tol: float = 1e-9) -> bool:
-    """Closed form (alpha^n - beta^n)/sqrt(l^2+4) vs the exact term,
-    compared in floating point to relative tolerance tol."""
+def binet_check(spec: LSpec, n: int) -> bool:
+    """Closed form (alpha^n - beta^n)/sqrt(l^2+4) vs the exact term, with
+    alpha and beta the roots of x^2 - l*x - 1, compared in floating point
+    to relative tolerance 1e-9."""
     if n > 40:
         raise ValueError("float closed form is only trusted for n <= 40")
-    roots = binet_roots(spec)
+    root = math.sqrt(spec.l * spec.l + 4)
+    alpha, beta = (spec.l + root) / 2, (spec.l - root) / 2
     exact = l_term(spec, n)
-    approx = (roots.alpha ** n - roots.beta ** n) / math.sqrt(roots.discriminant)
-    return abs(approx - exact) <= tol * max(1, abs(exact))
+    return abs((alpha ** n - beta ** n) / root - exact) <= 1e-9 * max(1, abs(exact))
 
 
 def square_sum_check(spec: LSpec, n: int) -> bool:

@@ -110,19 +110,8 @@ def _require_odd_prime(l: int) -> None:
         raise ValueError(f"l must be an odd prime, got {l}")
 
 
-class LQuaternion(Value):
+def l_quaternion(l: int, r: int, n: int) -> Quaternion:
     """A_n = a_n + a_{n+1} i + a_{n+2} j + a_{n+3} ij in H(-1,-1) over Z_{l^r}."""
-
-    _fields = ("l", "r", "index", "quat")
-
-    def __init__(self, l: int, r: int, index: int, quat: Quaternion):
-        set_field(self, "l", l)
-        set_field(self, "r", r)
-        set_field(self, "index", index)
-        set_field(self, "quat", quat)
-
-
-def l_quaternion(l: int, r: int, n: int) -> LQuaternion:
     if r < 1:
         raise ValueError("need r >= 1")
     if n < 0:
@@ -132,7 +121,7 @@ def l_quaternion(l: int, r: int, n: int) -> LQuaternion:
                          "l_quaternion_norm for the integer-level identities")
     mod = l ** r
     coeffs = terms_from(LSpec(l), n, 4, mod)
-    return LQuaternion(l, r, n, QuatAlgebra(-1, -1, mod).quat(*coeffs))
+    return QuatAlgebra(-1, -1, mod).quat(*coeffs)
 
 
 def l_quaternion_norm(l: int, n: int) -> int:
@@ -207,7 +196,7 @@ def period_two_check(l: int, n: int) -> bool:
     _require_odd_prime(l)
     if n < 0:
         raise ValueError("need n >= 0")
-    return l_quaternion(l, 1, n).quat == l_quaternion(l, 1, n + 2).quat
+    return l_quaternion(l, 1, n) == l_quaternion(l, 1, n + 2)
 
 
 def quat_gap_check(l: int, n: int, k: int, variant: int) -> bool:
@@ -217,9 +206,9 @@ def quat_gap_check(l: int, n: int, k: int, variant: int) -> bool:
         raise ValueError("need k >= 2 and n >= 0")
     if variant not in (2 ** k, 3 * 2 ** k):
         raise ValueError(f"variant must be 2^k or 3*2^k, got {variant}")
-    a_n = l_quaternion(l, 2, n).quat
-    a_hi = l_quaternion(l, 2, n + variant).quat
-    a_mid = l_quaternion(l, 2, n + variant // 2).quat
+    a_n = l_quaternion(l, 2, n)
+    a_hi = l_quaternion(l, 2, n + variant)
+    a_mid = l_quaternion(l, 2, n + variant // 2)
     return a_n + a_hi == a_mid.scale(2)
 
 

@@ -156,15 +156,6 @@ def companion(spec: SequenceSpec) -> Matrix:
     return Matrix(rows)
 
 
-def power(d: Matrix, n: int, modulus: int | None = None) -> Matrix:
-    """D^n by binary exponentiation, exact over Z or reduced mod modulus."""
-    if n < 0:
-        raise ValueError("power() is for n >= 0")
-    if modulus is not None:
-        d = d.reduce(modulus)
-    return d ** n
-
-
 def _mulmod_charpoly(u: tuple[int, ...], v: tuple[int, ...],
                      coeffs: tuple[int, ...], m: int | None) -> tuple[int, ...]:
     # u * v, then x^k -> a_1 x^{k-1} + ... + a_k from the top degree down;
@@ -280,7 +271,7 @@ def power_structure_check(spec: SequenceSpec, n: int) -> bool:
     scale = a[-1] ** steps
     # d[t + steps] = d_t * scale, for t from -steps to n+k-1
     d = _scaled_backward(spec, steps) + [x * scale for x in terms(spec, n + k)]
-    dn = power(companion(spec), n)
+    dn = companion(spec) ** n
     for r, dn_row in enumerate(dn.entries, 1):
         top = steps + n + k - r             # d_{n+k-r}
         # entry j pairs a_k, ..., a_j with d_{n+j-1-r}, ..., d_{n+k-1-r}
@@ -299,7 +290,7 @@ def state_step_check(spec: SequenceSpec, n: int, r: int) -> bool:
         raise ValueError("need n >= 1 and r >= 0")
     k = spec.k
     d = companion(spec)
-    dn = power(d, n)
+    dn = d ** n
     prefix = terms(spec, n + r + k)
     y = {i: tuple(reversed(prefix[i:i + k])) for i in (0, n - 1, n, r, n + r)}
     return (y[n] == d.apply(y[n - 1])

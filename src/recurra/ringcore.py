@@ -131,11 +131,6 @@ class Residue(Value):
         return f"{self.value} (mod {self.modulus})"
 
 
-def mod_inverse(x: Residue) -> Residue:
-    """y with x*y = 1 mod m; NotInvertible when gcd(x, m) != 1."""
-    return Residue(invert_mod(x.value, x.modulus), x.modulus)
-
-
 def multiplicative_order_int(a: int, m: int) -> int:
     """Least t >= 1 with a^t = 1 mod m; requires gcd(a, m) = 1.
 

@@ -40,7 +40,7 @@ from itertools import product
 from math import gcd, lcm
 
 from . import cipher, lnumbers, pisano, quaternions, recurrence
-from .ringcore import Matrix, Residue, Value, mod_inverse, multiplicative_order, set_field
+from .ringcore import Matrix, Residue, Value, multiplicative_order, set_field
 from .ntheory import carmichael
 from .recurrence import SequenceSpec
 
@@ -84,7 +84,7 @@ def _residue_inverse(rng):
         if gcd(x, m) != 1:
             continue
         r = Residue(x, m)
-        if (r * mod_inverse(r)).value != 1 % m:
+        if (r * r ** -1).value != 1 % m:
             yield f"x={x} m={m}"
 
 
@@ -392,7 +392,12 @@ def _round_trip(rng):
         encrypted = cipher.encrypt(key, block)
         if cipher.decrypt(key, encrypted) != block:
             yield f"key={key.to_line()!r}"
-        if cipher.decrypt_via_period(key, encrypted) != block:
+        # the period route, with no inverse: D^{-n} = D^{(-n) mod pi(N)}, and
+        # D^{pi(N)} = I when pi(N) | n
+        period = pisano.matrix_order(key.spec(), key.n_mod)
+        complement = cipher.CipherKey(key.k, key.n_mod, key.coeffs,
+                                      -key.exponent % period or period)
+        if cipher.encrypt(complement, encrypted) != block:
             yield f"key={key.to_line()!r} (period route)"
 
 

@@ -19,13 +19,14 @@ def no_worker_left_behind():
 
 @pytest.fixture
 def capped_cli():
-    """run(*argv, cap_mb=..., cpu_s=None) runs `python -m recurra.cli *argv`
-    in a child whose address space (RLIMIT_AS) is capped at cap_mb
-    megabytes and, when cpu_s is given, whose CPU time (RLIMIT_CPU) is
-    capped at cpu_s seconds, each at the hard limit if that is lower.  Both
-    are set in the child before it starts Python.  Returns the
-    CompletedProcess with text output; a child past its CPU cap is killed
-    by SIGXCPU, so its returncode is negative."""
+    """run(*argv, cap_mb=..., cpu_s=None, stdin="") runs `python -m
+    recurra.cli *argv` on stdin in a child whose address space (RLIMIT_AS)
+    is capped at cap_mb megabytes and, when cpu_s is given, whose CPU time
+    (RLIMIT_CPU) is capped at cpu_s seconds, each at the hard limit if that
+    is lower.  Both are set in the child before it starts Python.  Returns
+    the CompletedProcess with its output as text; the child's stdin and
+    stdout are UTF-8.  A child past its CPU cap is killed by SIGXCPU, so
+    its returncode is negative."""
     if not sys.platform.startswith("linux"):
         pytest.skip("RLIMIT_AS caps the address space on Linux only")
     import resource
@@ -34,7 +35,7 @@ def capped_cli():
         hard = resource.getrlimit(kind)[1]
         return value if hard == resource.RLIM_INFINITY else min(value, hard)
 
-    def run(*argv, cap_mb: int, cpu_s: int | None = None,
+    def run(*argv, cap_mb: int, cpu_s: int | None = None, stdin: str = "",
             timeout: float = 120) -> subprocess.CompletedProcess:
         cap = capped(resource.RLIMIT_AS, cap_mb << 20)
         cpu = None if cpu_s is None else capped(resource.RLIMIT_CPU, cpu_s)
@@ -44,8 +45,9 @@ def capped_cli():
             if cpu is not None:
                 resource.setrlimit(resource.RLIMIT_CPU, (cpu, cpu))
 
-        return subprocess.run([sys.executable, "-m", "recurra.cli", *argv],
-                              capture_output=True, text=True, timeout=timeout,
-                              preexec_fn=limit, env=dict(os.environ, PYTHONPATH=SRC))
+        return subprocess.run([sys.executable, "-m", "recurra.cli", *argv], input=stdin,
+                              capture_output=True, encoding="utf-8", timeout=timeout,
+                              preexec_fn=limit,
+                              env=dict(os.environ, PYTHONIOENCODING="utf-8", PYTHONPATH=SRC))
 
     return run

@@ -8,6 +8,7 @@ recursion.
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
+from operator import mul
 
 
 def naive_terms(coeffs, count, initial=None):
@@ -134,6 +135,22 @@ def naive_matpow_squaring(coeffs, n, m):
         base = naive_matmul(base, base, m)
         n >>= 1
     return out
+
+
+def naive_encrypt_text(key, alpha, text):
+    """Labels from a symbol -> position dict, padded, k per column, each
+    column times D^n mod N by row-by-column sums, and read back column by
+    column.  key and alpha are read only for their fields."""
+    k, n_mod = key.k, key.n_mod
+    label = {s: i for i, s in enumerate(alpha.symbols)}
+    labels = [label[s] for s in text]
+    labels += [label[alpha.pad]] * (-len(labels) % k)
+    d = naive_matpow_squaring(key.coeffs, key.exponent, n_mod)
+    out = []
+    for j in range(0, len(labels), k):
+        col = labels[j:j + k]
+        out += [alpha.symbols[sum(map(mul, row, col)) % n_mod] for row in d]
+    return "".join(out)
 
 
 def trial_prime_factors(n):

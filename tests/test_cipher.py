@@ -1,9 +1,9 @@
 import random
+from itertools import product
 from math import gcd
 
 import pytest
 
-from recurra import cipher
 from recurra.cipher import (
     Alphabet,
     BadCoefficient,
@@ -14,7 +14,6 @@ from recurra.cipher import (
     decode_text,
     decrypt,
     decrypt_text,
-    decrypt_via_period,
     encode_text,
     encrypt,
     encrypt_text,
@@ -24,7 +23,7 @@ from recurra.cipher import (
 from recurra.pisano import matrix_order, matrix_order_multiple
 from recurra.ringcore import Matrix
 
-from oracles import naive_matmul, naive_matpow, naive_matpow_squaring
+from oracles import naive_encrypt_text, naive_matmul, naive_matpow
 
 KEY_Z2 = CipherKey(3, 2, (1, 1, 1), 3)
 KEY_Z27 = CipherKey(3, 27, (4, -5, 2), 2)
@@ -33,7 +32,11 @@ AB = Alphabet(("A", "B"), "B")
 
 def random_key(rng, moduli=(2, 26, 27, 29, 256), kmax=5, nmax=50):
     n_mod = rng.choice(moduli)
-    k = rng.randint(2, kmax)
+    return random_key_of(rng, rng.randint(2, kmax), n_mod, nmax)
+
+
+def random_key_of(rng, k, n_mod, nmax):
+    """A key of k coefficients mod n_mod, a_k a unit, exponent at most nmax."""
     coeffs = [rng.randrange(n_mod) for _ in range(k - 1)]
     coeffs.append(rng.choice([a for a in range(1, n_mod) if gcd(a, n_mod) == 1]))
     return CipherKey(k, n_mod, tuple(coeffs), rng.randint(1, nmax))
@@ -52,6 +55,8 @@ def test_validate_key_examples():
         validate_key(CipherKey(2, 10, (1, 3), 0))
     with pytest.raises(BadCoefficient):
         validate_key(CipherKey(2, 10, (1, 0), 1))
+    with pytest.raises(BadShape, match="expected 3 coefficients, got 2"):
+        validate_key(CipherKey(3, 10, (1, 3), 1))
 
 
 def test_key_file_round_trip():
@@ -75,12 +80,12 @@ def test_normalize_exponent():
 def test_alphabet_default_and_labels():
     alpha = Alphabet.default()
     assert alpha.size == 27
-    assert alpha.label("A") == 0
-    assert alpha.label("S") == 18
-    assert alpha.symbol(26) == "*"
+    assert alpha.labels("A")[0] == 0
+    assert alpha.labels("S")[0] == 18
+    assert alpha.symbols[26] == "*"
     assert alpha.pad == "*"
     with pytest.raises(UnknownSymbol):
-        alpha.label("!")
+        alpha.labels("!")
 
 
 def test_alphabet_file_parsing():
@@ -107,6 +112,8 @@ def test_encode_examples():
     assert block.entries == ((0,), (1,), (26,))
     with pytest.raises(UnknownSymbol):
         encode_text(alpha, "ab", 3)
+    with pytest.raises(BadShape, match="k must be >= 2, got 1"):
+        encode_text(alpha, "AB", 1)
 
 
 def test_decode_inverts_encode():
@@ -115,6 +122,8 @@ def test_decode_inverts_encode():
         assert decode_text(alpha, encode_text(alpha, text, 3)).startswith(text)
     assert decode_text(alpha, encode_text(alpha, "AB", 3)) == "AB*"
     assert decode_text(alpha, encode_text(alpha, "AB", 3), strip_pad=True) == "AB"
+    with pytest.raises(BadShape, match="block is mod 26, alphabet has 27 symbols"):
+        decode_text(alpha, Matrix([[1], [2]], 26))
 
 
 def test_worked_example_mod2():
@@ -134,7 +143,7 @@ def test_worked_example_mod27_derived_ciphertext():
     assert d2 == [[11, 9, 8], [4, 22, 2], [1, 0, 0]]
     v = [[18, 2, 18], [20, 4, 26], [2, 18, 26]]
     c = naive_matmul(d2, v, 27)
-    expected = "".join(alpha.symbol(c[i][j]) for j in range(3) for i in range(3))
+    expected = "".join(alpha.symbols[c[i][j]] for j in range(3) for i in range(3))
     assert expected == "QDSNYCTVS"
 
     assert encrypt_text(KEY_Z27, alpha, "SUCCESS**") == "QDSNYCTVS"
@@ -180,7 +189,10 @@ def test_decrypt_routes_agree():
         block = Matrix([[rng.randrange(key.n_mod) for _ in range(cols)]
                         for _ in range(key.k)], key.n_mod)
         encrypted = encrypt(key, block)
-        assert decrypt(key, encrypted) == decrypt_via_period(key, encrypted) == block
+        # the period route, with no inverse: D^{-n} = D^{(-n) mod pi(N)}
+        period = matrix_order(key.spec(), key.n_mod)
+        complement = CipherKey(key.k, key.n_mod, key.coeffs, -key.exponent % period or period)
+        assert decrypt(key, encrypted) == encrypt(complement, encrypted) == block
 
 
 def test_exponent_periodicity():
@@ -264,20 +276,6 @@ def test_text_round_trip_randomized():
         assert decrypt_text(key, alpha, encrypt_text(key, alpha, text)) == padded
 
 
-def naive_encrypt_text(key, alpha, text):
-    """Labels by symbol position, padded, k per column, times D^n mod N by
-    naive products, and read back column by column."""
-    k, n_mod = key.k, key.n_mod
-    labels = [alpha.symbols.index(s) for s in text]
-    labels += [alpha.symbols.index(alpha.pad)] * (-len(labels) % k)
-    cols = len(labels) // k
-    if cols == 0:
-        return ""
-    v = [[labels[j * k + i] for j in range(cols)] for i in range(k)]
-    c = naive_matmul(naive_matpow_squaring(key.coeffs, key.exponent, n_mod), v, n_mod)
-    return "".join(alpha.symbols[c[i][j]] for j in range(cols) for i in range(k))
-
-
 TEXT_ALPHABETS = (
     Alphabet(("A", "B"), "B"),
     Alphabet.default(),
@@ -309,6 +307,28 @@ def test_text_path_against_block_and_naive_routes():
                 assert decrypt_text(key, alpha, ct, strip_pad=True) == text.rstrip(alpha.pad)
 
 
+def pin_text_path(key, alpha, text):
+    """encrypt_text equals the oracle's ciphertext, and decrypt_text, with
+    and without strip_pad, takes it back to the padded text."""
+    padded = text + alpha.pad * (-len(text) % key.k)
+    ct = encrypt_text(key, alpha, text)
+    assert ct == naive_encrypt_text(key, alpha, text), key
+    assert decrypt_text(key, alpha, ct) == padded, key
+    assert decrypt_text(key, alpha, ct, strip_pad=True) == padded.rstrip(alpha.pad), key
+
+
+def test_text_path_is_pinned_to_the_oracle_over_a_grid():
+    # N = 27, 29 and 256, every k from 2 to 8, texts short, past
+    # PACKED_MIN_COLS columns and long, exponents up to 10^18
+    rng = random.Random(173)
+    for alpha, k, length in product(TEXT_ALPHABETS[1:4], range(2, 9), (9, 1000, 20000)):
+        key = random_key_of(rng, k, alpha.size, 10 ** 18)
+        pin_text_path(key, alpha, "".join(rng.choices(alpha.symbols, k=length)))
+    latin = TEXT_ALPHABETS[3]
+    pin_text_path(random_key_of(rng, 5, latin.size, 10 ** 18), latin,
+                  "".join(rng.choices(latin.symbols, k=400_000)))
+
+
 def test_unknown_symbol_names_the_first_in_text_order():
     alpha = Alphabet.default()
     cases = (("ab", "a"), ("AB?C!", "?"), ("!AB?", "!"), ("SUCCESS*\n", "\n"),
@@ -322,24 +342,4 @@ def test_unknown_symbol_names_the_first_in_text_order():
                 call()
             assert str(exc.value) == message
     with pytest.raises(UnknownSymbol, match="symbol 'AB' is not"):
-        alpha.label("AB")
-
-
-def test_a_key_computes_its_enciphering_matrix_once(monkeypatch):
-    calls = []
-    real = cipher.companion_power
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(cipher, "companion_power", counted)
-    key = CipherKey(3, 27, (4, -5, 2), 2)
-    alpha = Alphabet.default()
-    assert [encrypt_text(key, alpha, "SUCCESS**") for _ in range(3)] == ["QDSNYCTVS"] * 3
-    assert key.matrix() == real(key.spec(), 2, 27)
-    assert len(calls) == 1
-    # the kept matrix is no part of the value
-    assert key == CipherKey(3, 27, (4, -5, 2), 2)
-    assert hash(key) == hash(CipherKey(3, 27, (4, -5, 2), 2))
-    assert repr(key) == "CipherKey(k=3, n_mod=27, coeffs=(4, -5, 2), exponent=2)"
+        alpha.labels(["AB"])

@@ -17,10 +17,11 @@ from hypothesis import given, settings, strategies as st
 from recurra import cli, recurrence
 from recurra.cipher import DEFAULT_SYMBOLS, Alphabet, CipherKey, encrypt_text
 from recurra.cli import main
+from recurra.pisano import matrix_order
 from recurra.quaternions import QuatAlgebra
 
-from oracles import (naive_is_matrix_order, naive_is_window_orbit, naive_lterms,
-                     naive_state_period, naive_terms, naive_terms_mod)
+from oracles import (naive_encrypt_text, naive_is_matrix_order, naive_is_window_orbit,
+                     naive_lterms, naive_state_period, naive_terms, naive_terms_mod)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -379,15 +380,21 @@ def run_cli(*argv, stdin: str, cwd) -> str:
     return proc.stdout.decode("utf-8")
 
 
-def test_cli_encrypt_decrypt_round_trip_on_a_long_stdin(tmp_path):
-    rng = random.Random(163)
+def long_stdin_cases(tmp_path):
+    """(key, alphabet, alphabet flags) of the long-stdin tests: the default
+    alphabet under a k = 3 key, and 256 two-byte symbols (U+0100-U+01FF)
+    under a k = 5 key, whose alphabet file this writes to tmp_path."""
     latin = Alphabet(tuple(chr(0x100 + i) for i in range(256)), chr(0x1FF))
     (tmp_path / "latin.txt").write_text("pad=\u01ff\n" + "\n".join(latin.symbols) + "\n",
                                         encoding="utf-8")
-    cases = ((CipherKey(3, 27, (4, -5, 2), 987654321), Alphabet.default(), ()),
-             (CipherKey(5, 256, (83, 210, 158, 229, 3), 828352265730872686), latin,
-              ("--alphabet", "latin.txt")))
-    for key, alpha, alpha_args in cases:
+    return ((CipherKey(3, 27, (4, -5, 2), 987654321), Alphabet.default(), ()),
+            (CipherKey(5, 256, (83, 210, 158, 229, 3), 828352265730872686), latin,
+             ("--alphabet", str(tmp_path / "latin.txt"))))
+
+
+def test_cli_encrypt_decrypt_round_trip_on_a_long_stdin(tmp_path):
+    rng = random.Random(163)
+    for key, alpha, alpha_args in long_stdin_cases(tmp_path):
         (tmp_path / "key.txt").write_text(key.to_line() + "\n")
         plain = "".join(rng.choices(alpha.symbols, k=100_001))
         padded = plain + alpha.pad * (-len(plain) % key.k)
@@ -468,7 +475,9 @@ options:
 
 
 def test_budget_parse_error_names_the_flag(capsys):
-    for budget in ("abc", "1.5", "xs", "ms"):
+    # nothing around the value is dropped, and only ASCII digits count
+    for budget in ("abc", "1.5", "xs", "ms", " 5ms", "5 ms", "5ms ", "1_000", "\u0663",
+                   "+5", "infs"):
         code, out, err = run(capsys, "verify", "--suite", "matrix", "--budget", budget)
         assert code == 2 and out == "", budget
         assert err == (f"error: --budget takes milliseconds (500 or 500ms) or seconds "
@@ -583,6 +592,33 @@ def test_a_period_command_answers_in_a_capped_process(capped_cli, argv, expected
     proc = capped_cli(*argv, cap_mb=256, cpu_s=5)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected + "\n", "")
     assert certified()
+
+
+def test_the_cipher_commands_run_on_a_long_stdin_in_a_capped_process(capped_cli, tmp_path):
+    # 10^6 characters each way; the texts end in a symbol other than the
+    # pad, so --strip-pad gives each back whole
+    rng = random.Random(167)
+    key_path = tmp_path / "key.txt"
+    key_file = str(key_path)
+    for key, alpha, alpha_args in long_stdin_cases(tmp_path):
+        key_path.write_text(key.to_line() + "\n")
+        plain = "".join(rng.choices(alpha.symbols, k=10 ** 6 - 1)) + alpha.symbols[0]
+        proc = capped_cli("encrypt", "--key", key_file, *alpha_args, stdin=plain,
+                          cap_mb=256, cpu_s=10)
+        assert (proc.returncode, proc.stderr) == (0, ""), key
+        assert proc.stdout == naive_encrypt_text(key, alpha, plain) + "\n", key
+        proc = capped_cli("decrypt", "--key", key_file, *alpha_args, "--strip-pad",
+                          stdin=proc.stdout, cap_mb=256, cpu_s=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, plain + "\n", ""), key
+        # n mod pi(N), with the period certified by the oracle
+        period = matrix_order(key.spec(), key.n_mod)
+        assert naive_is_matrix_order(key.coeffs, key.n_mod, period)
+        assert key.exponent % period
+        normalized = CipherKey(key.k, key.n_mod, key.coeffs, key.exponent % period)
+        proc = capped_cli("validate-key", "--key", key_file, "--normalize",
+                          cap_mb=256, cpu_s=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, f"ok {normalized.to_line()}\n", ""), key
 
 
 def test_a_long_lnum_prefix_and_every_verify_suite_run_in_a_capped_process(capped_cli):
@@ -787,8 +823,8 @@ def test_every_argv_ends_with_an_exit_code_and_at_most_one_error_line(argv):
 
 # verify's flags: every suite, unknown ones, seeds of any size, and a budget
 # from the flag or the variable, never the 60 s default.  The budgets that
-# parse are at most 5 ms ("5 ms" reads as 5), so that no run goes much past
-# the first check of a suite; the others are refused, or overflow.
+# parse are at most 1 ms, so that no run goes much past the first check of
+# a suite; the others ("5 ms" among them) are refused, or overflow.
 BUDGETS = ("0", "0ms", "0s", "1", "1ms", "nan", "nans", "inf", "1e400s", "-1", "-0.5s", "",
            "abc", "5 ms", "1e3ms", "1.5")
 

@@ -104,6 +104,9 @@ def test_strong_lucas_test_against_known_pseudoprimes():
 
 def test_factorize():
     assert factorize(1) == {}
+    for n in (0, -6):
+        with pytest.raises(ValueError, match="factorize needs n >= 1"):
+            factorize(n)
     assert factorize(2) == {2: 1}
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     cases = {

@@ -2,11 +2,11 @@ from math import gcd
 
 import pytest
 
+from recurra import lnumbers
 from recurra.lnumbers import (
     LSpec,
     ResidueClass,
     binet_check,
-    binet_roots,
     divisibility_check,
     gap_identity_check,
     ideal_check,
@@ -43,14 +43,6 @@ def test_terms_against_oracle():
     for l in L_VALUES:
         assert l_terms(LSpec(l), 40) == naive_lterms(l, 40)
     assert l_terms(LSpec(3), 6) == [0, 1, 3, 10, 33, 109]
-
-
-def test_binet_roots_invariants():
-    for l in (1, 2, 3, 5, 7):
-        roots = binet_roots(LSpec(l))
-        assert roots.discriminant == l * l + 4
-        assert abs(roots.alpha + roots.beta - l) < 1e-12
-        assert abs(roots.alpha * roots.beta + 1) < 1e-12
 
 
 def test_binet():
@@ -94,6 +86,9 @@ def test_index_addition():
         for m in range(1, 31, 3):
             for n in range(0, 31, 4):
                 assert index_addition_check(spec, m, n)
+    for m, n in ((0, 3), (2, -1)):
+        with pytest.raises(ValueError, match="need m >= 1 and n >= 0"):
+            index_addition_check(LSpec(2), m, n)
 
 
 def test_m_values():
@@ -121,6 +116,10 @@ def test_gap_identity():
         for k in range(2, 6):
             for n in range(0, 31, 2):
                 assert gap_identity_check(LSpec(l), n, k)
+    for check in (gap_identity_check, triple_gap_check):
+        for n, k in ((0, 1), (-1, 2)):
+            with pytest.raises(ValueError, match="need k >= 2 and n >= 0"):
+                check(LSpec(2), n, k)
 
 
 def test_triple_gap():
@@ -141,6 +140,8 @@ def test_residue_class_examples():
     assert residue_class(LSpec(3), 0) is ResidueClass.DIVISIBLE_BY_L
     with pytest.raises(ValueError):
         residue_class(LSpec(1), 3)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        residue_class(LSpec(3), -1)
 
 
 def test_residue_class_biconditional():
@@ -157,12 +158,21 @@ def test_residue_class_biconditional():
             assert (value % (l * l) == 1) == (n % 2 == 1)
 
 
-def test_ideal_check():
+def test_ideal_check(monkeypatch):
     assert ideal_check(LSpec(3), 6)
     assert ideal_check(LSpec(2), 5)
     assert ideal_check(LSpec(5), 1)  # gcd(a_2) = a_2 = l
     a = l_terms(LSpec(3), 13)
     assert gcd(a[2], a[4], a[6], a[8], a[10], a[12]) == 3
+    with pytest.raises(ValueError, match="needs l >= 2"):
+        ideal_check(LSpec(1), 6)
+    with pytest.raises(ValueError, match="need bound >= 1"):
+        ideal_check(LSpec(3), 0)
+    # the terms of l = 3 with a_2 = 3 changed to 10, which 3 does not divide
+    wrong = naive_lterms(3, 5)
+    wrong[2] = 10
+    monkeypatch.setattr(lnumbers, "l_terms", lambda spec, count: wrong[:count])
+    assert not ideal_check(LSpec(3), 2)
 
 
 def test_even_index_multiples_closed_under_ring_ops():

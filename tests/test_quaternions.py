@@ -10,7 +10,6 @@ from recurra.ringcore import ModulusMismatch, NotInvertible
 from recurra.quaternions import (
     CensusRecord,
     CensusReport,
-    LQuaternion,
     QuatAlgebra,
     Quaternion,
     invertibility_census,
@@ -131,16 +130,19 @@ def test_inverse():
 
 def test_l_quaternion_construction():
     a = l_quaternion(3, 1, 0)
-    assert isinstance(a, LQuaternion)
     assert naive_lterms(3, 4) == [0, 1, 3, 10]
-    assert a.quat.coeffs == (0, 1, 0, 1)
-    assert a.quat.algebra == QuatAlgebra(-1, -1, 3)
+    assert a.coeffs == (0, 1, 0, 1)
+    assert a.algebra == QuatAlgebra(-1, -1, 3)
     raw = l_quaternion(3, 5, 2)
-    assert raw.quat.coeffs == (3, 10, 33, 109)  # below l^5 no reduction bites
+    assert raw.coeffs == (3, 10, 33, 109)  # below l^5 no reduction bites
     # l = 1: the coefficient window is a plain Fibonacci window; Z_{1^r}
     # is trivial, so the l = 1 family is exercised at the integer level
     assert naive_lterms(1, 8)[4:8] == [3, 5, 8, 13]
     assert l_quaternion_norm(1, 4) == 3 * 3 + 5 * 5 + 8 * 8 + 13 * 13
+    for args, message in (((3, 0, 0), "need r >= 1"), ((3, 1, -1), "need n >= 0"),
+                          ((1, 1, 0), "need l >= 2")):
+        with pytest.raises(ValueError, match=message):
+            l_quaternion(*args)
 
 
 def test_l_quat_norm_identity():
@@ -151,6 +153,9 @@ def test_l_quat_norm_identity():
     for l in (1, 2, 3, 4, 5):
         for n in range(21):
             assert l_quat_norm_check(l, n)
+    for l, n in ((0, 3), (3, -1)):
+        with pytest.raises(ValueError, match="need l >= 1 and n >= 0"):
+            l_quat_norm_check(l, n)
 
 
 def test_census():
@@ -165,6 +170,9 @@ def test_census():
         invertibility_census(4, 1, 5)
     with pytest.raises(ValueError):
         invertibility_census(2, 1, 5)
+    for r, n_max in ((0, 5), (1, -1)):
+        with pytest.raises(ValueError, match="need r >= 1 and n_max >= 0"):
+            invertibility_census(3, r, n_max)
 
 
 def exact_census(l, r, n_max):
@@ -208,6 +216,8 @@ def test_period_two():
     assert period_two_check(5, 7)
     with pytest.raises(ValueError):
         period_two_check(1, 3)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        period_two_check(3, -1)
 
 
 def test_gap_congruences():
@@ -223,6 +233,11 @@ def test_gap_congruences():
             assert m_two_mod_l2_check(l, k)
     with pytest.raises(ValueError):
         quat_gap_check(3, 0, 2, 5)
+    for n, k in ((0, 1), (-1, 2)):
+        with pytest.raises(ValueError, match="need k >= 2 and n >= 0"):
+            quat_gap_check(3, n, k, 2 ** k)
+    with pytest.raises(ValueError, match="needs l >= 2"):
+        m_two_mod_l2_check(1, 2)
 
 
 def test_window_sum_zero():
@@ -231,6 +246,8 @@ def test_window_sum_zero():
             total = quat_window_sum(l, n)
             assert total.coeffs == (0, 0, 0, 0)
             assert total.algebra.modulus == l * l
+    with pytest.raises(ValueError, match="need n >= 0"):
+        quat_window_sum(3, -1)
 
 
 def test_window_length_is_multiple_of_sequence_period():

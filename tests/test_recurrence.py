@@ -11,7 +11,6 @@ from recurra.recurrence import (
     bordered_det,
     bordered_matrix,
     companion,
-    power,
     power_structure_check,
     state_step_check,
     term,
@@ -74,6 +73,8 @@ def test_term_mod_examples():
         for m in (2, 9, 27):
             assert term_mod(spec, spec.k - 1, m).value == 1 % m
     assert term_mod(SequenceSpec((6, -11, 6)), 4, 5).value == 0
+    with pytest.raises(ValueError, match=r"term_mod\(\) is for n >= 0"):
+        term_mod(FIB, -1, 7)
 
 
 def test_term_mod_never_builds_big_ints():
@@ -92,6 +93,8 @@ def test_term_negative_examples():
     assert term_negative(FIB, -1) == 1
     assert term_negative(FIB, -2) == -1
     assert term_negative(SequenceSpec((1, 2)), -1) == Fraction(1, 2)
+    with pytest.raises(ValueError, match=r"term_negative\(\) is for n < 0"):
+        term_negative(FIB, 0)
 
 
 def test_term_negative_extends_recurrence():
@@ -127,10 +130,10 @@ def test_companion_layouts():
 
 
 def test_power_examples():
-    assert power(companion(EX3), 0) == Matrix.identity(3)
-    assert power(companion(TRIB), 3, 2) == Matrix([[0, 1, 0], [0, 0, 1], [1, 1, 1]], 2)
+    assert companion(EX3) ** 0 == Matrix.identity(3)
+    assert companion(TRIB).reduce(2) ** 3 == Matrix([[0, 1, 0], [0, 0, 1], [1, 1, 1]], 2)
     # squaring the k=3 matrix directly, reduced mod 27
-    assert power(companion(EX3), 2, 27) == Matrix(
+    assert companion(EX3).reduce(27) ** 2 == Matrix(
         [[11, 9, 8], [4, 22, 2], [1, 0, 0]], 27)
 
 
@@ -140,19 +143,21 @@ def test_power_against_repeated_multiplication():
         spec = random_spec(rng, kmax=4, amax=3)
         n = rng.randint(0, 9)
         expected = naive_matpow(spec.coeffs, n)
-        assert power(companion(spec), n).entries == tuple(map(tuple, expected))
+        assert (companion(spec) ** n).entries == tuple(map(tuple, expected))
         m = rng.randint(2, 40)
-        got = power(companion(spec), n, m)
+        got = companion(spec).reduce(m) ** n
         assert got.entries == tuple(map(tuple, naive_matpow(spec.coeffs, n, m)))
 
 
 def test_power_structure_examples():
     assert power_structure_check(FIB, 5)
-    assert power(companion(FIB), 5) == Matrix([[8, 5], [5, 3]])
+    assert companion(FIB) ** 5 == Matrix([[8, 5], [5, 3]])
     for spec in (FIB, TRIB, EX3):
         assert power_structure_check(spec, 1)
     assert power_structure_check(EX3, 2)
-    assert power(companion(EX3), 2)[0, 0] == 11
+    assert (companion(EX3) ** 2)[0, 0] == 11
+    with pytest.raises(ValueError, match="need n >= 1"):
+        power_structure_check(FIB, 0)
 
 
 def test_power_structure_randomized():
@@ -166,7 +171,7 @@ def oracle_checks(monkeypatch, spec, n, d_n):
     """Run the two identity checks with D^n replaced by d_n (nested lists)
     and the forward terms by naive_terms."""
     monkeypatch.setattr(recurrence, "terms", lambda s, count: naive_terms(s.coeffs, count))
-    monkeypatch.setattr(recurrence, "power", lambda d, e: Matrix(d_n))
+    monkeypatch.setattr(Matrix, "__pow__", lambda d, e: Matrix(d_n))
     return power_structure_check(spec, n), state_step_check(spec, n, n + 1)
 
 
@@ -196,6 +201,9 @@ def test_state_step_examples():
     assert state_step_check(FIB, 1, 0)
     assert state_step_check(FIB, 7, 3)
     assert state_step_check(TRIB, 4, 2)
+    for n, r in ((0, 0), (1, -1)):
+        with pytest.raises(ValueError, match="need n >= 1 and r >= 0"):
+            state_step_check(FIB, n, r)
 
 
 def test_state_step_randomized():
@@ -212,6 +220,8 @@ def test_window_det_examples():
     assert window_det(TRIB, 2) == 1
     for spec in (FIB, TRIB, EX3):
         assert window_det(spec, 0) == 1
+    with pytest.raises(ValueError, match="need n >= 0"):
+        window_det(FIB, -1)
 
 
 def test_window_det_against_permutation_oracle():
@@ -231,6 +241,8 @@ def test_bordered_det_examples():
     assert bordered_det(spec, 1) == 1
     assert Fraction(bordered_det(spec, 1)) == (
         (-1) ** 4 * 1 * term_negative(spec, -1))
+    with pytest.raises(ValueError, match="need n >= 1"):
+        bordered_det(FIB, 0)
 
 
 def test_bordered_det_randomized():
@@ -251,6 +263,9 @@ def test_addition_formula_examples():
     assert addition_formula(TRIB, 2, 2) == 7 == term(TRIB, 6)
     for n in range(6):
         assert addition_formula(EX3, 0, n) == term(EX3, n + 2)
+    for m, n in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="need m, n >= 0"):
+            addition_formula(FIB, m, n)
 
 
 def test_addition_formula_randomized():
@@ -267,4 +282,4 @@ def test_power_det_identity():
         spec = random_spec(rng)
         n = rng.randint(0, 10)
         expected = ((-1) ** (spec.k + 1) * spec.coeffs[-1]) ** n
-        assert power(companion(spec), n).det() == expected
+        assert (companion(spec) ** n).det() == expected

@@ -13,7 +13,6 @@ from recurra.ringcore import (
     Residue,
     ShapeMismatch,
     check_modulus,
-    mod_inverse,
     multiplicative_order,
 )
 
@@ -45,10 +44,10 @@ def test_residue_modulus_mismatch():
 
 
 def test_mod_inverse_examples():
-    assert mod_inverse(Residue(1, 9)) == Residue(1, 9)
-    assert mod_inverse(Residue(2, 27)) == Residue(14, 27)
+    assert Residue(1, 9) ** -1 == Residue(1, 9)
+    assert Residue(2, 27) ** -1 == Residue(14, 27)
     with pytest.raises(NotInvertible):
-        mod_inverse(Residue(3, 9))
+        Residue(3, 9) ** -1
 
 
 def test_mod_inverse_property():
@@ -58,9 +57,9 @@ def test_mod_inverse_property():
         x = rng.randrange(m)
         if gcd(x, m) != 1:
             with pytest.raises(NotInvertible):
-                mod_inverse(Residue(x, m))
+                Residue(x, m) ** -1
         else:
-            assert (Residue(x, m) * mod_inverse(Residue(x, m))).value == 1 % m
+            assert (Residue(x, m) * Residue(x, m) ** -1).value == 1 % m
 
 
 def test_multiplicative_order_examples():
@@ -108,6 +107,20 @@ def test_matrix_shapes_and_identity():
         a @ Matrix([[1, 2, 3]])
     with pytest.raises(ModulusMismatch):
         a @ Matrix([[1, 2], [3, 4]], 5)
+    wide = Matrix([[1, 2, 3], [4, 5, 6]])
+    for rows, message in (([], "at least one row"), ([[1, 2], [3]], "ragged rows")):
+        with pytest.raises(ShapeMismatch, match=message):
+            Matrix(rows)
+    with pytest.raises(ShapeMismatch, match="addition needs equal shapes"):
+        a + wide
+    with pytest.raises(ShapeMismatch, match="subtraction needs equal shapes"):
+        a - wide
+    with pytest.raises(ShapeMismatch, match="2x2 applied to 3-vector"):
+        a.apply((1, 2, 3))
+    for call, message in ((lambda: wide ** 2, "power needs"), (wide.det, "determinant needs"),
+                          (wide.adjugate, "adjugate needs")):
+        with pytest.raises(ShapeMismatch, match=message):
+            call()
 
 
 def test_companion_det_value():
@@ -250,6 +263,9 @@ def test_inverse_printed_pair_mod_27():
     assert a.inverse() == b
     assert a @ b == Matrix.identity(3, 27)
     assert b @ a == Matrix.identity(3, 27)
+    # 1 x 1: the adjugate is (1), so the inverse is (det^-1)
+    assert Matrix([[5]], 27).adjugate() == Matrix([[1]], 27)
+    assert Matrix([[5]], 27).inverse() == Matrix([[11]], 27)
 
 
 def test_inverse_identity_and_unit_det_property():
@@ -279,6 +295,8 @@ def test_inverse_composite_modulus_nonunit_pivot():
 def test_inverse_not_invertible():
     with pytest.raises(NotInvertible):
         Matrix([[3, 0], [0, 1]], 9).inverse()
+    with pytest.raises(NotInvertible, match="only defined over Z_m"):
+        Matrix([[1, 0], [0, 1]]).inverse()
 
 
 def test_matrix_pow_matches_repeated_mul():

@@ -93,7 +93,7 @@ def test_lnumbers_property(l, n):
 @given(l=st.integers(2, 30), r=st.integers(1, 5), n=st.integers(0, 300))
 def test_l_quaternion_property(l, r, n):
     a = naive_lterms(l, n + 4)
-    assert l_quaternion(l, r, n).quat.coeffs == tuple(x % l ** r for x in a[n:n + 4])
+    assert l_quaternion(l, r, n).coeffs == tuple(x % l ** r for x in a[n:n + 4])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -5,9 +5,9 @@ construction, and each class's own validation."""
 import pytest
 
 from recurra.cipher import Alphabet, CipherKey
-from recurra.lnumbers import BinetRoots, LSpec
+from recurra.lnumbers import LSpec
 from recurra.pisano import DiagnosisResult, PeriodResult
-from recurra.quaternions import CensusRecord, CensusReport, LQuaternion, QuatAlgebra, Quaternion
+from recurra.quaternions import CensusRecord, CensusReport, QuatAlgebra, Quaternion
 from recurra.recurrence import SequenceSpec
 from recurra.ringcore import Residue
 from recurra.verify import CheckResult
@@ -42,16 +42,10 @@ CASES = [
      {"diagonalizable": False, "eigenvalues": None},
      "DiagnosisResult(diagonalizable=False, eigenvalues=None)", []),
     (LSpec, (3,), {"l": 3}, {"l": 4}, {"l": 3}, "LSpec(l=3)", [(0,), (-2,)]),
-    (BinetRoots, (1.5, -0.5, 5), {"alpha": 1.5, "beta": -0.5, "discriminant": 5},
-     {"alpha": 2.0}, {"alpha": 1.5, "beta": -0.5, "discriminant": 5},
-     "BinetRoots(alpha=1.5, beta=-0.5, discriminant=5)", []),
     (QuatAlgebra, (-1, -1, 7), {"alpha": 6, "beta": 13, "modulus": 7}, {"alpha": 1},
      {"alpha": 6, "beta": 6, "modulus": 7}, H7_REPR, [(1, 1, 1), (1, 1, 0)]),
     (Quaternion, (H7, (8, 1, 2, 3)), {"algebra": QuatAlgebra(6, 6, 7), "coeffs": (1, 1, 2, 3)},
      {"algebra": QuatAlgebra(-1, -1, 5)}, {"algebra": H7, "coeffs": (1, 1, 2, 3)}, Q_REPR, []),
-    (LQuaternion, (3, 1, 0, Q), {"l": 3, "r": 1, "index": 0, "quat": Q}, {"index": 1},
-     {"l": 3, "r": 1, "index": 0, "quat": Q},
-     f"LQuaternion(l=3, r=1, index=0, quat={Q_REPR})", []),
     (CensusRecord, (0, [0, 1, 0, 1], 2, True, True),
      {"index": 0, "coeffs": (0, 1, 0, 1), "norm_mod": 2, "invertible": True,
       "norm_is_two_mod_l2": True},

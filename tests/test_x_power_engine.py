@@ -255,6 +255,8 @@ def test_x_power_reduces_its_base():
     for n in range(2, 6):
         assert x_power(fib, n, 7, (9, -1)) == x_power(fib, n, 7, (2, 6))
     assert x_power(fib, 1, None, (9, -1)) == (9, -1)
+    with pytest.raises(ValueError, match=r"x_power\(\) is for n >= 0"):
+        x_power(fib, -1, 7)
     assert companion_power(fib, 1, 7, (9, -1)) == companion_power(fib, 1, 7, (2, 6))
 
 
