@@ -10,13 +10,21 @@ No matrix is raised to a power: D^n is read off x^n in Z_N[x]/(chi)
 x^{-1} = a_k^{-1} (x^{k-1} - a_1 x^{k-2} - ... - a_{k-1}) exists exactly
 when a_k is a unit mod N, the same condition as for det D.
 
+Text is enciphered in pieces of PIECE_COLUMNS whole columns.  Each of a
+piece's k label rows is packed into one integer, a native slot a column
+that holds k (N - 1)^2, the largest product entry before reduction, so a
+row of D^n V is one sum of k big-integer multiples, read off slot by slot.
+
 This is a classical linear (Hill-type) cipher: a handful of known
 plaintext/ciphertext columns recovers D^n by linear algebra.  It is a
 worked construction, not a secure one.
 """
 from __future__ import annotations
 
+from array import array
 from math import gcd
+from operator import mul
+from sys import byteorder
 
 from .ringcore import Matrix, Value, set_field
 from .recurrence import SequenceSpec, companion_power, x_inverse
@@ -38,6 +46,14 @@ class UnknownSymbol(ValueError):
     """Text contains a symbol outside the alphabet."""
 
 
+class _Labels(dict):
+    """Code point -> label for str.translate, which passes on any error but
+    LookupError, so the first unknown symbol in text order is named."""
+
+    def __missing__(self, code: int):
+        raise UnknownSymbol(f"symbol {chr(code)!r} is not in the alphabet")
+
+
 class CipherKey(Value):
     """(k, N, a_1..a_k, n): modulus N, recurrence coefficients, exponent n."""
 
@@ -55,6 +71,12 @@ class CipherKey(Value):
     def matrix(self) -> Matrix:
         """The enciphering matrix D^n mod N."""
         return companion_power(self.spec(), self.exponent, self.n_mod)
+
+    def inverse_matrix(self) -> Matrix:
+        """The deciphering matrix D^{-n} mod N, read off (x^{-1})^n; x^{-1}
+        exists when a_k is a unit mod N, as validate_key checks."""
+        spec = self.spec()
+        return companion_power(spec, self.exponent, self.n_mod, x_inverse(spec, self.n_mod))
 
     def to_line(self) -> str:
         parts = [self.k, self.n_mod, *self.coeffs, self.exponent]
@@ -126,19 +148,11 @@ class Alphabet(Value):
             raise ValueError(f"pad symbol {pad!r} is not in the alphabet")
         set_field(self, "symbols", symbols)
         set_field(self, "pad", pad)
-        set_field(self, "_labels", {s: i for i, s in enumerate(symbols)})
+        set_field(self, "_labels", _Labels({ord(s): i for i, s in enumerate(symbols)}))
 
     @property
     def size(self) -> int:
         return len(self.symbols)
-
-    def labels(self, text) -> list[int]:
-        """The label of each symbol of text, in one pass; UnknownSymbol names
-        the first symbol that is not in the alphabet."""
-        try:
-            return list(map(self._labels.__getitem__, text))
-        except KeyError as exc:
-            raise UnknownSymbol(f"symbol {exc.args[0]!r} is not in the alphabet") from None
 
     @classmethod
     def default(cls) -> "Alphabet":
@@ -161,27 +175,38 @@ class Alphabet(Value):
         return cls(symbols, pad if pad is not None else symbols[-1])
 
 
-def encode_text(alpha: Alphabet, text: str, k: int) -> Matrix:
-    """Pack labels column-by-column, k per column, right-padded with the pad
-    symbol to a multiple of k.  Empty text encodes to a k x 0 block."""
-    if k < 2:
-        raise BadShape(f"k must be >= 2, got {k}")
-    labels = alpha.labels(text)
-    labels += alpha.labels(alpha.pad) * (-len(labels) % k)
-    return Matrix._of_rows(tuple(tuple(labels[i::k]) for i in range(k)), alpha.size)
+# Columns in a piece of text.  Memory holds the text and one piece's rows;
+# encrypt of 4 * 10^6 symbols took as long at 2^10 as at 2^16 columns.
+PIECE_COLUMNS = 1 << 12
+
+# Labels pass between str and array("I") as UTF-32 in the native byte
+# order; with surrogatepass a label may fall in U+D800..U+DFFF.
+_UTF32 = f"utf-32-{byteorder[0]}e"
 
 
-def decode_text(alpha: Alphabet, block: Matrix, strip_pad: bool = False) -> str:
-    """Read labels back column-by-column.  Pad symbols are kept unless
-    strip_pad, which removes them only from the right-hand end."""
-    if block.modulus != alpha.size:
-        raise BadShape(f"block is mod {block.modulus}, alphabet has "
-                       f"{alpha.size} symbols")
-    labels = [0] * (block.rows * block.cols)
-    for i, row in enumerate(block.entries):
-        labels[i::block.rows] = row
-    text = "".join(map(alpha.symbols.__getitem__, labels))
-    return text.rstrip(alpha.pad) if strip_pad else text
+def _slot_format(k: int, n_mod: int) -> str:
+    """The array type code of the narrowest native slot that holds
+    k * (n_mod - 1)^2; BadShape when none does."""
+    bits = (k * (n_mod - 1) ** 2).bit_length()
+    for code in "BHIQ":
+        if bits <= 8 * array(code).itemsize:
+            return code
+    raise BadShape(f"k * (N - 1)^2 needs {bits} bits, more than a 64-bit slot holds")
+
+
+def encode_text(alpha: Alphabet, text: str, k: int) -> list[int]:
+    """The k label rows of text, right-padded with the pad symbol to a
+    multiple of k and read column by column, each packed with one slot a
+    column, the first column in the lowest slot."""
+    code = _slot_format(k, alpha.size)
+    text += alpha.pad * (-len(text) % k)
+    labels = memoryview(text.translate(alpha._labels).encode(_UTF32, "surrogatepass")).cast("I")
+    return [int.from_bytes(array(code, labels[i::k].tolist()), byteorder) for i in range(k)]
+
+
+def decode_text(alpha: Alphabet, labels: array) -> str:
+    """The symbols of an array("I") of labels."""
+    return str(labels, _UTF32, "surrogatepass").translate(alpha.symbols)
 
 
 def encrypt(key: CipherKey, block: Matrix) -> Matrix:
@@ -192,16 +217,10 @@ def encrypt(key: CipherKey, block: Matrix) -> Matrix:
 
 
 def decrypt(key: CipherKey, block: Matrix) -> Matrix:
-    """V = D^{-n} C mod N, with D^{-n} read off (x^{-1})^n mod chi.
-
-    x^{-1} = a_k^{-1} (x^{k-1} - a_1 x^{k-2} - ... - a_{k-1}) exists exactly
-    when a_k is a unit mod N: the condition that det D = (-1)^{k+1} a_k be
-    a unit, which the adjugate inverse needs too and validate_key checks.
-    """
+    """V = D^{-n} C mod N."""
     validate_key(key)
     _check_block(key, block)
-    spec = key.spec()
-    return companion_power(spec, key.exponent, key.n_mod, x_inverse(spec, key.n_mod)) @ block
+    return key.inverse_matrix() @ block
 
 
 def _check_block(key: CipherKey, block: Matrix) -> None:
@@ -211,15 +230,34 @@ def _check_block(key: CipherKey, block: Matrix) -> None:
         raise BadShape(f"block is mod {block.modulus}, key has N={key.n_mod}")
 
 
-def encrypt_text(key: CipherKey, alpha: Alphabet, text: str) -> str:
+def _times_text(key: CipherKey, alpha: Alphabet, text: str, power) -> str:
+    """The symbols of power() @ V mod N, V the label block of text."""
     if alpha.size != key.n_mod:
         raise BadShape(f"alphabet size {alpha.size} != key modulus {key.n_mod}")
-    return decode_text(alpha, encrypt(key, encode_text(alpha, text, key.k)))
+    validate_key(key)
+    k, n_mod, rows = key.k, key.n_mod, power().entries
+    code = _slot_format(k, n_mod)
+    pieces = []
+    for start in range(0, len(text), k * PIECE_COLUMNS):
+        piece = text[start:start + k * PIECE_COLUMNS]
+        packed = encode_text(alpha, piece, k)
+        cols = -(-len(piece) // k)
+        labels = array("I", [0]) * (k * cols)
+        for i, row in enumerate(rows):
+            data = sum(map(mul, row, packed))
+            slots = memoryview(data.to_bytes(cols * array(code).itemsize, byteorder)).cast(code)
+            labels[i::k] = array("I", [x % n_mod for x in slots])
+        pieces.append(decode_text(alpha, labels))
+    return "".join(pieces)
+
+
+def encrypt_text(key: CipherKey, alpha: Alphabet, text: str) -> str:
+    return _times_text(key, alpha, text, key.matrix)
 
 
 def decrypt_text(key: CipherKey, alpha: Alphabet, text: str,
                  strip_pad: bool = False) -> str:
-    if alpha.size != key.n_mod:
-        raise BadShape(f"alphabet size {alpha.size} != key modulus {key.n_mod}")
-    return decode_text(alpha, decrypt(key, encode_text(alpha, text, key.k)),
-                       strip_pad=strip_pad)
+    """Pad symbols are kept unless strip_pad, which removes them only from
+    the right-hand end."""
+    plain = _times_text(key, alpha, text, key.inverse_matrix)
+    return plain.rstrip(alpha.pad) if strip_pad else plain

@@ -146,22 +146,31 @@ def lcm_check(spec: SequenceSpec, s1: int, s2: int) -> bool:
 def prime_power_ladder(spec: SequenceSpec, p: int, r_max: int) -> list[int]:
     """[pi(p), pi(p^2), ..., pi(p^r_max)] for an odd prime p.
 
-    Each rung is the previous one times 1 or p, and once a rung grows it
-    keeps growing; both facts are re-verified on the computed values.
+    pi(p^r) | pi(p^(r+1)) | p pi(p^r) for odd p, so with y = x^t mod
+    p^r_max for the rung t below, the rung at p^r is t when y = 1 mod p^r
+    and else p t, with y^p = 1; both, and that a rung that grew keeps
+    growing, are checked.  Only pi(p) is an order search.
     """
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if r_max < 1:
         raise ValueError("need r_max >= 1")
-    ladder = [matrix_order(spec, p ** r) for r in range(1, r_max + 1)]
-    growing = False
-    for lo, hi in zip(ladder, ladder[1:]):
-        if hi not in (lo, p * lo):
-            raise ArithmeticError(f"ladder step {lo} -> {hi} is neither "
-                                  f"x1 nor x{p}")
-        if growing and hi == lo:
-            raise ArithmeticError(f"ladder stalled after growing: {ladder}")
-        growing = growing or hi == p * lo
+    ladder = [matrix_order(spec, p)]
+    top = p ** r_max
+    coeffs = tuple([a % top for a in spec.coeffs])
+    y = x_power(spec, ladder[0], top)
+    one = [1] + [0] * (spec.k - 1)
+    for r in range(2, r_max + 1):
+        t, pr = ladder[-1], p ** r
+        if [c % pr for c in y] != one:
+            y = _power_reduced(y, p, coeffs, top)
+            if [c % pr for c in y] != one:
+                raise ArithmeticError(f"ladder step {t} -> pi({p}^{r}) is neither "
+                                      f"x1 nor x{p}")
+            t *= p
+        elif len(ladder) > 1 and t != ladder[-2]:
+            raise ArithmeticError(f"ladder stalled after growing: {ladder + [t]}")
+        ladder.append(t)
     return ladder
 
 

@@ -4,20 +4,9 @@ Everything here is arbitrary precision (plain Python ints) and immutable.
 Matrix inversion goes through the adjugate and the inverse of the
 determinant, never Gaussian elimination: over a composite modulus a matrix
 can be invertible while every candidate pivot is a zero divisor.
-
-Products over Z_m with a wide right-hand factor pack each of its rows into
-one integer (Kronecker substitution), one native 1, 2, 4 or 8-byte slot
-per entry.  Entries are reduced to [0, m), so an entry of A @ B with inner
-dimension k is at most k * (m - 1)^2; slots wide enough for that bound
-never carry into each other, and each row of the product is a sum of k
-big-integer multiples that run in C.  Every other product, over Z, with
-fewer than PACKED_MIN_COLS columns, or whose bound needs more than 8
-bytes, uses the plain row-by-column sums.
 """
 from __future__ import annotations
 
-import struct
-import sys
 from math import gcd
 from operator import attrgetter, mul
 
@@ -175,34 +164,6 @@ def _det_bareiss(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-# Right factors over Z_m with at least this many columns are multiplied by
-# packed rows.  Against plain sums (timeit, 2-vCPU VM, Python 3.11, native
-# slots, k <= 8) packing took 1.05-3.2x as long at 1-3 columns, about as
-# long at 4-7, less in 12 of 14 cases at 8, and 0.2-0.8x as long from 12 on.
-PACKED_MIN_COLS = 8
-
-
-def _slot_format(k: int, m: int) -> str | None:
-    """The struct format of the narrowest native slot that holds
-    k * (m - 1)^2, or None when none does."""
-    bits = (k * (m - 1) ** 2).bit_length()
-    return next((f for f in "BHIQ" if bits <= 8 * struct.calcsize(f)), None)
-
-
-def _packed_rows_product(a_rows, b_rows, m: int, fmt: str) -> tuple:
-    """Rows of A @ B mod m for entries already in [0, m), by rows of B
-    packed into slots of struct format fmt."""
-    layout = f"{len(b_rows[0])}{fmt}"
-    size = struct.calcsize(layout)
-    order = sys.byteorder
-    packed = [int.from_bytes(struct.pack(layout, *row), order) for row in b_rows]
-    out = []
-    for row in a_rows:
-        data = sum(a * p for a, p in zip(row, packed) if a).to_bytes(size, order)
-        out.append(tuple([x % m for x in memoryview(data).cast(fmt)]))
-    return tuple(out)
-
-
 class Matrix(Value):
     """Immutable matrix over Z (modulus None) or Z_m (modulus m).
 
@@ -274,32 +235,19 @@ class Matrix(Value):
         return Matrix([[c * x for x in row] for row in self.entries], self.modulus)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """The product self @ other.
-
-        Over Z_m, when other has at least PACKED_MIN_COLS columns and a
-        native slot of 1, 2, 4 or 8 bytes holds k * (m - 1)^2 for inner
-        dimension k, the largest value an entry of the product can take
-        before reduction, each row of other becomes one integer with a slot
-        per entry, so slots never carry.  Row i of the product is then
-        sum(a_it * packed_t) over the nonzero a_it, unpacked and reduced
-        slot by slot.  Every other product is row-by-column sums, reduced
-        mod m over Z_m.
-        """
+        """The product self @ other: row-by-column sums, reduced mod m over
+        Z_m."""
         self._match(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         m = self.modulus
-        fmt = m and other.cols >= PACKED_MIN_COLS and _slot_format(other.rows, m)
-        if fmt:
-            prod = _packed_rows_product(self.entries, other.entries, m, fmt)
+        bt = list(zip(*other.entries))
+        if m is None:
+            prod = tuple(tuple([sum(map(mul, row, col)) for col in bt])
+                         for row in self.entries)
         else:
-            bt = list(zip(*other.entries))
-            if m is None:
-                prod = tuple(tuple([sum(map(mul, row, col)) for col in bt])
-                             for row in self.entries)
-            else:
-                prod = tuple(tuple([sum(map(mul, row, col)) % m for col in bt])
-                             for row in self.entries)
+            prod = tuple(tuple([sum(map(mul, row, col)) % m for col in bt])
+                         for row in self.entries)
         return Matrix._of_rows(prod, m)
 
     def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,10 +1,13 @@
 import random
+import sys
+from array import array
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
 from recurra.cipher import (
+    PIECE_COLUMNS,
     Alphabet,
     BadCoefficient,
     BadShape,
@@ -19,6 +22,8 @@ from recurra.cipher import (
     encrypt_text,
     normalize_exponent,
     validate_key,
+    _slot_format,
+    _times_text,
 )
 from recurra.pisano import matrix_order, matrix_order_multiple
 from recurra.ringcore import Matrix
@@ -28,6 +33,8 @@ from oracles import naive_encrypt_text, naive_matmul, naive_matpow
 KEY_Z2 = CipherKey(3, 2, (1, 1, 1), 3)
 KEY_Z27 = CipherKey(3, 27, (4, -5, 2), 2)
 AB = Alphabet(("A", "B"), "B")
+# labels that reach the surrogate range U+D800..U+DFFF
+SUPPLEMENTARY = Alphabet(tuple(chr(0x10000 + i) for i in range(60_000)), chr(0x10000))
 
 
 def random_key(rng, moduli=(2, 26, 27, 29, 256), kmax=5, nmax=50):
@@ -77,15 +84,37 @@ def test_normalize_exponent():
         normalize_exponent(CipherKey(3, 2, (1, 1, 1), 4))
 
 
+def label_rows(alpha, text, k):
+    """The rows of encode_text's label block, read back slot by slot."""
+    code = _slot_format(k, alpha.size)
+    size = -(-len(text) // k) * array(code).itemsize
+    return tuple(tuple(array(code, row.to_bytes(size, sys.byteorder)))
+                 for row in encode_text(alpha, text, k))
+
+
+def block_of(alpha, text, k):
+    """The label block of text, padded, from a symbol -> position dict."""
+    label = {s: i for i, s in enumerate(alpha.symbols)}
+    labels = [label[s] for s in text + alpha.pad * (-len(text) % k)]
+    return Matrix([labels[i::k] for i in range(k)], alpha.size)
+
+
+def text_of(alpha, block):
+    """The symbols of a label block, read column by column."""
+    return "".join(alpha.symbols[block[i, j]]
+                   for j in range(block.cols) for i in range(block.rows))
+
+
 def test_alphabet_default_and_labels():
     alpha = Alphabet.default()
     assert alpha.size == 27
-    assert alpha.labels("A")[0] == 0
-    assert alpha.labels("S")[0] == 18
+    assert alpha.symbols[0] == "A" and alpha.symbols[18] == "S"
     assert alpha.symbols[26] == "*"
     assert alpha.pad == "*"
+    # one column: each packed row is the label of its symbol
+    assert encode_text(alpha, "AS*", 3) == [0, 18, 26]
     with pytest.raises(UnknownSymbol):
-        alpha.labels("!")
+        encode_text(alpha, "!", 3)
 
 
 def test_alphabet_file_parsing():
@@ -103,36 +132,37 @@ def test_alphabet_file_parsing():
 
 def test_encode_examples():
     alpha = Alphabet.default()
-    block = encode_text(alpha, "SUCCESS**", 3)
-    assert block.entries == ((18, 2, 18), (20, 4, 26), (2, 18, 26))
-    block = encode_text(AB, "ABBAAB", 3)
-    assert block.entries == ((0, 0), (1, 0), (1, 1))
+    # 3 * 26^2 needs 2-byte slots, the first column in the lowest
+    assert _slot_format(3, 27) == "H"
+    assert encode_text(alpha, "SUCCESS**", 3)[0] == 18 + (2 << 16) + (18 << 32)
+    assert label_rows(alpha, "SUCCESS**", 3) == ((18, 2, 18), (20, 4, 26), (2, 18, 26))
+    assert _slot_format(3, 2) == "B"
+    assert label_rows(AB, "ABBAAB", 3) == ((0, 0), (1, 0), (1, 1))
     # padding: two pad labels appended
-    block = encode_text(alpha, "AB", 3)
-    assert block.entries == ((0,), (1,), (26,))
+    assert label_rows(alpha, "AB", 3) == ((0,), (1,), (26,))
+    assert encode_text(alpha, "", 3) == [0, 0, 0]
     with pytest.raises(UnknownSymbol):
         encode_text(alpha, "ab", 3)
-    with pytest.raises(BadShape, match="k must be >= 2, got 1"):
-        encode_text(alpha, "AB", 1)
 
 
 def test_decode_inverts_encode():
     alpha = Alphabet.default()
-    for text in ("SUCCESS**", "AB*", "QDSNYCTVS", ""):
-        assert decode_text(alpha, encode_text(alpha, text, 3)).startswith(text)
-    assert decode_text(alpha, encode_text(alpha, "AB", 3)) == "AB*"
-    assert decode_text(alpha, encode_text(alpha, "AB", 3), strip_pad=True) == "AB"
-    with pytest.raises(BadShape, match="block is mod 26, alphabet has 27 symbols"):
-        decode_text(alpha, Matrix([[1], [2]], 26))
+    assert decode_text(alpha, array("I", [18, 20, 2, 2, 4, 18, 18, 26, 26])) == "SUCCESS**"
+    for text in ("SUCCESS**", "AB*", "QDSNYCTVS", "AB", ""):
+        labels = array("I", [x for column in zip(*label_rows(alpha, text, 3)) for x in column])
+        assert decode_text(alpha, labels) == text + "*" * (-len(text) % 3)
+    labels = (0xD7FF, 0xD800, 0xDFFF, 59_999)
+    assert decode_text(SUPPLEMENTARY, array("I", labels)) == "".join(
+        SUPPLEMENTARY.symbols[i] for i in labels)
 
 
 def test_worked_example_mod2():
-    block = encode_text(AB, "ABBAAB", 3)
+    block = Matrix(label_rows(AB, "ABBAAB", 3), 2)
     encrypted = encrypt(KEY_Z2, block)
     assert encrypted.entries == ((1, 0), (1, 1), (0, 1))
-    assert decode_text(AB, encrypted) == "BBAABB"
+    assert text_of(AB, encrypted) == encrypt_text(KEY_Z2, AB, "ABBAAB") == "BBAABB"
     assert decrypt(KEY_Z2, encrypted) == block
-    assert decode_text(AB, decrypt(KEY_Z2, encrypted)) == "ABBAAB"
+    assert decrypt_text(KEY_Z2, AB, "BBAABB") == "ABBAAB"
 
 
 def test_worked_example_mod27_derived_ciphertext():
@@ -151,10 +181,12 @@ def test_worked_example_mod27_derived_ciphertext():
 
 
 def test_encrypt_identity_exponent():
-    # exponent multiple of pi(N) forced through without validation: C = V
+    # an exponent that is a multiple of pi(N) passes validate_key, which
+    # does not normalize, and gives C = V
     key = CipherKey(3, 2, (1, 1, 1), 4)
-    block = encode_text(AB, "ABBAAB", 3)
+    block = Matrix(label_rows(AB, "ABBAAB", 3), 2)
     assert key.matrix() @ block == block
+    assert encrypt_text(key, AB, "ABBAAB") == "ABBAAB"
 
 
 def test_decrypt_zero_block():
@@ -297,12 +329,12 @@ def test_text_path_against_block_and_naive_routes():
                     text = text[:length // 2] + alpha.pad + text[length // 2:] + alpha.pad
                 padded = text + alpha.pad * (-len(text) % key.k)
                 ct = encrypt_text(key, alpha, text)
-                assert ct == decode_text(alpha, encrypt(key, encode_text(alpha, text, key.k)))
+                assert ct == text_of(alpha, encrypt(key, block_of(alpha, text, key.k)))
                 assert ct == naive_encrypt_text(key, alpha, text)
                 assert len(ct) == len(padded)
                 pt = decrypt_text(key, alpha, ct)
                 assert pt == padded
-                assert pt == decode_text(alpha, decrypt(key, encode_text(alpha, ct, key.k)))
+                assert pt == text_of(alpha, decrypt(key, block_of(alpha, ct, key.k)))
                 assert naive_encrypt_text(key, alpha, pt) == ct
                 assert decrypt_text(key, alpha, ct, strip_pad=True) == text.rstrip(alpha.pad)
 
@@ -318,12 +350,15 @@ def pin_text_path(key, alpha, text):
 
 
 def test_text_path_is_pinned_to_the_oracle_over_a_grid():
-    # N = 27, 29 and 256, every k from 2 to 8, texts short, past
-    # PACKED_MIN_COLS columns and long, exponents up to 10^18
+    # N = 27, 29, 256, 300 and 60000, every k from 2 to 8, texts short,
+    # long, and a symbol short of, at and past a whole piece, exponents up
+    # to 10^18
     rng = random.Random(173)
-    for alpha, k, length in product(TEXT_ALPHABETS[1:4], range(2, 9), (9, 1000, 20000)):
-        key = random_key_of(rng, k, alpha.size, 10 ** 18)
-        pin_text_path(key, alpha, "".join(rng.choices(alpha.symbols, k=length)))
+    for alpha, k in product((*TEXT_ALPHABETS[1:], SUPPLEMENTARY), range(2, 9)):
+        piece = k * PIECE_COLUMNS
+        for length in (9, 1000, 20000, piece - 1, piece, piece + 1):
+            key = random_key_of(rng, k, alpha.size, 10 ** 18)
+            pin_text_path(key, alpha, "".join(rng.choices(alpha.symbols, k=length)))
     latin = TEXT_ALPHABETS[3]
     pin_text_path(random_key_of(rng, 5, latin.size, 10 ** 18), latin,
                   "".join(rng.choices(latin.symbols, k=400_000)))
@@ -332,7 +367,7 @@ def test_text_path_is_pinned_to_the_oracle_over_a_grid():
 def test_unknown_symbol_names_the_first_in_text_order():
     alpha = Alphabet.default()
     cases = (("ab", "a"), ("AB?C!", "?"), ("!AB?", "!"), ("SUCCESS*\n", "\n"),
-             ("A" * 1000 + "\u00e9" + "z", "\u00e9"))
+             ("A" * 1000 + "\u00e9" + "z", "\u00e9"), ("A" * 3 * PIECE_COLUMNS + "!?", "!"))
     for text, first in cases:
         message = f"symbol {first!r} is not in the alphabet"
         for call in (lambda: encode_text(alpha, text, 3),
@@ -341,5 +376,29 @@ def test_unknown_symbol_names_the_first_in_text_order():
             with pytest.raises(UnknownSymbol) as exc:
                 call()
             assert str(exc.value) == message
-    with pytest.raises(UnknownSymbol, match="symbol 'AB' is not"):
-        alpha.labels(["AB"])
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32])
+def test_text_path_at_the_slot_bound(bits):
+    # every entry of the matrix and every label N - 1, so that each entry
+    # of the product is k (N - 1)^2 before reduction: just below 2^bits,
+    # and at it, where the next slot width is needed
+    k = 4
+    below = isqrt(2 ** bits // k)
+    assert k * (below - 1) ** 2 < 2 ** bits == k * below ** 2
+    for n_mod, size in ((below, bits // 8), (below + 1, bits // 4)):
+        assert array(_slot_format(k, n_mod)).itemsize == size
+        symbols = tuple(chr(0x10000 + i) for i in range(n_mod))
+        alpha = Alphabet(symbols, symbols[-1])
+        key = CipherKey(k, n_mod, (0,) * (k - 1) + (1,), 1)
+        worst = Matrix([[n_mod - 1] * k] * k, n_mod)
+        expected = symbols[k * (n_mod - 1) ** 2 % n_mod] * (3 * k)
+        assert _times_text(key, alpha, symbols[-1] * (2 * k + 1), lambda: worst) == expected
+
+
+def test_no_native_slot_past_64_bits():
+    # k (N - 1)^2 = 2^64 needs 65 bits: the alphabet has 2^20 + 1 symbols
+    # and the key 2^24 coefficients
+    assert _slot_format(2 ** 24 - 1, 2 ** 20 + 1) == "Q"
+    with pytest.raises(BadShape, match="needs 65 bits"):
+        _slot_format(2 ** 24, 2 ** 20 + 1)

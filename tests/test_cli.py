@@ -575,6 +575,7 @@ def test_a_power_of_l_past_exactness_costs_nothing(capped_cli):
 # cap.  The answers are checked by the oracles' certificates, which need no
 # walk of the period.
 PISANO_LADDER_3 = [6 * 3 ** r for r in range(12)]
+FIBONACCI_LADDER_3 = [8 * 3 ** r for r in range(1000)]
 
 
 @pytest.mark.parametrize("argv, expected, certified", [
@@ -587,7 +588,10 @@ PISANO_LADDER_3 = [6 * 3 ** r for r in range(12)]
     (("pisano", "4", "-5", "2", "--ladder", "3", "12"), " ".join(map(str, PISANO_LADDER_3)),
      lambda: all(naive_is_matrix_order((4, -5, 2), 3 ** r, t)
                  for r, t in enumerate(PISANO_LADDER_3, 1))),
-], ids=["order", "pisano", "state", "ladder"])
+    (("pisano", "1", "1", "--ladder", "3", "1000"), " ".join(map(str, FIBONACCI_LADDER_3)),
+     lambda: all(naive_is_matrix_order((1, 1), 3 ** r, FIBONACCI_LADDER_3[r - 1])
+                 for r in (*range(1, 101), 1000))),
+], ids=["order", "pisano", "state", "ladder", "long-ladder"])
 def test_a_period_command_answers_in_a_capped_process(capped_cli, argv, expected, certified):
     proc = capped_cli(*argv, cap_mb=256, cpu_s=5)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected + "\n", "")
@@ -619,6 +623,28 @@ def test_the_cipher_commands_run_on_a_long_stdin_in_a_capped_process(capped_cli,
                           cap_mb=256, cpu_s=10)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             0, f"ok {normalized.to_line()}\n", ""), key
+
+
+def test_the_cipher_commands_hold_a_long_stdin_in_a_small_address_space(capped_cli, tmp_path):
+    # 4 * 10^6 symbols each way in 64 MB: the text is labelled, multiplied
+    # and decoded a piece at a time.  Columns are independent, so the first
+    # and last 10^4 are checked against the oracle.
+    key, alpha, _ = long_stdin_cases(tmp_path)[0]
+    (tmp_path / "key.txt").write_text(key.to_line() + "\n")
+    rng = random.Random(179)
+    plain = "".join(rng.choices(alpha.symbols, k=4 * 10 ** 6 - 1)) + "A"
+    proc = capped_cli("encrypt", "--key", str(tmp_path / "key.txt"), stdin=plain,
+                      cap_mb=64, cpu_s=20)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    ct = proc.stdout[:-1]
+    assert len(ct) == len(plain) + (-len(plain) % key.k)
+    tail = len(ct) - 10 ** 4 * key.k
+    assert ct[:10 ** 4 * key.k] == naive_encrypt_text(key, alpha, plain[:10 ** 4 * key.k])
+    assert ct[tail:] == naive_encrypt_text(key, alpha, plain[tail:])
+    proc = capped_cli("decrypt", "--key", str(tmp_path / "key.txt"), "--strip-pad",
+                      stdin=proc.stdout, cap_mb=64, cpu_s=20)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout == plain + "\n"
 
 
 def test_a_long_lnum_prefix_and_every_verify_suite_run_in_a_capped_process(capped_cli):

@@ -196,11 +196,8 @@ def test_modular_product_shapes_and_moduli():
 
 
 def test_modular_product_at_the_slot_bound():
-    # every entry m - 1, so each product entry is k * (m - 1)^2 before
-    # reduction, the largest a slot must hold; at k = 20 that needs 3 bytes
-    # mod 59 and 5 mod 15001 where k = 19 fits in 2 and 4, and 9 or more
-    # bytes past 8, where no native slot fits and the sums are plain; 7 and
-    # 8 columns sit on either side of PACKED_MIN_COLS
+    # every entry m - 1, so each product entry is k * (m - 1)^2, the
+    # largest sum there is to reduce
     for m in (2, 27, 59, 257, 15001, 65537, 2 ** 32 + 15, 2 ** 64 + 13):
         for k in (1, 19, 20):
             for cols in (1, 7, 8, 1000):
