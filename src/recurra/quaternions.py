@@ -125,17 +125,17 @@ def l_quaternion(l: int, r: int, n: int) -> Quaternion:
 
 
 def l_quaternion_norm(l: int, n: int) -> int:
-    """The exact integer norm of A_n in H(-1,-1): the four-square sum."""
-    a = l_terms(LSpec(l), n + 4)
-    return a[n] ** 2 + a[n + 1] ** 2 + a[n + 2] ** 2 + a[n + 3] ** 2
+    """The exact integer norm of A_n in H(-1,-1): the four-square sum.
+    Its four terms are read off one x^floor(n/2), in O(n) bits."""
+    a = terms_from(LSpec(l), n, 4)
+    return a[0] ** 2 + a[1] ** 2 + a[2] ** 2 + a[3] ** 2
 
 
 def l_quat_norm_check(l: int, n: int) -> bool:
     """Over Z: a_n^2 + a_{n+1}^2 + a_{n+2}^2 + a_{n+3}^2 = (l^2+2) a_{2n+3}."""
     if l < 1 or n < 0:
         raise ValueError("need l >= 1 and n >= 0")
-    a = l_terms(LSpec(l), 2 * n + 4)
-    return l_quaternion_norm(l, n) == (l * l + 2) * a[2 * n + 3]
+    return l_quaternion_norm(l, n) == (l * l + 2) * terms_from(LSpec(l), 2 * n + 3, 1)[0]
 
 
 class CensusRecord(Value):

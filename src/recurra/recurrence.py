@@ -57,21 +57,33 @@ def terms_from(spec: SequenceSpec, n: int, count: int,
                m: int | None = None) -> list[int]:
     """[d_n, ..., d_{n+count-1}] for n >= 0, exact or reduced mod m.
 
-    With x^n = sum c_j x^j mod chi, d_{n+i} = sum c_j d_{i+j} for any
-    initial window (Fiduccia's method), so one x^n costs O(k^2 log n)
-    products and each further term O(k).  Mod m, both x^n and the prefix
-    d_0, ..., d_{count+k-2} are computed with reduced intermediates.
+    With x^h = sum c_j x^j mod chi, d_{h+s} = sum c_j d_{s+j} for any
+    initial window and any s >= 0 (Fiduccia's method; index addition).
+    So one power to h = floor(n/2) serves twice: with r = n - 2h it reads
+    the window mid_i = d_{h+r+i} off the prefix d_0, ..., d_{r+count+2k-3},
+    and then d_{n+t} = d_{h+(h+r+t)} off that window, each term in O(k).
+    Over Z, x^n's coefficients would be as long as d_n; x^h's are half as
+    long, and the squaring x^n would end with becomes k products a term.
+    The power costs O(k^2 log n) products.  Mod m, the power, the prefix
+    and the window are all computed with reduced intermediates.
     """
     if n < 0 or count < 0:
         raise ValueError(f"need n, count >= 0, got {n}, {count}")
-    c = x_power(spec, n, m)
-    d = terms(spec, count + spec.k - 1) if m is None else terms_mod(spec, count + spec.k - 1, m)
-    out = [sum(map(mul, c, d[i:i + spec.k])) for i in range(count)]
+    k = spec.k
+    h, r = divmod(n, 2)
+    c = x_power(spec, h, m)
+    size = r + count + 2 * k - 2
+    d = terms(spec, size) if m is None else terms_mod(spec, size, m)
+    mid = [sum(map(mul, c, d[r + i:r + i + k])) for i in range(count + k - 1)]
+    if m is not None:
+        mid = [x % m for x in mid]
+    out = [sum(map(mul, c, mid[t:t + k])) for t in range(count)]
     return out if m is None else [x % m for x in out]
 
 
 def term(spec: SequenceSpec, n: int) -> int:
-    """Exact d_n for n >= 0, in O(k^2 log n) products (see terms_from)."""
+    """Exact d_n for n >= 0, off x^floor(n/2) in O(k^2 log n) products
+    (see terms_from)."""
     if n < 0:
         raise ValueError("term() is for n >= 0; use term_negative()")
     return terms_from(spec, n, 1)[0]
@@ -159,13 +171,22 @@ def companion(spec: SequenceSpec) -> Matrix:
 def _mulmod_charpoly(u: tuple[int, ...], v: tuple[int, ...],
                      coeffs: tuple[int, ...], m: int | None) -> tuple[int, ...]:
     # u * v, then x^k -> a_1 x^{k-1} + ... + a_k from the top degree down;
-    # over Z when m is None
+    # over Z when m is None.  A square (u is v) takes each cross product
+    # u_i u_j, i < j, once and doubles it: k(k+1)/2 products, not k^2.
     k = len(coeffs)
     full = [0] * (2 * k - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v, i):
-                full[j] += ui * vj
+    if u is v:
+        for i, ui in enumerate(u):
+            if ui:
+                full[2 * i] += ui * ui
+                twice = ui + ui
+                for j, uj in enumerate(u[i + 1:], 2 * i + 1):
+                    full[j] += twice * uj
+    else:
+        for i, ui in enumerate(u):
+            if ui:
+                for j, vj in enumerate(v, i):
+                    full[j] += ui * vj
     for top in range(2 * k - 2, k - 1, -1):
         c = full[top] if m is None else full[top] % m
         if c:
@@ -175,22 +196,35 @@ def _mulmod_charpoly(u: tuple[int, ...], v: tuple[int, ...],
     return tuple(full) if m is None else tuple([x % m for x in full])
 
 
+def _times_x(c: tuple[int, ...], top_coeffs: tuple[int, ...],
+             m: int | None) -> tuple[int, ...]:
+    # c * x in O(k): shift up one degree and fold the x^k term back in as
+    # top_coeffs = (a_k, ..., a_1), the coefficients of x^k mod chi
+    top = c[-1]
+    shifted = zip(top_coeffs, (0,) + c[:-1])
+    return tuple([top * a + low for a, low in shifted] if m is None
+                 else [(top * a + low) % m for a, low in shifted])
+
+
 def x_power(spec: SequenceSpec, n: int, m: int | None = None,
             base: tuple[int, ...] | None = None) -> tuple[int, ...]:
     """base^n (default x^n) in Z_m[x]/(chi), or Z[x]/(chi) when m is None;
     chi is the characteristic polynomial.
 
     Elements are coefficient tuples (c_0, ..., c_{k-1}), lowest degree
-    first.  D acts as multiplication by x on this free module, so
-    x^n = sum c_i x^i means D^n = sum c_i D^i; in particular D^n = I
-    exactly when x^n = 1.  One product costs O(k^2), against O(k^3) for a
-    matrix product.
+    first, so base must have length k.  D acts as multiplication by x on
+    this free module, so x^n = sum c_i x^i means D^n = sum c_i D^i; in
+    particular D^n = I exactly when x^n = 1.  One product costs O(k^2),
+    against O(k^3) for a matrix product; x^n takes bit_length(n) - 1 of
+    them, and any other base up to that many more (see _power_reduced).
     """
     if m is not None:
         check_modulus(m)
     if n < 0:
         raise ValueError("x_power() is for n >= 0")
     k = spec.k
+    if base is not None and len(base) != k:
+        raise ValueError(f"base must have k = {k} coefficients, got {len(base)}")
     if n == 0:
         return (1,) + (0,) * (k - 1)
     coeffs = spec.coeffs if m is None else tuple([a % m for a in spec.coeffs])
@@ -204,16 +238,24 @@ def x_power(spec: SequenceSpec, n: int, m: int | None = None,
 def _power_reduced(base: tuple[int, ...], n: int, coeffs: tuple[int, ...],
                    m: int | None) -> tuple[int, ...]:
     """base^n for n >= 1, as x_power does it, with nothing checked: base
-    and the coefficients a_1..a_k must already be reduced mod m."""
-    result = None                       # 1, until the first set bit
-    while True:
-        if n & 1:
-            result = (base if result is None
+    and the coefficients a_1..a_k must already be reduced mod m.
+
+    n is read from its top bit down: each further bit squares the power,
+    and a set bit then multiplies it by base, so the squarings come to
+    bit_length(n) - 1 and the multiplications to popcount(n) - 1.  When
+    base is x, a multiplication is the O(k) shift of _times_x, not a
+    product.
+    """
+    k = len(coeffs)
+    by_x = base == (0, 1) + (0,) * (k - 2)
+    top_coeffs = coeffs[::-1]
+    result = base
+    for bit in bin(n)[3:]:
+        result = _mulmod_charpoly(result, result, coeffs, m)
+        if bit == "1":
+            result = (_times_x(result, top_coeffs, m) if by_x
                       else _mulmod_charpoly(result, base, coeffs, m))
-        n >>= 1
-        if not n:
-            return result
-        base = _mulmod_charpoly(base, base, coeffs, m)
+    return result
 
 
 def x_inverse(spec: SequenceSpec, m: int) -> tuple[int, ...]:
@@ -238,18 +280,14 @@ def companion_power(spec: SequenceSpec, n: int, m: int | None = None,
     x_power, each further row is a multiplication by x in O(k), with no
     matrix product at all.
     """
-    k = spec.k
     c = x_power(spec, n, m, base)
     top_coeffs = spec.coeffs[::-1]      # x^k = a_k + a_{k-1} x + ... + a_1 x^{k-1}
     if m is not None:
         top_coeffs = tuple(a % m for a in top_coeffs)
     rows = []
-    for _ in range(k):
+    for _ in range(spec.k):
         rows.append(c[::-1])
-        top = c[-1]
-        shifted = zip(top_coeffs, (0,) + c[:-1])
-        c = tuple([top * a + low for a, low in shifted] if m is None
-                  else [(top * a + low) % m for a, low in shifted])
+        c = _times_x(c, top_coeffs, m)
     return Matrix._of_rows(tuple(rows[::-1]), m)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from recurra.lnumbers import LSpec, l_terms
 from recurra.pisano import state_period
-from recurra.recurrence import SequenceSpec
+from recurra.recurrence import SequenceSpec, terms_mod
 from recurra.ringcore import ModulusMismatch, NotInvertible
 from recurra.quaternions import (
     CensusRecord,
@@ -156,6 +156,17 @@ def test_l_quat_norm_identity():
     for l, n in ((0, 3), (3, -1)):
         with pytest.raises(ValueError, match="need l >= 1 and n >= 0"):
             l_quat_norm_check(l, n)
+
+
+def test_exact_norm_at_a_far_index_runs_in_bounded_memory(capped_python):
+    # the five terms come off terms_from in O(n) bits; a prefix of 2n + 4
+    # exact terms to n = 10^5 would take about a gigabyte
+    script = ("from recurra.quaternions import l_quat_norm_check, l_quaternion_norm\n"
+              "print(l_quat_norm_check(3, 10 ** 5), l_quaternion_norm(3, 10 ** 5) % 1000003)")
+    proc = capped_python("-c", script, cap_mb=64, cpu_s=10)
+    a = terms_mod(LSpec(3), 10 ** 5 + 4, 1000003)[-4:]
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"True {sum(x * x for x in a) % 1000003}\n"
 
 
 def test_census():

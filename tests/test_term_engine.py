@@ -2,14 +2,16 @@
 (Fiduccia's method), exact and mod m, and everything built on it: the
 l-numbers as the spec (l, 1), sequence quaternions and the unit census."""
 from itertools import islice
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recurra import recurrence
 from recurra.lnumbers import LSpec, l_term, l_terms
 from recurra.quaternions import invertibility_census, l_quaternion, l_quaternion_norm
 from recurra.recurrence import (SequenceSpec, stream, term, term_mod, terms, terms_from,
-                                terms_mod)
+                                terms_mod, x_power)
 
 from oracles import naive_lterms, naive_matpow_squaring, naive_terms, naive_terms_mod
 
@@ -42,6 +44,66 @@ def test_terms_property(data):
     assert terms_from(spec, n, count, m) == [x % m for x in ref[n:n + count]]
     assert terms(spec, n + 1) == ref[:n + 1]
     assert terms_mod(spec, n + 1, m) == naive_terms_mod(coeffs, n + 1, m, initial)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_far_terms_property(data):
+    # terms_from powers x only to floor(n/2), so both parities of n are
+    # drawn, and the smallest n, where x^floor(n/2) is 1 or x
+    k = data.draw(st.integers(2, 8), label="k")
+    head = data.draw(st.lists(st.integers(-9, 9), min_size=k - 1, max_size=k - 1))
+    a_k = data.draw(st.integers(-9, 9).filter(bool), label="a_k")
+    coeffs = tuple(head + [a_k])
+    initial = data.draw(st.none() | st.tuples(*[st.integers(-50, 50)] * k),
+                        label="window")
+    spec = SequenceSpec(coeffs, initial)
+    count = data.draw(st.integers(0, 8), label="count")
+    n = data.draw(st.sampled_from((0, 1, 2, 3)) | st.integers(0, 3000), label="n")
+    ref = naive_terms(coeffs, n + count + 2, initial)
+    for t in (n, n + 1):
+        assert term(spec, t) == ref[t]
+        assert terms_from(spec, t, count) == ref[t:t + count]
+    # mod m, against D^n Y_i = Y_{n+i}, Y_i = (d_{i+k-1}, ..., d_i), whose
+    # last entry is d_{n+i}
+    m = data.draw(MODULI, label="m")
+    n = data.draw(st.sampled_from((0, 1, 2, 3)) | st.integers(0, 10 ** 30), label="far n")
+    prefix = naive_terms(coeffs, count + k + 1, initial)
+    windows = [prefix[i:i + k][::-1] for i in range(count + 2)]
+    for t in (n, n + 1):
+        bottom = naive_matpow_squaring(coeffs, t, m)[-1]
+        expected = [sum(map(mul, bottom, y)) % m for y in windows]
+        assert term_mod(spec, t, m).value == expected[0]
+        assert terms_from(spec, t, count, m) == expected[:count]
+
+
+def test_products_per_power_are_pinned(monkeypatch):
+    # from x, the top-bit-first ladder squares once per further bit and
+    # multiplies by x with a shift; from any other base each set bit below
+    # the top costs a product too; term powers only to floor(n/2)
+    real = recurrence._mulmod_charpoly
+    calls = []
+    monkeypatch.setattr(recurrence, "_mulmod_charpoly",
+                        lambda *args: calls.append(args) or real(*args))
+    for coeffs in ((1, 1), (3, -1, 4, 1, -5)):
+        spec = SequenceSpec(coeffs)
+        other = (2, 1) + (0,) * (spec.k - 2)
+        for m in (None, 10 ** 9 + 7):
+            for n in (1, 2, 3, 7, 8, 255, 256, 1000, 4097):
+                calls.clear()
+                x_power(spec, n, m)
+                assert len(calls) == n.bit_length() - 1, (coeffs, m, n)
+                assert all(u is v for u, v, *_ in calls)
+                calls.clear()
+                x_power(spec, n, m, other)
+                assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1
+                if n >= 2:
+                    calls.clear()
+                    if m is None:
+                        term(spec, n)
+                    else:
+                        term_mod(spec, n, m)
+                    assert len(calls) == (n // 2).bit_length() - 1, (coeffs, m, n)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -100,6 +162,8 @@ def test_l_quaternion_property(l, r, n):
 @given(l=st.sampled_from((3, 5, 7, 11, 13)), r=st.integers(1, 4),
        n_max=st.integers(0, 60))
 def test_census_property(l, r, n_max):
+    # the census reduces an l_terms prefix; l_quaternion_norm reads its
+    # four terms off terms_from
     report = invertibility_census(l, r, n_max)
     assert [rec.index for rec in report.records] == list(range(n_max + 1))
     for rec in report.records:

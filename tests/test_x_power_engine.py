@@ -13,8 +13,8 @@ from recurra.ntheory import (factorize, order_from_multiple, poly_divmod_mod_p,
                              poly_gcd_mod_p, poly_mod_p, unfactor)
 from recurra.pisano import (_order_multiple_factored, char_poly, diagonalizable_mod_p,
                             matrix_order, matrix_order_multiple, state_period)
-from recurra.recurrence import (SequenceSpec, companion, companion_power, x_inverse,
-                                x_power)
+from recurra.recurrence import (SequenceSpec, _power_reduced, companion, companion_power,
+                                x_inverse, x_power)
 from recurra.ringcore import Matrix, NotInvertible
 
 from oracles import (companion_diagonalizable_mod_p, naive_is_matrix_order,
@@ -67,6 +67,23 @@ def poly_mul(f, g, m=None):
 def poly_add(f, g):
     n = max(len(f), len(g))
     return [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)]
+
+
+def poly_power_mod_chi(coeffs, base, n, m=None):
+    """base^n mod chi by n schoolbook products, each reduced by long
+    division by the monic chi = x^k - a_1 x^{k-1} - ... - a_k."""
+    k = len(coeffs)
+    chi = [-a for a in reversed(coeffs)] + [1]
+    out = [1]
+    for _ in range(n):
+        out = poly_mul(out, list(base), m)
+        while len(out) > k:             # subtract lead * x^(deg - k) * chi
+            lead = out.pop()
+            for i in range(k):
+                out[len(out) - k + i] -= lead * chi[i]
+        if m is not None:
+            out = [c % m for c in out]
+    return tuple(out + [0] * (k - len(out)))
 
 
 def identity(k):
@@ -258,6 +275,31 @@ def test_x_power_reduces_its_base():
     with pytest.raises(ValueError, match=r"x_power\(\) is for n >= 0"):
         x_power(fib, -1, 7)
     assert companion_power(fib, 1, 7, (9, -1)) == companion_power(fib, 1, 7, (2, 6))
+    for base in ((1, 2, 3), (5,), ()):
+        for n in (0, 1, 5):
+            for m in (None, 7):
+                with pytest.raises(ValueError, match="base must have k = 2"):
+                    x_power(fib, n, m, base)
+                with pytest.raises(ValueError, match="base must have k = 2"):
+                    companion_power(fib, n, m, base)
+
+
+def test_powers_of_any_base_against_naive_powering():
+    # pisano's descent and ladder power elements other than x through
+    # _power_reduced; the explicit x takes the shift
+    rng = random.Random(251)
+    for _ in range(150):
+        k = rng.randint(2, 8)
+        coeffs = tuple(rng.randint(-9, 9) for _ in range(k - 1)) + (rng.choice((-3, -1, 1, 2, 7)),)
+        m = rng.choice((None, 2, 27, 256, 10 ** 9 + 7, 2 ** 64 + 13))
+        base = rng.choice(((0, 1) + (0,) * (k - 2), (rng.randint(0, 5), 1) + (0,) * (k - 2),
+                           tuple(rng.randint(-9, 9) for _ in range(k))))
+        n = rng.choice((1, 2, 3, rng.randint(1, 40)))
+        expected = poly_power_mod_chi(coeffs, base, n, m)
+        assert x_power(SequenceSpec(coeffs), n, m, base) == expected, (coeffs, base, n, m)
+        if m is not None:
+            base, coeffs = tuple(c % m for c in base), tuple(a % m for a in coeffs)
+        assert _power_reduced(base, n, coeffs, m) == expected, (coeffs, base, n, m)
 
 
 def test_companion_power_against_naive_powers():
