@@ -60,25 +60,29 @@ def terms_from(spec: SequenceSpec, n: int, count: int,
     With x^h = sum c_j x^j mod chi, d_{h+s} = sum c_j d_{s+j} for any
     initial window and any s >= 0 (Fiduccia's method; index addition).
     So one power to h = floor(n/2) serves twice: with r = n - 2h it reads
-    the window mid_i = d_{h+r+i} off the prefix d_0, ..., d_{r+count+2k-3},
-    and then d_{n+t} = d_{h+(h+r+t)} off that window, each term in O(k).
-    Over Z, x^n's coefficients would be as long as d_n; x^h's are half as
-    long, and the squaring x^n would end with becomes k products a term.
-    The power costs O(k^2 log n) products.  Mod m, the power, the prefix
-    and the window are all computed with reduced intermediates.
+    the window mid_i = d_{h+r+i} off the prefix d_0, ..., d_{r+head+2k-3},
+    head = min(count, k), and then d_{n+t} = d_{h+(h+r+t)} off that
+    window for t < head.  Over Z, x^n's coefficients would be as long as d_n; x^h's
+    are half as long, and the squaring x^n would end with becomes k
+    products a term.  The power costs O(k^2 log n) products; past the
+    first k terms the recurrence steps on, each term in k products by
+    a_1..a_k.  Mod m, the power, the prefix and each term are reduced.
     """
     if n < 0 or count < 0:
         raise ValueError(f"need n, count >= 0, got {n}, {count}")
     k = spec.k
+    head = min(count, k)
     h, r = divmod(n, 2)
     c = x_power(spec, h, m)
-    size = r + count + 2 * k - 2
+    size = r + head + 2 * k - 2
     d = terms(spec, size) if m is None else terms_mod(spec, size, m)
-    mid = [sum(map(mul, c, d[r + i:r + i + k])) for i in range(count + k - 1)]
+    mid = [sum(map(mul, c, d[r + i:r + i + k])) for i in range(head + k - 1)]
+    out = [sum(map(mul, c, mid[t:t + k])) for t in range(head)]
+    backward = spec.coeffs[::-1]
     if m is not None:
-        mid = [x % m for x in mid]
-    out = [sum(map(mul, c, mid[t:t + k])) for t in range(count)]
-    return out if m is None else [x % m for x in out]
+        out = [x % m for x in out]
+        backward = tuple([a % m for a in backward])
+    return list(islice(_steps(backward, out, m), count))
 
 
 def term(spec: SequenceSpec, n: int) -> int:
@@ -196,16 +200,6 @@ def _mulmod_charpoly(u: tuple[int, ...], v: tuple[int, ...],
     return tuple(full) if m is None else tuple([x % m for x in full])
 
 
-def _times_x(c: tuple[int, ...], top_coeffs: tuple[int, ...],
-             m: int | None) -> tuple[int, ...]:
-    # c * x in O(k): shift up one degree and fold the x^k term back in as
-    # top_coeffs = (a_k, ..., a_1), the coefficients of x^k mod chi
-    top = c[-1]
-    shifted = zip(top_coeffs, (0,) + c[:-1])
-    return tuple([top * a + low for a, low in shifted] if m is None
-                 else [(top * a + low) % m for a, low in shifted])
-
-
 def x_power(spec: SequenceSpec, n: int, m: int | None = None,
             base: tuple[int, ...] | None = None) -> tuple[int, ...]:
     """base^n (default x^n) in Z_m[x]/(chi), or Z[x]/(chi) when m is None;
@@ -215,8 +209,8 @@ def x_power(spec: SequenceSpec, n: int, m: int | None = None,
     first, so base must have length k.  D acts as multiplication by x on
     this free module, so x^n = sum c_i x^i means D^n = sum c_i D^i; in
     particular D^n = I exactly when x^n = 1.  One product costs O(k^2),
-    against O(k^3) for a matrix product; x^n takes bit_length(n) - 1 of
-    them, and any other base up to that many more (see _power_reduced).
+    against O(k^3) for a matrix product, and base^n takes at most
+    2 (bit_length(n) - 1) of them (see _power_reduced).
     """
     if m is not None:
         check_modulus(m)
@@ -242,19 +236,16 @@ def _power_reduced(base: tuple[int, ...], n: int, coeffs: tuple[int, ...],
 
     n is read from its top bit down: each further bit squares the power,
     and a set bit then multiplies it by base, so the squarings come to
-    bit_length(n) - 1 and the multiplications to popcount(n) - 1.  When
-    base is x, a multiplication is the O(k) shift of _times_x, not a
-    product.
+    bit_length(n) - 1 and the multiplications to popcount(n) - 1.  From
+    x, each multiplication is by a factor of entries 0 and 1, so over Z
+    the squarings take nearly all the work; read from the bottom bit, the
+    multiplications would be of two large powers.
     """
-    k = len(coeffs)
-    by_x = base == (0, 1) + (0,) * (k - 2)
-    top_coeffs = coeffs[::-1]
     result = base
     for bit in bin(n)[3:]:
         result = _mulmod_charpoly(result, result, coeffs, m)
         if bit == "1":
-            result = (_times_x(result, top_coeffs, m) if by_x
-                      else _mulmod_charpoly(result, base, coeffs, m))
+            result = _mulmod_charpoly(result, base, coeffs, m)
     return result
 
 
@@ -287,7 +278,10 @@ def companion_power(spec: SequenceSpec, n: int, m: int | None = None,
     rows = []
     for _ in range(spec.k):
         rows.append(c[::-1])
-        c = _times_x(c, top_coeffs, m)
+        top = c[-1]
+        shifted = zip(top_coeffs, (0,) + c[:-1])
+        c = tuple([top * a + low for a, low in shifted] if m is None
+                  else [(top * a + low) % m for a, low in shifted])
     return Matrix._of_rows(tuple(rows[::-1]), m)
 
 

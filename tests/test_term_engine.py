@@ -36,7 +36,7 @@ def test_terms_property(data):
     spec = SequenceSpec(coeffs, initial)
     n = data.draw(st.integers(0, 300), label="n")
     m = data.draw(MODULI, label="m")
-    count = data.draw(st.integers(0, 8), label="count")
+    count = data.draw(st.integers(0, 2 * k + 3), label="count")
     ref = naive_terms(coeffs, n + count + 1, initial)
     assert term(spec, n) == ref[n]
     assert term_mod(spec, n, m).value == ref[n] % m
@@ -58,7 +58,7 @@ def test_far_terms_property(data):
     initial = data.draw(st.none() | st.tuples(*[st.integers(-50, 50)] * k),
                         label="window")
     spec = SequenceSpec(coeffs, initial)
-    count = data.draw(st.integers(0, 8), label="count")
+    count = data.draw(st.integers(0, 2 * k + 3), label="count")
     n = data.draw(st.sampled_from((0, 1, 2, 3)) | st.integers(0, 3000), label="n")
     ref = naive_terms(coeffs, n + count + 2, initial)
     for t in (n, n + 1):
@@ -77,10 +77,27 @@ def test_far_terms_property(data):
         assert terms_from(spec, t, count, m) == expected[:count]
 
 
+def test_a_long_run_at_a_far_exact_index():
+    # past its first k terms, terms_from steps the recurrence on; checked
+    # against the exact D^n applied to the windows Y_i
+    for coeffs, initial in (((1, 1), None), ((2, -1, 3), (4, -7, 1)),
+                            ((1, 0, -2, 1, 1), (1, 2, 3, 4, 5))):
+        k = len(coeffs)
+        spec = SequenceSpec(coeffs, initial)
+        count = 3 * k + 1
+        prefix = naive_terms(coeffs, count + k, initial)
+        windows = [prefix[i:i + k][::-1] for i in range(count)]
+        for n in (20000, 20001):
+            bottom = naive_matpow_squaring(coeffs, n, None)[-1]
+            expected = [sum(map(mul, bottom, y)) for y in windows]
+            assert terms_from(spec, n, count) == expected, (coeffs, n)
+            assert term(spec, n + count - 1) == expected[-1]
+
+
 def test_products_per_power_are_pinned(monkeypatch):
-    # from x, the top-bit-first ladder squares once per further bit and
-    # multiplies by x with a shift; from any other base each set bit below
-    # the top costs a product too; term powers only to floor(n/2)
+    # the top-bit-first ladder squares once per further bit and multiplies
+    # by the base once per further set bit, from x as from any other
+    # base; term powers only to floor(n/2)
     real = recurrence._mulmod_charpoly
     calls = []
     monkeypatch.setattr(recurrence, "_mulmod_charpoly",
@@ -90,20 +107,24 @@ def test_products_per_power_are_pinned(monkeypatch):
         other = (2, 1) + (0,) * (spec.k - 2)
         for m in (None, 10 ** 9 + 7):
             for n in (1, 2, 3, 7, 8, 255, 256, 1000, 4097):
-                calls.clear()
-                x_power(spec, n, m)
-                assert len(calls) == n.bit_length() - 1, (coeffs, m, n)
-                assert all(u is v for u, v, *_ in calls)
-                calls.clear()
-                x_power(spec, n, m, other)
-                assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1
+                for base in (None, other):
+                    calls.clear()
+                    x_power(spec, n, m, base)
+                    squares = sum(u is v for u, v, *_ in calls)
+                    assert (squares, len(calls) - squares) == (
+                        n.bit_length() - 1, bin(n).count("1") - 1), (coeffs, m, n, base)
                 if n >= 2:
                     calls.clear()
                     if m is None:
                         term(spec, n)
                     else:
                         term_mod(spec, n, m)
-                    assert len(calls) == (n // 2).bit_length() - 1, (coeffs, m, n)
+                    h = n // 2
+                    assert len(calls) == h.bit_length() - 1 + bin(h).count("1") - 1
+            # a run past k terms steps on from the first k: no more products
+            calls.clear()
+            terms_from(spec, 1001, 3 * spec.k, m)
+            assert len(calls) == 8 + 6 - 1, (coeffs, m)     # 500 = 0b111110100
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -286,7 +286,7 @@ def test_x_power_reduces_its_base():
 
 def test_powers_of_any_base_against_naive_powering():
     # pisano's descent and ladder power elements other than x through
-    # _power_reduced; the explicit x takes the shift
+    # _power_reduced, and x itself
     rng = random.Random(251)
     for _ in range(150):
         k = rng.randint(2, 8)
