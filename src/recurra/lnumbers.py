@@ -44,8 +44,7 @@ class ResidueClass(Enum):
 
 
 def l_term(spec: LSpec, n: int) -> int:
-    """a_n: off the spec's prefix when that reaches n, else by term(),
-    off x^floor(n/2) in Z[x]/(x^2 - l x - 1) and one window of terms."""
+    """a_n: off the spec's prefix when that reaches n, else by term()."""
     prefix = spec._prefix
     if 0 <= n < len(prefix):
         return prefix[n]

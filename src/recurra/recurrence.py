@@ -58,15 +58,12 @@ def terms_from(spec: SequenceSpec, n: int, count: int,
     """[d_n, ..., d_{n+count-1}] for n >= 0, exact or reduced mod m.
 
     With x^h = sum c_j x^j mod chi, d_{h+s} = sum c_j d_{s+j} for any
-    initial window and any s >= 0 (Fiduccia's method; index addition).
-    So one power to h = floor(n/2) serves twice: with r = n - 2h it reads
-    the window mid_i = d_{h+r+i} off the prefix d_0, ..., d_{r+head+2k-3},
-    head = min(count, k), and then d_{n+t} = d_{h+(h+r+t)} off that
-    window for t < head.  Over Z, x^n's coefficients would be as long as d_n; x^h's
-    are half as long, and the squaring x^n would end with becomes k
-    products a term.  The power costs O(k^2 log n) products; past the
-    first k terms the recurrence steps on, each term in k products by
-    a_1..a_k.  Mod m, the power, the prefix and each term are reduced.
+    initial window and any s >= 0 (Fiduccia's method).  So one power to
+    h = floor(n/2) serves twice: with r = n - 2h, it reads the window
+    mid_i = d_{h+r+i} off a short prefix, then d_{n+t} = d_{h+(h+r+t)} off
+    that window for t < min(count, k), and the recurrence steps on from
+    there.  Over Z, x^h's coefficients are half as long as x^n's.  Mod m,
+    the power, the prefix and each term are reduced.
     """
     if n < 0 or count < 0:
         raise ValueError(f"need n, count >= 0, got {n}, {count}")
@@ -235,11 +232,8 @@ def _power_reduced(base: tuple[int, ...], n: int, coeffs: tuple[int, ...],
     and the coefficients a_1..a_k must already be reduced mod m.
 
     n is read from its top bit down: each further bit squares the power,
-    and a set bit then multiplies it by base, so the squarings come to
-    bit_length(n) - 1 and the multiplications to popcount(n) - 1.  From
-    x, each multiplication is by a factor of entries 0 and 1, so over Z
-    the squarings take nearly all the work; read from the bottom bit, the
-    multiplications would be of two large powers.
+    and a set bit then multiplies it by base.  From x, that factor's
+    entries are 0 and 1, so over Z the squarings take nearly all the work.
     """
     result = base
     for bit in bin(n)[3:]:
