@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from array import array
 from math import gcd
-from operator import mul
+from operator import index, mul
 from sys import byteorder
 
 from .ringcore import Matrix, Value, set_field
@@ -55,14 +55,16 @@ class _Labels(dict):
 
 
 class CipherKey(Value):
-    """(k, N, a_1..a_k, n): modulus N, recurrence coefficients, exponent n."""
+    """(k, N, a_1..a_k, n): modulus N, recurrence coefficients, exponent n.
+    The coefficients are taken with operator.index: a float or a string
+    raises TypeError."""
 
     _fields = ("k", "n_mod", "coeffs", "exponent")
 
     def __init__(self, k: int, n_mod: int, coeffs: tuple[int, ...], exponent: int):
         set_field(self, "k", k)
         set_field(self, "n_mod", n_mod)
-        set_field(self, "coeffs", tuple(map(int, coeffs)))
+        set_field(self, "coeffs", tuple(map(index, coeffs)))
         set_field(self, "exponent", exponent)
 
     def spec(self) -> SequenceSpec:

@@ -13,18 +13,19 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import islice
-from operator import mul
+from operator import index, mul
 
 from .ringcore import Matrix, Residue, Value, check_modulus, invert_mod, set_field
 
 
 class SequenceSpec(Value):
-    """Coefficients a_1..a_k plus the initial window d_0..d_{k-1}."""
+    """Coefficients a_1..a_k plus the initial window d_0..d_{k-1}, each an
+    integer (operator.index: a float or a string raises TypeError)."""
 
     _fields = ("coeffs", "initial")
 
     def __init__(self, coeffs: tuple[int, ...], initial: tuple[int, ...] | None = None):
-        coeffs = tuple(map(int, coeffs))
+        coeffs = tuple(map(index, coeffs))
         if len(coeffs) < 2:
             raise ValueError("need k >= 2 coefficients")
         if coeffs[-1] == 0:
@@ -32,7 +33,7 @@ class SequenceSpec(Value):
         if initial is None:
             initial = (0,) * (len(coeffs) - 1) + (1,)
         else:
-            initial = tuple(map(int, initial))
+            initial = tuple(map(index, initial))
             if len(initial) != len(coeffs):
                 raise ValueError("initial window must have length k")
         set_field(self, "coeffs", coeffs)
@@ -100,17 +101,33 @@ def terms(spec: SequenceSpec, count: int) -> list[int]:
 def stream(spec: SequenceSpec, m: int | None = None) -> Iterator[int]:
     """d_0, d_1, ... without end, exact or reduced mod m.  Only one window
     is held: each step is d_{t+k} = a_k d_t + ... + a_1 d_{t+k-1}.  The
-    modulus is checked here, before the first term is asked for."""
+    modulus is checked here, before the first term is asked for.
+
+    Up to k = _KERNEL_K_MAX the step is a straight-line kernel (see
+    _kernel): the window lives in k locals, and a step is one sum of k
+    products and a rotation.  Above it the step is a loop, and nothing is
+    configurable.
+    """
     window = spec.initial
     backward = spec.coeffs[::-1]
     if m is not None:
         check_modulus(m)
         backward = tuple([a % m for a in backward])
         window = tuple([x % m for x in window])
-    return _steps(backward, list(window), m)
+    return _steps(backward, window, m)
 
 
-def _steps(backward: tuple[int, ...], w: list[int], m: int | None) -> Iterator[int]:
+def _steps(backward: tuple[int, ...], w: tuple[int, ...] | list[int],
+           m: int | None) -> Iterator[int]:
+    """The terms of window w (oldest first), then those after it.  w may
+    be shorter than k only if no term past it is asked for."""
+    k = len(backward)
+    if k > _KERNEL_K_MAX:
+        return _step_loop(backward, list(w), m)
+    return _kernel("steps", k, m is not None)(backward, w, m)
+
+
+def _step_loop(backward: tuple[int, ...], w: list[int], m: int | None) -> Iterator[int]:
     yield from w
     while True:
         x = sum(map(mul, backward, w))
@@ -197,6 +214,9 @@ def _mulmod_charpoly(u: tuple[int, ...], v: tuple[int, ...],
     return tuple(full) if m is None else tuple([x % m for x in full])
 
 
+_LOOP_PRODUCTS = (lambda u, coeffs, m: _mulmod_charpoly(u, u, coeffs, m), _mulmod_charpoly)
+
+
 def x_power(spec: SequenceSpec, n: int, m: int | None = None,
             base: tuple[int, ...] | None = None) -> tuple[int, ...]:
     """base^n (default x^n) in Z_m[x]/(chi), or Z[x]/(chi) when m is None;
@@ -207,7 +227,11 @@ def x_power(spec: SequenceSpec, n: int, m: int | None = None,
     this free module, so x^n = sum c_i x^i means D^n = sum c_i D^i; in
     particular D^n = I exactly when x^n = 1.  One product costs O(k^2),
     against O(k^3) for a matrix product, and base^n takes at most
-    2 (bit_length(n) - 1) of them (see _power_reduced).
+    2 (bit_length(n) - 1) of them (see _power_reduced).  Up to
+    k = _KERNEL_K_MAX (16) a product is straight-line code compiled once
+    per process for k and the mode; above it, where that code and its
+    compile time and memory would grow as k^2, it is a loop.  Nothing
+    about this is configurable.
     """
     if m is not None:
         check_modulus(m)
@@ -234,13 +258,112 @@ def _power_reduced(base: tuple[int, ...], n: int, coeffs: tuple[int, ...],
     n is read from its top bit down: each further bit squares the power,
     and a set bit then multiplies it by base.  From x, that factor's
     entries are 0 and 1, so over Z the squarings take nearly all the work.
+    The square and the product are fetched once, through _products: the
+    compiled kernels for k and the mode up to k = _KERNEL_K_MAX, and
+    _mulmod_charpoly's loops above it.
     """
+    square, times = _products(len(coeffs), m is not None)
     result = base
     for bit in bin(n)[3:]:
-        result = _mulmod_charpoly(result, result, coeffs, m)
+        result = square(result, coeffs, m)
         if bit == "1":
-            result = _mulmod_charpoly(result, base, coeffs, m)
+            result = times(result, base, coeffs, m)
     return result
+
+
+def _products(k: int, modular: bool):
+    """(square(u, coeffs, m), times(u, v, coeffs, m)) in Z_m[x]/(chi), or
+    in Z[x]/(chi) when not modular."""
+    if k > _KERNEL_K_MAX:
+        return _LOOP_PRODUCTS
+    return _kernel("products", k, modular)
+
+
+# The engine's two inner loops, the recurrence step and the product in
+# Z_m[x]/(chi), run as straight-line Python up to k = _KERNEL_K_MAX: each
+# has a template that depends only on k and on the mode (exact, or reduced
+# mod m), compiled once per process for each (k, mode) on first use.  A
+# product kernel's source grows as k^2, and so do its compile time and
+# memory (Python 3.11 on a 2-vCPU Xeon VM): 3 ms at k = 16, the cost of
+# about 200 products there, 16 ms and 3 MB at k = 32, 0.13 s and 38 MB at
+# k = 100, 0.6 s and 150 MB at k = 200.  A step kernel's grows as k, but
+# from about k = 32 on it is no faster than the loop, and a flat sum of a
+# few thousand terms overflows the compiler's recursion.  Above the bound
+# both stay loops, whose cost there is mostly the arithmetic.  The bound
+# is a constant, not an option.
+_KERNEL_K_MAX = 16
+_kernels: dict[tuple[str, int, bool], object] = {}
+
+
+def _kernel(kind: str, k: int, modular: bool):
+    """The compiled kernel "products" (the pair square, times) or "steps"
+    for k and the mode.  Threads that race on a new kernel each compile
+    it, and all of them get the one that was stored first."""
+    try:
+        return _kernels[kind, k, modular]
+    except KeyError:
+        pass
+    source = (_products_source if kind == "products" else _steps_source)(k, modular)
+    name = f"<recurra kernel {kind} k={k}{' mod m' if modular else ''}>"
+    namespace: dict = {}
+    exec(compile(source, name, "exec"), namespace)
+    return _kernels.setdefault((kind, k, modular), namespace[kind])
+
+
+def _sum(terms: list[str]) -> str:
+    return f"({' + '.join(terms)})"
+
+
+def _names(prefix: str, start: int, stop: int) -> str:
+    return "".join(f"{prefix}{i}, " for i in range(start, stop))
+
+
+def _steps_source(k: int, modular: bool) -> str:
+    # b_i = a_{k-i} pairs with d_i, the oldest term first
+    mod = " % m" if modular else ""
+    step = _sum([f"b{i} * d{i}" for i in range(k)])
+    return (f"def steps(backward, w, m):\n"
+            f"    yield from w\n"
+            f"    {_names('b', 0, k)}= backward\n"
+            f"    {_names('d', 0, k)}= w\n"
+            f"    while True:\n"
+            f"        {_names('d', 0, k)}= {_names('d', 1, k)}{step}{mod}\n"
+            f"        yield d{k - 1}\n")
+
+
+def _products_source(k: int, modular: bool) -> str:
+    # u * v as _mulmod_charpoly takes it: full[i] holds the products
+    # u_j v_l with j + l = i; c_top, from top = 2k - 2 down to k, is full[top]
+    # plus what the tops above it folded in, reduced mod m, and it folds
+    # c_top a_j into full[top - j]
+    mod = " % m" if modular else ""
+
+    def body(full: list[list[str]]) -> str:
+        lines = []
+        for top in range(2 * k - 2, k - 1, -1):
+            folded = [f"c{top + j} * a{j}" for j in range(1, 2 * k - 1 - top)]
+            lines.append(f"    c{top} = {_sum(full[top] + folded)}{mod}\n")
+        low = []
+        for i in range(k):
+            folded = [f"c{i + j} * a{j}" for j in range(k - i, min(k, 2 * k - 2 - i) + 1)]
+            low.append(f"{_sum(full[i] + folded)}{mod}, ")
+        return "".join(lines) + f"    return ({''.join(low)})\n"
+
+    # a square takes each cross product u_i u_j, i < j, once, as t_i u_j
+    # with t_i = 2 u_i: k(k+1)/2 products
+    square: list[list[str]] = [[] for _ in range(2 * k - 1)]
+    times: list[list[str]] = [[] for _ in range(2 * k - 1)]
+    for i in range(k):
+        square[2 * i].append(f"u{i} * u{i}")
+        for j in range(k):
+            if j > i:
+                square[i + j].append(f"t{i} * u{j}")
+            times[i + j].append(f"u{i} * v{j}")
+    unpack = f"    {_names('u', 0, k)}= u\n    {_names('a', 1, k + 1)}= a\n"
+    twice = "".join(f"    t{i} = u{i} + u{i}\n" for i in range(k - 1))
+    return (f"def square(u, a, m):\n{unpack}{twice}{body(square)}\n"
+            f"def times(u, v, a, m):\n{unpack}    {_names('v', 0, k)}= v\n{body(times)}\n"
+            f"products = square, times\n")
 
 
 def x_inverse(spec: SequenceSpec, m: int) -> tuple[int, ...]:

@@ -8,7 +8,7 @@ can be invertible while every candidate pivot is a zero divisor.
 from __future__ import annotations
 
 from math import gcd
-from operator import attrgetter, mul
+from operator import attrgetter, index, mul
 
 # How a Value subclass's __init__ sets a field, past Value.__setattr__.
 set_field = object.__setattr__
@@ -167,7 +167,8 @@ def _det_bareiss(rows: list[list[int]]) -> int:
 class Matrix(Value):
     """Immutable matrix over Z (modulus None) or Z_m (modulus m).
 
-    Entries are plain ints; modular matrices keep them reduced to [0, m).
+    Entries are plain ints, taken with operator.index, so a float or a
+    string raises TypeError; modular matrices keep them reduced to [0, m).
     """
 
     __slots__ = ("rows", "cols", "modulus", "entries")
@@ -175,10 +176,10 @@ class Matrix(Value):
 
     def __init__(self, entries, modulus: int | None = None):
         if modulus is None:
-            rows = tuple(tuple(int(x) for x in row) for row in entries)
+            rows = tuple(tuple(map(index, row)) for row in entries)
         else:
             check_modulus(modulus)
-            rows = tuple(tuple(int(x) % modulus for x in row) for row in entries)
+            rows = tuple(tuple([index(x) % modulus for x in row]) for row in entries)
         if not rows:
             raise ShapeMismatch("matrix must have at least one row")
         if any(len(r) != len(rows[0]) for r in rows):

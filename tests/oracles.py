@@ -19,6 +19,18 @@ def naive_terms(coeffs, count, initial=None):
     return d[:count]
 
 
+def plain_steps(backward, window, count, m=None):
+    """The first count terms from window on, oldest first: the window's
+    own, then each further one sum(backward[i] * w[i]) over the last
+    len(backward) terms w, reduced mod m when m is given."""
+    d = list(window)
+    k = len(backward)
+    while len(d) < count:
+        x = sum(b * t for b, t in zip(backward, d[len(d) - k:]))
+        d.append(x if m is None else x % m)
+    return d[:count]
+
+
 def naive_term_negative(coeffs, n, initial=None):
     """d_n for n < 0 as a Fraction, one backward step at a time:
     d_{j-k} = (d_j - a_1 d_{j-1} - ... - a_{k-1} d_{j-k+1}) / a_k."""

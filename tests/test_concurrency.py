@@ -3,13 +3,14 @@ entry points from many threads and require byte-identical answers."""
 import os
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from recurra import cipher, lnumbers, pisano, recurrence
 from recurra.cipher import Alphabet, CipherKey
 from recurra.recurrence import SequenceSpec
 
-from oracles import naive_lterms
+from oracles import naive_lterms, naive_matpow_squaring, naive_terms_mod
 
 
 def test_concurrent_callers_agree():
@@ -53,6 +54,37 @@ def test_threads_sharing_one_l_number_prefix_agree():
     for rows in results:
         for count, prefix, term in rows:
             assert prefix == expected[:count] and term == expected[count]
+
+
+def test_threads_racing_on_new_kernels_agree(monkeypatch):
+    # with an empty kernel cache, eight threads start at once on the same
+    # k, so they race to compile each kernel: every answer is the oracle's,
+    # and every thread ends up with the one kernel that was stored
+    monkeypatch.setattr(recurrence, "_kernels", {})
+    coeffs, m, n = (3, -1, 4, 1, -5, 9, 2), 10 ** 9 + 7, 10 ** 6 + 3
+    spec = SequenceSpec(coeffs)
+    start = threading.Barrier(8)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def work(i):
+            start.wait(timeout=60)
+            return (recurrence.term_mod(spec, n, m).value, recurrence.terms_mod(spec, 60, m),
+                    recurrence.term(spec, 500), recurrence._products(7, True),
+                    recurrence._products(7, False))
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(work, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(old_interval)
+    expected = (naive_matpow_squaring(coeffs, n, m)[-1][0], naive_terms_mod(coeffs, 60, m),
+                naive_matpow_squaring(coeffs, 500, None)[-1][0])
+    kernels = recurrence._kernels
+    assert sorted(kernels) == [("products", 7, False), ("products", 7, True),
+                               ("steps", 7, False), ("steps", 7, True)]
+    for got in results:
+        assert got[:3] == expected
+        assert got[3] is kernels["products", 7, True] and got[4] is kernels["products", 7, False]
 
 
 # Eight threads of a fresh interpreter resolve every public name of the lazy

@@ -34,8 +34,8 @@ LIBRARY = {"cipher", "lnumbers", "ntheory", "pisano", "quaternions", "recurrence
            "verify"}
 
 # Runs `recurra ARGS...` through runpy in this fresh interpreter, then writes
-# every module it loaded, recurra's and the standard library's, to OUT as
-# JSON: python -c PROBE OUT ARGS...
+# every module it loaded, recurra's and the standard library's, and the keys
+# of the kernels recurrence compiled, to OUT as JSON: python -c PROBE OUT ARGS...
 PROBE = """
 import json, runpy, sys
 out, sys.argv = sys.argv[1], ["recurra", *sys.argv[2:]]
@@ -43,17 +43,23 @@ try:
     runpy.run_module("recurra.cli", run_name="__main__")
 except SystemExit:
     pass
+engine = sys.modules.get("recurra.recurrence")
 with open(out, "w") as fh:
-    json.dump(sorted(sys.modules), fh)
+    json.dump({"modules": sorted(sys.modules),
+               "kernels": sorted(engine._kernels) if engine else []}, fh)
 """
 
 
-def modules_after(tmp_path, *argv, stdin: str = "") -> set[str]:
-    out = tmp_path / "modules.json"
+def probe(tmp_path, *argv, stdin: str = "") -> dict:
+    out = tmp_path / "probe.json"
     subprocess.run([sys.executable, "-c", PROBE, str(out), *argv], cwd=tmp_path,
                    input=stdin.encode(), capture_output=True, timeout=120,
                    env=dict(os.environ, PYTHONPATH=SRC), check=True)
-    return set(json.loads(out.read_text()))
+    return json.loads(out.read_text())
+
+
+def modules_after(tmp_path, *argv, stdin: str = "") -> set[str]:
+    return set(probe(tmp_path, *argv, stdin=stdin)["modules"])
 
 
 def loaded_by(tmp_path, *argv, stdin: str = "") -> set[str]:
@@ -118,6 +124,36 @@ def test_no_command_loads_dataclasses_or_fractions(tmp_path, argv, allowed):
     assert "recurra.ringcore" in loaded
     assert {"dataclasses", "inspect", "fractions", "decimal", "string", "multiprocessing",
             "pickle", "concurrent.futures"} & loaded == allowed
+
+
+# The recurrence engine compiles its kernels on first use (see
+# recurrence._kernel).  The prefix commands step a window and take no power,
+# so they compile the one step kernel they run and no product kernel.
+@pytest.mark.parametrize("argv, kernels", [
+    (("seq", "1", "1", "--n", "10"), [["steps", 2, False]]),
+    (("seq", "1", "1", "--n", "10", "--mod", "7"), [["steps", 2, True]]),
+    (("seq", "1", "2", "3", "--n", "10", "--initial", "1", "1", "1"), [["steps", 3, False]]),
+    (("lnum", "2", "--n", "7"), [["steps", 2, False]]),
+    (("lnum", "2", "--n", "7", "--mod", "5"), [["steps", 2, True]]),
+])
+def test_prefix_commands_compile_no_product_kernel(tmp_path, argv, kernels):
+    assert probe(tmp_path, *argv)["kernels"] == kernels
+
+
+def test_compiling_kernels_loads_no_module():
+    code = """
+import sys
+from recurra import recurrence
+before = set(sys.modules)
+for k in range(2, recurrence._KERNEL_K_MAX + 1):
+    for modular in (False, True):
+        recurrence._kernel("products", k, modular)
+        recurrence._kernel("steps", k, modular)
+print(len(recurrence._kernels), sorted(set(sys.modules) - before))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120, check=True)
+    assert proc.stdout == f"{4 * (recurra.recurrence._KERNEL_K_MAX - 1)} []\n"
 
 
 def test_importing_the_package_loads_no_submodule():

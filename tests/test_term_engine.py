@@ -97,12 +97,20 @@ def test_a_long_run_at_a_far_exact_index():
 def test_products_per_power_are_pinned(monkeypatch):
     # the top-bit-first ladder squares once per further bit and multiplies
     # by the base once per further set bit, from x as from any other
-    # base; term powers only to floor(n/2)
-    real = recurrence._mulmod_charpoly
+    # base; term powers only to floor(n/2).  Products are counted through
+    # _products, which hands out the compiled kernels up to k =
+    # _KERNEL_K_MAX and the loops above it: the last spec is past the bound.
+    real = recurrence._products
     calls = []
-    monkeypatch.setattr(recurrence, "_mulmod_charpoly",
-                        lambda *args: calls.append(args) or real(*args))
-    for coeffs in ((1, 1), (3, -1, 4, 1, -5)):
+
+    def counted(k, modular):
+        square, times = real(k, modular)
+        return (lambda *args: calls.append("square") or square(*args),
+                lambda *args: calls.append("times") or times(*args))
+
+    monkeypatch.setattr(recurrence, "_products", counted)
+    above = (1,) * recurrence._KERNEL_K_MAX + (2,)
+    for coeffs in ((1, 1), (3, -1, 4, 1, -5), above):
         spec = SequenceSpec(coeffs)
         other = (2, 1) + (0,) * (spec.k - 2)
         for m in (None, 10 ** 9 + 7):
@@ -110,8 +118,7 @@ def test_products_per_power_are_pinned(monkeypatch):
                 for base in (None, other):
                     calls.clear()
                     x_power(spec, n, m, base)
-                    squares = sum(u is v for u, v, *_ in calls)
-                    assert (squares, len(calls) - squares) == (
+                    assert (calls.count("square"), calls.count("times")) == (
                         n.bit_length() - 1, bin(n).count("1") - 1), (coeffs, m, n, base)
                 if n >= 2:
                     calls.clear()

@@ -9,7 +9,7 @@ from recurra.lnumbers import LSpec
 from recurra.pisano import DiagnosisResult, PeriodResult
 from recurra.quaternions import CensusRecord, CensusReport, QuatAlgebra, Quaternion
 from recurra.recurrence import SequenceSpec
-from recurra.ringcore import Residue
+from recurra.ringcore import Matrix, Residue
 from recurra.verify import CheckResult
 
 H7 = QuatAlgebra(-1, -1, 7)
@@ -93,3 +93,28 @@ def test_value_class(cls, args, kwargs, change, fields, text, invalid):
     for bad in invalid:
         with pytest.raises(ValueError):
             cls(*bad)
+
+
+# Integer fields are taken with operator.index: a float or a string raises
+# TypeError instead of being truncated, and a bool stays the int it is.
+def test_a_spec_takes_integers_only():
+    for coeffs, initial in (((1.9, 1), None), ("11", None), ((1, 1), (0.5, 1)),
+                            ((1, 1), "01")):
+        with pytest.raises(TypeError):
+            SequenceSpec(coeffs, initial)
+    assert SequenceSpec((True, 1), (False, True)) == SequenceSpec((1, 1), (0, 1))
+
+
+def test_a_matrix_takes_integers_only():
+    for modulus in (None, 5):
+        for entries in ([[1.5, 2], [3, 4]], [[1, 2], [3, 4.0]], ["12", "34"]):
+            with pytest.raises(TypeError):
+                Matrix(entries, modulus)
+    assert Matrix([[True, 2], [3, 4]], 3).entries == ((1, 2), (0, 1))
+
+
+def test_a_cipher_key_takes_integer_coefficients_only():
+    for coeffs in ((4.0, -5, 2), (4, -5.5, 2), "452"):
+        with pytest.raises(TypeError):
+            CipherKey(3, 27, coeffs, 2)
+    assert CipherKey(3, 27, (4, -5, True), 2).coeffs == (4, -5, 1)
