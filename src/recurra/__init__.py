@@ -3,6 +3,10 @@ companion matrices and their determinant identities, generalized Pisano
 periods, a recurrence-keyed block cipher, and l-number / quaternion
 identities over residue rings.
 
+A value checks itself when it is built: a wrong type (integers are taken
+with operator.index, so a float or a string) raises TypeError, and a wrong
+value ValueError or a subclass (BadShape, ...).  Nothing checks it again.
+
 Importing the package loads none of its submodules: each public name (and
 each submodule below) is imported on first use (PEP 562), so a caller such
 as `recurra order` pays only for what it runs.
@@ -22,7 +26,7 @@ _EXPORTS = {
                "matrix_order", "prime_power_ladder", "state_period"),
     "cipher": ("Alphabet", "BadCoefficient", "BadShape", "CipherKey",
                "DegenerateExponent", "UnknownSymbol", "decrypt", "decrypt_text",
-               "encrypt", "encrypt_text", "normalize_exponent", "validate_key"),
+               "encrypt", "encrypt_text", "normalize_exponent"),
     "lnumbers": ("LSpec", "l_term", "m_value"),
     "quaternions": ("QuatAlgebra", "Quaternion", "l_quaternion"),
     "ntheory": (),

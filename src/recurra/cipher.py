@@ -55,16 +55,32 @@ class _Labels(dict):
 
 
 class CipherKey(Value):
-    """(k, N, a_1..a_k, n): modulus N, recurrence coefficients, exponent n.
-    The coefficients are taken with operator.index: a float or a string
-    raises TypeError."""
+    """(k, N, a_1..a_k, n): modulus N, recurrence coefficients, exponent n,
+    each an integer (operator.index).  Only a usable key is built: k >= 2,
+    N >= 2, n >= 1, k coefficients, and gcd(a_k, N) = 1, so that
+    det D = (-1)^{k+1} a_k is a unit mod N."""
 
     _fields = ("k", "n_mod", "coeffs", "exponent")
 
     def __init__(self, k: int, n_mod: int, coeffs: tuple[int, ...], exponent: int):
+        k, n_mod, exponent = index(k), index(n_mod), index(exponent)
+        coeffs = tuple(map(index, coeffs))
+        if k < 2:
+            raise BadShape(f"k must be >= 2, got {k}")
+        if n_mod < 2:
+            raise BadShape(f"N must be >= 2, got {n_mod}")
+        if exponent < 1:
+            raise BadShape(f"n must be >= 1, got {exponent}")
+        if len(coeffs) != k:
+            raise BadShape(f"expected {k} coefficients, got {len(coeffs)}")
+        if coeffs[-1] == 0:
+            raise BadCoefficient("a_k must be nonzero")
+        if gcd(coeffs[-1], n_mod) != 1:
+            raise BadCoefficient(f"gcd(a_k={coeffs[-1]}, N={n_mod}) != 1; "
+                                 f"det D would not be a unit")
         set_field(self, "k", k)
         set_field(self, "n_mod", n_mod)
-        set_field(self, "coeffs", tuple(map(index, coeffs)))
+        set_field(self, "coeffs", coeffs)
         set_field(self, "exponent", exponent)
 
     def spec(self) -> SequenceSpec:
@@ -76,7 +92,7 @@ class CipherKey(Value):
 
     def inverse_matrix(self) -> Matrix:
         """The deciphering matrix D^{-n} mod N, read off (x^{-1})^n; x^{-1}
-        exists when a_k is a unit mod N, as validate_key checks."""
+        exists because a_k is a unit mod N."""
         spec = self.spec()
         return companion_power(spec, self.exponent, self.n_mod, x_inverse(spec, self.n_mod))
 
@@ -90,32 +106,10 @@ class CipherKey(Value):
         if len(fields) < 4:
             raise BadShape(f"key line needs k N a_1..a_k n, got {line!r}")
         try:
-            values = [int(f) for f in fields]
+            k, n_mod, *coeffs, exponent = map(int, fields)
         except ValueError as exc:
             raise BadShape(f"non-integer token in key line: {exc}") from None
-        k, n_mod = values[0], values[1]
-        if len(values) != k + 3:
-            raise BadShape(f"key line claims k={k} but carries "
-                           f"{len(values) - 3} coefficients")
-        return cls(k=k, n_mod=n_mod, coeffs=tuple(values[2:2 + k]),
-                   exponent=values[-1])
-
-
-def validate_key(key: CipherKey) -> None:
-    """Raise BadShape/BadCoefficient unless the key is usable."""
-    if key.k < 2:
-        raise BadShape(f"k must be >= 2, got {key.k}")
-    if key.n_mod < 2:
-        raise BadShape(f"N must be >= 2, got {key.n_mod}")
-    if key.exponent < 1:
-        raise BadShape(f"n must be >= 1, got {key.exponent}")
-    if len(key.coeffs) != key.k:
-        raise BadShape(f"expected {key.k} coefficients, got {len(key.coeffs)}")
-    if key.coeffs[-1] == 0:
-        raise BadCoefficient("a_k must be nonzero")
-    if gcd(key.coeffs[-1], key.n_mod) != 1:
-        raise BadCoefficient(f"gcd(a_k={key.coeffs[-1]}, N={key.n_mod}) != 1; "
-                             f"det D would not be a unit")
+        return cls(k, n_mod, coeffs, exponent)
 
 
 def normalize_exponent(key: CipherKey) -> CipherKey:
@@ -124,7 +118,6 @@ def normalize_exponent(key: CipherKey) -> CipherKey:
     Raises DegenerateExponent when n = 0 mod pi(N) (identity matrix).
     """
     from .pisano import matrix_order
-    validate_key(key)
     period = matrix_order(key.spec(), key.n_mod)
     reduced = key.exponent % period
     if reduced == 0:
@@ -213,14 +206,12 @@ def decode_text(alpha: Alphabet, labels: array) -> str:
 
 def encrypt(key: CipherKey, block: Matrix) -> Matrix:
     """C = D^n V mod N."""
-    validate_key(key)
     _check_block(key, block)
     return key.matrix() @ block
 
 
 def decrypt(key: CipherKey, block: Matrix) -> Matrix:
     """V = D^{-n} C mod N."""
-    validate_key(key)
     _check_block(key, block)
     return key.inverse_matrix() @ block
 
@@ -236,7 +227,6 @@ def _times_text(key: CipherKey, alpha: Alphabet, text: str, power) -> str:
     """The symbols of power() @ V mod N, V the label block of text."""
     if alpha.size != key.n_mod:
         raise BadShape(f"alphabet size {alpha.size} != key modulus {key.n_mod}")
-    validate_key(key)
     k, n_mod, rows = key.k, key.n_mod, power().entries
     code = _slot_format(k, n_mod)
     pieces = []

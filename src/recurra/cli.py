@@ -179,7 +179,6 @@ def _cmd_decrypt(args) -> int:
 def _cmd_validate_key(args) -> int:
     from . import cipher
     key = _load_key(args.key)
-    cipher.validate_key(key)
     if args.normalize:
         key = cipher.normalize_exponent(key)
         print("ok", key.to_line())

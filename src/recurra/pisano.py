@@ -11,7 +11,6 @@ p^d - 1 are factored, and a product tree descends from the multiple.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, lcm
 
 from .ringcore import (NotInvertible, Residue, Value, check_modulus, multiplicative_order,
@@ -111,7 +110,7 @@ def _order_multiple_factored(spec: SequenceSpec,
     factors of chi mod each p | m, for m factored as {p: r}; it divides
     matrix_order_multiple(k, m)."""
     return _exponent_factored(m_factored, spec.k,
-                              lambda p: _factor_degrees(spec.coeffs, p))
+                              lambda p: _factor_degrees(spec, p))
 
 
 def matrix_order_multiple(k: int, m: int) -> int:
@@ -179,14 +178,9 @@ def char_poly(spec: SequenceSpec) -> list[int]:
     return [-a for a in reversed(spec.coeffs)] + [1]
 
 
-@lru_cache(maxsize=256)
-def _factor_degrees(coeffs: tuple[int, ...], p: int) -> tuple[frozenset[int], bool]:
+def _factor_degrees(spec: SequenceSpec, p: int) -> tuple[frozenset[int], bool]:
     """The degrees of the irreducible factors of chi mod p, and whether
-    chi mod p is squarefree, for the chi of the coefficients a_1..a_k.
-
-    The answer depends on the coefficients and p alone, not on the power
-    of p in a modulus or on the initial window, so it is cached: a ladder
-    over the powers of p, or the moduli of one law, factor chi mod p once.
+    chi mod p is squarefree.
 
     Distinct-degree factorization (Knuth, TAOCP 2, 4.6.2): x^(p^d) - x is
     the product of the monic irreducibles of degree dividing d, each once,
@@ -198,7 +192,6 @@ def _factor_degrees(coeffs: tuple[int, ...], p: int) -> tuple[frozenset[int], bo
     rest has degree below 2(d + 1): every factor left has degree above d,
     so the rest is then one irreducible factor.
     """
-    spec = SequenceSpec(coeffs)
     x = (0, 1) + (0,) * (spec.k - 2)
     rest = poly_mod_p(char_poly(spec), p)
     degrees: set[int] = set()

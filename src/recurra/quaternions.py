@@ -13,6 +13,7 @@ such element is a unit mod any power of an odd prime l.
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 
 from .ringcore import ModulusMismatch, Value, check_modulus, invert_mod, set_field
 from .ntheory import is_prime
@@ -21,14 +22,14 @@ from .recurrence import terms_from
 
 
 class QuatAlgebra(Value):
-    """H(alpha, beta) over Z_n."""
+    """H(alpha, beta) over Z_n, each an integer (operator.index)."""
 
     _fields = ("alpha", "beta", "modulus")
 
     def __init__(self, alpha: int, beta: int, modulus: int):
-        check_modulus(modulus)
-        set_field(self, "alpha", alpha % modulus)
-        set_field(self, "beta", beta % modulus)
+        modulus = check_modulus(modulus)
+        set_field(self, "alpha", index(alpha) % modulus)
+        set_field(self, "beta", index(beta) % modulus)
         set_field(self, "modulus", modulus)
 
     def quat(self, c1: int, c2: int, c3: int, c4: int) -> "Quaternion":
@@ -42,14 +43,17 @@ class QuatAlgebra(Value):
 
 
 class Quaternion(Value):
-    """c1 + c2 i + c3 j + c4 ij with coefficients in Z_n."""
+    """c1 + c2 i + c3 j + c4 ij: exactly four integer coefficients, in Z_n."""
 
     _fields = ("algebra", "coeffs")
 
     def __init__(self, algebra: QuatAlgebra, coeffs: tuple[int, int, int, int]):
         m = algebra.modulus
+        coeffs = tuple([index(c) % m for c in coeffs])
+        if len(coeffs) != 4:
+            raise ValueError(f"a quaternion has 4 coefficients, got {len(coeffs)}")
         set_field(self, "algebra", algebra)
-        set_field(self, "coeffs", tuple([c % m for c in coeffs]))
+        set_field(self, "coeffs", coeffs)
 
     def _match(self, other: "Quaternion") -> None:
         if self.algebra != other.algebra:

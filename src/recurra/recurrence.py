@@ -468,12 +468,10 @@ def window_det(spec: SequenceSpec, n: int) -> int:
 
 
 def bordered_matrix(spec: SequenceSpec, n: int) -> Matrix:
-    """k x k matrix with columns Y_n, ..., Y_{n+k-2} and a final e_1 column."""
-    k = spec.k
-    d = terms(spec, n + 2 * k)
-    rows = [[d[n + k - 1 - i + j] for j in range(k - 1)] + [1 if i == 0 else 0]
-            for i in range(k)]
-    return Matrix(rows)
+    """k x k matrix with columns Y_n, ..., Y_{n+k-2} and a final e_1 column:
+    the window matrix with its last column replaced."""
+    rows = window_matrix(spec, n).entries
+    return Matrix([row[:-1] + (1 if i == 0 else 0,) for i, row in enumerate(rows)])
 
 
 def bordered_det(spec: SequenceSpec, n: int) -> int:

@@ -65,7 +65,8 @@ class ModulusMismatch(ValueError):
 
 
 def check_modulus(m: int) -> int:
-    if not isinstance(m, int) or m < 2:
+    m = index(m)
+    if m < 2:
         raise ValueError(f"modulus must be an integer >= 2, got {m!r}")
     return m
 
@@ -84,8 +85,8 @@ class Residue(Value):
     _fields = ("value", "modulus")
 
     def __init__(self, value: int, modulus: int):
-        check_modulus(modulus)
-        set_field(self, "value", value % modulus)
+        modulus = check_modulus(modulus)
+        set_field(self, "value", index(value) % modulus)
         set_field(self, "modulus", modulus)
 
     def _match(self, other: "Residue") -> None:
@@ -178,7 +179,7 @@ class Matrix(Value):
         if modulus is None:
             rows = tuple(tuple(map(index, row)) for row in entries)
         else:
-            check_modulus(modulus)
+            modulus = check_modulus(modulus)
             rows = tuple(tuple([index(x) % modulus for x in row]) for row in entries)
         if not rows:
             raise ShapeMismatch("matrix must have at least one row")

@@ -231,7 +231,14 @@ def _all_odd_mod2_period(rng):
             yield f"a={coeffs}"
 
 
-# lnum's checks take the suite's LSpecs too, one per l: l = 1, 2, 3, 5, 7.
+def _filled_specs() -> list[lnumbers.LSpec]:
+    """lnum's LSpecs, l = 1, 2, 3, 5, 7, each prefix filled once past a_62,
+    the farthest term the checks read (through l_term)."""
+    specs = [lnumbers.LSpec(l) for l in (1, 2, 3, 5, 7)]
+    for spec in specs:
+        lnumbers.l_terms(spec, 64)
+    return specs
+
 
 def _square_sum(rng, specs):
     for spec, n in product(specs, range(31)):
@@ -460,11 +467,10 @@ SUITES = {
     "pisano": partial(_run_checks, (
         _state_divides_order, _divisor_monotone, _lcm_law, _det_order_divides,
         _prime_power_ladder, _pigeonhole_bound, _all_odd_mod2_period)),
-    # one LSpec per l for the whole suite, so that each term is computed once a run
     "lnum": lambda rng: _run_checks((
         _square_sum, _index_addition, _divisibility, _gap_identity, _triple_gap,
         _residue_dichotomy, _even_index_gcd, _binet_float, _m_tower_mod_l2),
-        rng, [lnumbers.LSpec(l) for l in (1, 2, 3, 5, 7)]),
+        rng, _filled_specs()),
     "quat": partial(_run_checks, (
         _associativity, _norm_multiplicative, _inverse_roundtrip,
         _conj_antiautomorphism, _lquat_norm_identity, _unit_census, _period_two,

@@ -21,7 +21,6 @@ from recurra.cipher import (
     encrypt,
     encrypt_text,
     normalize_exponent,
-    validate_key,
     _slot_format,
     _times_text,
 )
@@ -50,20 +49,45 @@ def random_key_of(rng, k, n_mod, nmax):
 
 
 def test_validate_key_examples():
-    validate_key(KEY_Z2)
-    validate_key(KEY_Z27)
+    # a key is checked when it is built: an unusable one is never made
+    assert CipherKey.from_line(KEY_Z27.to_line()) == KEY_Z27
     with pytest.raises(BadCoefficient):
-        validate_key(CipherKey(2, 10, (1, 5), 3))
+        CipherKey(2, 10, (1, 5), 3)
     with pytest.raises(BadShape):
-        validate_key(CipherKey(1, 10, (3,), 1))
+        CipherKey(1, 10, (3,), 1)
     with pytest.raises(BadShape):
-        validate_key(CipherKey(2, 1, (1, 1), 1))
+        CipherKey(2, 1, (1, 1), 1)
     with pytest.raises(BadShape):
-        validate_key(CipherKey(2, 10, (1, 3), 0))
+        CipherKey(2, 10, (1, 3), 0)
     with pytest.raises(BadCoefficient):
-        validate_key(CipherKey(2, 10, (1, 0), 1))
+        CipherKey(2, 10, (1, 0), 1)
     with pytest.raises(BadShape, match="expected 3 coefficients, got 2"):
-        validate_key(CipherKey(3, 10, (1, 3), 1))
+        CipherKey(3, 10, (1, 3), 1)
+    with pytest.raises(BadShape, match="expected 3 coefficients, got 2"):
+        CipherKey.from_line("3 10 1 3 1")
+
+
+# The six conditions in the order the constructor tests them; each key
+# also breaks every condition after its own, so the order is pinned too.
+UNUSABLE_KEYS = [
+    ((1, 1, (0, 0), 0), BadShape, "k must be >= 2, got 1"),
+    ((2, 1, (0,), 0), BadShape, "N must be >= 2, got 1"),
+    ((2, 10, (0,), 0), BadShape, "n must be >= 1, got 0"),
+    ((3, 10, (1, 0), 1), BadShape, "expected 3 coefficients, got 2"),
+    ((2, 10, (1, 0), 1), BadCoefficient, "a_k must be nonzero"),
+    ((2, 10, (1, 5), 3), BadCoefficient, "gcd(a_k=5, N=10) != 1; det D would not be a unit"),
+]
+
+
+@pytest.mark.parametrize("fields, cls, message", UNUSABLE_KEYS,
+                         ids=[message.split()[0] for _, _, message in UNUSABLE_KEYS])
+def test_each_unusable_key_is_refused_when_built(fields, cls, message):
+    for build in (lambda: CipherKey(*fields),
+                  lambda: CipherKey.from_line(" ".join(map(str, [*fields[:2], *fields[2],
+                                                                  fields[3]])))):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert (type(caught.value), str(caught.value)) == (cls, message)
 
 
 def test_key_file_round_trip():
@@ -181,8 +205,8 @@ def test_worked_example_mod27_derived_ciphertext():
 
 
 def test_encrypt_identity_exponent():
-    # an exponent that is a multiple of pi(N) passes validate_key, which
-    # does not normalize, and gives C = V
+    # an exponent that is a multiple of pi(N) makes a valid key, which is
+    # not normalized when built, and gives C = V
     key = CipherKey(3, 2, (1, 1, 1), 4)
     block = Matrix(label_rows(AB, "ABBAAB", 3), 2)
     assert key.matrix() @ block == block

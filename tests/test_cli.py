@@ -141,6 +141,20 @@ def test_validate_key(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_a_bad_key_is_reported_before_the_alphabet_is_read(capsys, tmp_path, monkeypatch):
+    # the key is checked when it is loaded, so a missing alphabet file and
+    # an alphabet of the wrong size are not reached
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 10 1 5 3\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("AB"))
+    for command in ("encrypt", "decrypt"):
+        for alphabet in (tmp_path / "missing.txt", None):
+            argv = [command, "--key", str(bad)]
+            argv += [] if alphabet is None else ["--alphabet", str(alphabet)]
+            assert run(capsys, *argv) == (
+                2, "", "error: gcd(a_k=5, N=10) != 1; det D would not be a unit\n"), argv
+
+
 def test_lnum(capsys):
     code, out, _ = run(capsys, "lnum", "2", "--n", "7")
     assert code == 0 and out.split() == ["0", "1", "2", "5", "12", "29", "70", "169"]

@@ -1,6 +1,7 @@
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recurra import lnumbers
 from recurra.lnumbers import (
@@ -237,3 +238,70 @@ def test_an_lspec_is_the_spec_l_1():
         assert term(spec, 60) == l_term(spec, 60) == naive_lterms(l, 61)[60]
         for m in (2, 7, 10 ** 9 + 7):
             assert terms_mod(spec, 50, m) == [x % m for x in l_terms(spec, 50)]
+
+
+# Each identity check reads the terms it names through l_term: off the
+# spec's prefix where that reaches, by term() past it.  The prefix is
+# filled to a drawn length first, so the reads fall on both sides of its
+# end, and no check grows it.
+def _named_reads(l, fill, check, *args):
+    spec = LSpec(l)
+    l_terms(spec, fill)
+    before = len(spec._prefix)
+    result = check(spec, *args)
+    assert len(spec._prefix) == before
+    return result
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.integers(0, 130), st.integers(0, 60))
+def test_square_sum_reads_named_terms(l, fill, n):
+    a = naive_lterms(l, 2 * n + 2)
+    assert _named_reads(l, fill, square_sum_check, n) is (
+        a[n] ** 2 + a[n + 1] ** 2 == a[2 * n + 1]) is True
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.integers(0, 130), st.integers(1, 30), st.integers(1, 6))
+def test_divisibility_reads_named_terms(l, fill, d, q):
+    a = naive_lterms(l, d * q + 1)
+    assert _named_reads(l, fill, divisibility_check, d, d * q) is (
+        a[d * q] % a[d] == 0) is True
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.integers(0, 130), st.integers(1, 70), st.integers(0, 70))
+def test_index_addition_reads_named_terms(l, fill, m, n):
+    a = naive_lterms(l, m + n + 2)
+    assert _named_reads(l, fill, index_addition_check, m, n) is (
+        a[m + n] == a[m] * a[n + 1] + a[m - 1] * a[n]) is True
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.integers(0, 130), st.integers(0, 60), st.integers(2, 6))
+def test_gap_identity_reads_named_terms(l, fill, n, k):
+    gap = 2 ** k
+    a = naive_lterms(l, n + gap + 1)
+    assert _named_reads(l, fill, gap_identity_check, n, k) is (
+        a[n] + a[n + gap] == m_value(LSpec(l), k) * a[n + gap // 2]) is True
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.integers(0, 130), st.integers(0, 60), st.integers(2, 5))
+def test_triple_gap_reads_named_terms(l, fill, n, k):
+    gap, mk = 3 * 2 ** k, m_value(LSpec(l), k)
+    a = naive_lterms(l, n + gap + 1)
+    assert _named_reads(l, fill, triple_gap_check, n, k) is (
+        a[n] + a[n + gap] == mk * (mk * mk - 3) * a[n + gap // 2]) is True
+
+
+def test_the_checks_at_far_indices_run_in_bounded_memory(capped_python):
+    # a prefix to a_40001 of l = 3 holds about 200 MB; the checks read
+    # three to five terms of at most 65546 * log2(3.31) bits each
+    script = ("from recurra.lnumbers import *\n"
+              "s = LSpec(3)\n"
+              "print(index_addition_check(s, 20000, 20000), square_sum_check(s, 20000),\n"
+              "      divisibility_check(s, 7, 42000), gap_identity_check(s, 10, 16),\n"
+              "      triple_gap_check(s, 10, 14), len(s._prefix))")
+    proc = capped_python("-c", script, cap_mb=64, cpu_s=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True True True True True 2\n", "")

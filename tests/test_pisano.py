@@ -180,21 +180,6 @@ def test_prime_power_ladder_property():
             grown = grown or hi == p * lo
 
 
-def test_chi_is_factored_once_per_prime():
-    # the factors of chi mod p depend on p and the coefficients alone: a
-    # ladder over 3, ..., 3^5 factors once, the moduli 6, 10 and 30 of one
-    # lcm law once per prime 2, 3, 5, and another initial window not again
-    factored = pisano._factor_degrees
-    factored.cache_clear()
-    assert prime_power_ladder(EX3, 3, 5) == [6, 18, 54, 162, 486]
-    assert factored.cache_info().misses == 1
-    factored.cache_clear()
-    assert lcm_check(TRIB, 6, 10)
-    assert factored.cache_info().misses == 3
-    state_period(SequenceSpec((1, 1, 1), (2, 0, 5)), 30)
-    assert factored.cache_info().misses == 3
-
-
 def test_every_cache_is_bounded():
     caches = {}
     for name in ("ringcore", "ntheory", "recurrence", "pisano", "cipher", "lnumbers",
@@ -203,7 +188,7 @@ def test_every_cache_is_bounded():
         for attr, value in vars(module).items():
             if callable(getattr(value, "cache_info", None)):
                 caches[f"{name}.{attr}"] = value.cache_info().maxsize
-    assert {"pisano._factor_degrees", "ntheory._cyclotomic_factored"} <= set(caches)
+    assert "ntheory._cyclotomic_factored" in caches
     assert all(isinstance(size, int) and 0 < size <= 4096 for size in caches.values()), caches
 
 

@@ -1,7 +1,8 @@
 """The immutable value classes on ringcore.Value: construction with
 positional and keyword arguments and defaults, == within one class only,
 hashes that agree with ==, the constructor-call repr, no assignment after
-construction, and each class's own validation."""
+construction, and each class's own validation, with every integer field
+taken by operator.index."""
 import pytest
 
 from recurra.cipher import Alphabet, CipherKey
@@ -32,7 +33,8 @@ CASES = [
     (CipherKey, (3, 27, [4, -5, 2], 2),
      {"k": 3, "n_mod": 27, "coeffs": (4, -5, 2), "exponent": 2}, {"exponent": 3},
      {"k": 3, "n_mod": 27, "coeffs": (4, -5, 2), "exponent": 2},
-     "CipherKey(k=3, n_mod=27, coeffs=(4, -5, 2), exponent=2)", []),
+     "CipherKey(k=3, n_mod=27, coeffs=(4, -5, 2), exponent=2)",
+     [(1, 27, (4,), 2), (3, 27, (4, -5, 3), 2), (3, 27, (4, -5, 2), 0)]),
     (Alphabet, (("A", "B"), "B"), {"symbols": ("A", "B"), "pad": "B"}, {"pad": "A"},
      {"symbols": ("A", "B"), "pad": "B"}, "Alphabet(symbols=('A', 'B'), pad='B')",
      [(("A", "A"), "A"), (("A", "BC"), "A"), (("A", "B"), "C")]),
@@ -45,7 +47,8 @@ CASES = [
     (QuatAlgebra, (-1, -1, 7), {"alpha": 6, "beta": 13, "modulus": 7}, {"alpha": 1},
      {"alpha": 6, "beta": 6, "modulus": 7}, H7_REPR, [(1, 1, 1), (1, 1, 0)]),
     (Quaternion, (H7, (8, 1, 2, 3)), {"algebra": QuatAlgebra(6, 6, 7), "coeffs": (1, 1, 2, 3)},
-     {"algebra": QuatAlgebra(-1, -1, 5)}, {"algebra": H7, "coeffs": (1, 1, 2, 3)}, Q_REPR, []),
+     {"algebra": QuatAlgebra(-1, -1, 5)}, {"algebra": H7, "coeffs": (1, 1, 2, 3)}, Q_REPR,
+     [(H7, (1, 2, 3)), (H7, (1, 2, 3, 4, 5))]),
     (CensusRecord, (0, [0, 1, 0, 1], 2, True, True),
      {"index": 0, "coeffs": (0, 1, 0, 1), "norm_mod": 2, "invertible": True,
       "norm_is_two_mod_l2": True},
@@ -118,3 +121,44 @@ def test_a_cipher_key_takes_integer_coefficients_only():
         with pytest.raises(TypeError):
             CipherKey(3, 27, coeffs, 2)
     assert CipherKey(3, 27, (4, -5, True), 2).coeffs == (4, -5, 1)
+
+
+# Each integer field of each value class, filled with the one argument x
+# and the rest valid.  x = 3 builds a value in every field.
+INTEGER_FIELDS = {
+    "SequenceSpec.coeffs": lambda x: SequenceSpec((1, x)),
+    "SequenceSpec.initial": lambda x: SequenceSpec((1, 1), (x, 1)),
+    "LSpec.l": lambda x: LSpec(x),
+    "Matrix.entries": lambda x: Matrix([[1, x], [3, 4]]),
+    "Matrix.entries mod m": lambda x: Matrix([[1, x], [3, 4]], 5),
+    "Matrix.modulus": lambda x: Matrix([[1, 2], [3, 4]], x),
+    "CipherKey.k": lambda x: CipherKey(x, 27, (4, -5, 2), 2),
+    "CipherKey.n_mod": lambda x: CipherKey(3, x, (4, -5, 2), 2),
+    "CipherKey.coeffs": lambda x: CipherKey(3, 27, (4, x, 2), 2),
+    "CipherKey.exponent": lambda x: CipherKey(3, 27, (4, -5, 2), x),
+    "Residue.value": lambda x: Residue(x, 7),
+    "Residue.modulus": lambda x: Residue(2, x),
+    "QuatAlgebra.alpha": lambda x: QuatAlgebra(x, -1, 7),
+    "QuatAlgebra.beta": lambda x: QuatAlgebra(-1, x, 7),
+    "QuatAlgebra.modulus": lambda x: QuatAlgebra(-1, -1, x),
+    "Quaternion.coeffs": lambda x: Quaternion(H7, (1, 2, x, 4)),
+}
+
+
+def _outcome(build, x):
+    try:
+        return build(x)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_every_integer_field_refuses_a_float_and_a_str(field):
+    build = INTEGER_FIELDS[field]
+    for bad in (3.0, 3.5, "3"):
+        with pytest.raises(TypeError):
+            build(bad)
+    assert build(3) == build(3)
+    # a bool is the int it is: the same value, or the same refusal
+    assert _outcome(build, True) == _outcome(build, 1)
+    assert _outcome(build, False) == _outcome(build, 0)

@@ -3,6 +3,7 @@
 the runner does with a check's first counterexample, its note and its
 exceptions."""
 import random
+from hashlib import sha256
 
 import pytest
 
@@ -31,6 +32,21 @@ ALL_PASS = "".join(f"PASS {suite}.{name}{NOTES.get(f'{suite}.{name}', '')}\n"
 def test_verify_all_prints_every_check_in_order(capsys, seed):
     assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
     assert capsys.readouterr() == (ALL_PASS, "")
+
+
+# sha256 of what run_suites gives for all five suites, a line each, at
+# seeds 1-3; seed 0's lines are pinned in full
+RUN_SUITES_SHA256 = dict.fromkeys(
+    (1, 2, 3), "24fdc9e7b76b207f7890c463704e59241f08d1f77bad54a0098b8b5cd70c5eb2")
+
+
+def test_run_suites_gives_the_pinned_lines_for_seeds_0_to_3():
+    for seed in range(4):
+        text = "".join(f"{r.line()}\n" for r in verify.run_suites(list(verify.SUITES), seed))
+        if seed == 0:
+            assert text + "ok 39/39 checks\n" == ALL_PASS
+        else:
+            assert sha256(text.encode()).hexdigest() == RUN_SUITES_SHA256[seed], seed
 
 
 @pytest.fixture

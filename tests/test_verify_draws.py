@@ -62,13 +62,14 @@ def test_a_wrong_matrix_power_fails_the_same_checks_on_the_same_case(monkeypatch
     assert _failures("lnum", seed) == []
 
 
-# a_25 one too large in every l_terms prefix that reaches it
+# a_25 one too large in the prefix of l = 1, which every check reads
 L_TERMS_FAULT = [
     "FAIL lnum.square_sum seed={seed} counterexample: l=1 n=12",
     "FAIL lnum.index_addition seed={seed} counterexample: l=1 m={m} n={n}",
     "FAIL lnum.divisibility seed={seed} counterexample: l=1 d=5 n=25",
     "FAIL lnum.gap_identity seed={seed} counterexample: l=1 n=21 k=2",
     "FAIL lnum.triple_gap seed={seed} counterexample: l=1 n=1 k=3",
+    "FAIL lnum.binet_float seed={seed} counterexample: l=1 n=25",
 ]
 INDEX_ADDITION_CASE = {0: (25, 14), 1: (5, 25), 2: (5, 25)}
 
@@ -79,8 +80,11 @@ def test_a_wrong_l_term_fails_the_same_checks_on_the_same_case(monkeypatch, seed
 
     def wrong_l_terms(spec, count):
         out = real_l_terms(spec, count)
-        if count > 25:
-            out[25] += 1
+        if spec.l == 1 and len(spec._prefix) > 25:
+            prefix = list(spec._prefix)
+            prefix[25] = lnumbers.term(spec, 25) + 1
+            ringcore.set_field(spec, "_prefix", tuple(prefix))
+            out = prefix[:count]
         return out
 
     monkeypatch.setattr(lnumbers, "l_terms", wrong_l_terms)
