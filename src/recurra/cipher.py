@@ -105,10 +105,11 @@ class CipherKey(Value):
         fields = line.split()
         if len(fields) < 4:
             raise BadShape(f"key line needs k N a_1..a_k n, got {line!r}")
-        try:
-            k, n_mod, *coeffs, exponent = map(int, fields)
-        except ValueError as exc:
-            raise BadShape(f"non-integer token in key line: {exc}") from None
+        for token in fields:            # -?[0-9]+ in full: int() would take 1_0, +2, ١٠
+            digits = token[1:] if token[:1] == "-" else token
+            if not (digits.isascii() and digits.isdigit()):
+                raise BadShape(f"non-integer token in key line: {token!r}")
+        k, n_mod, *coeffs, exponent = map(int, fields)
         return cls(k, n_mod, coeffs, exponent)
 
 

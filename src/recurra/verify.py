@@ -106,11 +106,16 @@ def _adjugate_inverse(rng):
 
 
 def _rational_exact(rng):
+    # d_n = p d_{n-1} + q d_{n-2} from the window (d_0, d_1) = (r, s), run
+    # backwards: d_-1 = (s - p r)/q, d_-2 = (r - p d_-1)/q
     for _ in range(200):
         p, q = rng.randint(-99, 99), rng.randint(1, 99)
         r, s = rng.randint(-99, 99), rng.randint(1, 99)
-        if Fraction(p, q) + Fraction(r, s) - Fraction(r, s) != Fraction(p, q):
-            yield f"{p}/{q} {r}/{s}"
+        spec = SequenceSpec((p, q), (r, s))
+        d1 = Fraction(s - p * r, q)
+        if (recurrence.term_negative(spec, -1) != d1
+                or recurrence.term_negative(spec, -2) != (r - p * d1) / q):
+            yield f"a=({p}, {q}) window=({r}, {s})"
 
 
 def _power_structure(rng):

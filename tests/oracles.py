@@ -3,12 +3,23 @@
 Everything here is deliberately naive and shares no code path with the
 package: permutation-sum determinants, full O(k^3) matrix products,
 dictionary-driven quaternion multiplication, term lists by direct
-recursion.
+recursion, polynomials as plain coefficient lists.
+
+Two rules keep the references independent and single:
+- this module imports nothing from recurra, so no reference can reuse
+  the code it checks;
+- each reference is defined here once, and nowhere else under tests/.
+  No other test module defines a naive_* or poly_* function;
+  tests/test_oracle_rules.py enforces both rules.
 """
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, cycle, islice, permutations
 from math import gcd, lcm
 from operator import mul
+
+
+def identity(k):
+    return [[int(i == j) for j in range(k)] for i in range(k)]
 
 
 def naive_terms(coeffs, count, initial=None):
@@ -93,18 +104,16 @@ def naive_companion(coeffs):
 
 def naive_matpow(coeffs, n, m=None):
     """D^n by repeated naive multiplication (no squaring)."""
-    k = len(coeffs)
     d = naive_companion(coeffs)
-    out = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    out = identity(len(coeffs))
     for _ in range(n):
         out = naive_matmul(d, out, m)
     return out
 
 
 def naive_matrix_order(coeffs, m, cap=10**7):
-    k = len(coeffs)
     d = naive_companion(coeffs)
-    ident = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    ident = identity(len(coeffs))
     cur = naive_matmul(d, ident, m)
     t = 1
     while cur != ident:
@@ -136,11 +145,18 @@ def naive_state_period(coeffs, m, initial=None, cap=None):
         d.append(sum(coeffs[i] * d[-1 - i] for i in range(k)) % m)
 
 
-def naive_matpow_squaring(coeffs, n, m):
-    """D^n mod m by square-and-multiply over naive products."""
-    k = len(coeffs)
-    out = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    base = naive_companion(coeffs)
+def periodic_terms_mod(coeffs, count, m, initial=None):
+    """The first count terms mod m, repeated from the (tail, period) of
+    naive_state_period, so that no exact term past the first cycle is built."""
+    tail, period = naive_state_period(coeffs, m, initial)
+    head = naive_terms_mod(coeffs, tail + period, m, initial)
+    return islice(chain(head[:tail], cycle(head[tail:])), count)
+
+
+def naive_matpow_squaring(rows, n, m=None):
+    """The square matrix rows to the power n, reduced mod m when m is given,
+    by square-and-multiply over naive products."""
+    out, base = identity(len(rows)), rows
     while n:
         if n & 1:
             out = naive_matmul(out, base, m)
@@ -157,7 +173,7 @@ def naive_encrypt_text(key, alpha, text):
     label = {s: i for i, s in enumerate(alpha.symbols)}
     labels = [label[s] for s in text]
     labels += [label[alpha.pad]] * (-len(labels) % k)
-    d = naive_matpow_squaring(key.coeffs, key.exponent, n_mod)
+    d = naive_matpow_squaring(naive_companion(key.coeffs), key.exponent, n_mod)
     out = []
     for j in range(0, len(labels), k):
         col = labels[j:j + k]
@@ -183,10 +199,10 @@ def trial_prime_factors(n):
 def naive_is_matrix_order(coeffs, m, t):
     """Certificate that t is the order of D mod m, for orders too long to
     walk: D^t = I and D^(t/q) != I for every prime q dividing t."""
-    k = len(coeffs)
-    ident = [[1 % m if i == j else 0 for j in range(k)] for i in range(k)]
-    return (t >= 1 and naive_matpow_squaring(coeffs, t, m) == ident
-            and all(naive_matpow_squaring(coeffs, t // q, m) != ident
+    d = naive_companion(coeffs)
+    ident = [[x % m for x in row] for row in identity(len(coeffs))]
+    return (t >= 1 and naive_matpow_squaring(d, t, m) == ident
+            and all(naive_matpow_squaring(d, t // q, m) != ident
                     for q in trial_prime_factors(t)))
 
 
@@ -198,9 +214,10 @@ def naive_is_window_orbit(coeffs, m, tail, period, initial=None):
     k = len(coeffs)
     d = naive_terms_mod(coeffs, k, m, initial)
     y0 = [[x] for x in reversed(d)]
+    companion = naive_companion(coeffs)
 
     def state(n):
-        return naive_matmul(naive_matpow_squaring(coeffs, n, m), y0, m)
+        return naive_matmul(naive_matpow_squaring(companion, n, m), y0, m)
 
     if tail < 0 or period < 1:
         return False
@@ -257,6 +274,62 @@ def naive_lterms(l, count):
     return a[:count]
 
 
+def exact_census(l, r, n_max):
+    """The unit census of the l-quaternions A_n = (a_n, ..., a_{n+3}), n <=
+    n_max, from exact terms and exact norms reduced only at the end: a
+    tuple (n, A_n mod l^r, norm mod l^r, norm prime to l^r, norm = 2 mod
+    l^2) per n."""
+    a, mod = naive_lterms(l, n_max + 4), l ** r
+    records = []
+    for n in range(n_max + 1):
+        norm = sum(x * x for x in a[n:n + 4])
+        records.append((n, tuple(x % mod for x in a[n:n + 4]), norm % mod,
+                        gcd(norm, mod) == 1, norm % (l * l) == 2))
+    return records
+
+
+# Polynomials are coefficient lists, low degree first.  chi is the monic
+# characteristic polynomial x^k - a_1 x^(k-1) - ... - a_k of the spec a.
+
+def chi_of(coeffs):
+    return [-a for a in reversed(coeffs)] + [1]
+
+
+def coeffs_of(chi):
+    """a_1..a_k of the monic chi = [c_0, ..., c_{k-1}, 1]."""
+    return tuple(-c for c in reversed(chi[:-1]))
+
+
+def poly_mul(f, g, m=None):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out if m is None else [c % m for c in out]
+
+
+def poly_add(f, g):
+    n = max(len(f), len(g))
+    return [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)]
+
+
+def poly_power_mod_chi(coeffs, base, n, m=None):
+    """base^n mod chi by n schoolbook products, each reduced by long
+    division by the monic chi."""
+    k = len(coeffs)
+    chi = chi_of(coeffs)
+    out = [1]
+    for _ in range(n):
+        out = poly_mul(out, list(base), m)
+        while len(out) > k:             # subtract lead * x^(deg - k) * chi
+            lead = out.pop()
+            for i in range(k):
+                out[len(out) - k + i] -= lead * chi[i]
+        if m is not None:
+            out = [c % m for c in out]
+    return tuple(out + [0] * (k - len(out)))
+
+
 def _poly_trim(f):
     while f and f[-1] == 0:
         f.pop()
@@ -293,15 +366,18 @@ def poly_eval_mod(f, x, p):
     return acc
 
 
+def is_squarefree_mod_p(f, p):
+    """gcd(f, f') = 1 over F_p, with f' nonzero."""
+    fp = poly_derivative_mod(f, p)
+    return bool(fp) and len(poly_gcd_mod(f, fp, p)) == 1
+
+
 def companion_diagonalizable_mod_p(coeffs, p):
     """Independent criterion: the characteristic polynomial (which is also
     the minimal polynomial of a companion matrix) is squarefree AND fully
     splits, i.e. gcd(f, f') = 1 and #roots = degree."""
-    f = [-a for a in reversed(coeffs)] + [1]
-    fp = poly_derivative_mod(f, p)
-    if not fp:
-        return False
-    if len(poly_gcd_mod(f, fp, p)) != 1:
+    f = chi_of(coeffs)
+    if not is_squarefree_mod_p(f, p):
         return False
     roots = sum(1 for x in range(p) if poly_eval_mod(f, x, p) == 0)
     return roots == len(coeffs)

@@ -4,12 +4,11 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
 
 from recurra import cipher, cli, lnumbers, pisano, quaternions, recurrence
 from recurra.cipher import Alphabet, CipherKey
 from recurra.recurrence import SequenceSpec
-from recurra.ringcore import Matrix
+from recurra.verify import random_block, random_key, random_spec
 
 from oracles import (
     naive_lterms,
@@ -34,13 +33,6 @@ def criterion(number: int, description: str, budget_s: float):
     print(f"ACCEPTANCE {number} {'PASS' if within else 'FAIL'} {description} "
           f"[{elapsed:.3f}s/{budget_s:g}s]")
     assert within, f"criterion {number} blew its {budget_s}s budget: {elapsed:.3f}s"
-
-
-def random_spec(rng, kmax=5, amax=5):
-    k = rng.randint(2, kmax)
-    coeffs = [rng.randint(-amax, amax) for _ in range(k - 1)]
-    coeffs.append(rng.choice([a for a in range(-amax, amax + 1) if a != 0]))
-    return SequenceSpec(tuple(coeffs))
 
 
 def test_criterion_1_worked_cipher_example():
@@ -132,24 +124,14 @@ def test_criterion_5_power_structure_and_state_relations():
                                                rng.randint(0, 20))
 
 
-def _random_key(rng, nmax=50):
-    n_mod = rng.choice((2, 26, 27, 29, 256))
-    k = rng.randint(2, 5)
-    coeffs = [rng.randrange(n_mod) for _ in range(k - 1)]
-    coeffs.append(rng.choice([a for a in range(1, n_mod) if gcd(a, n_mod) == 1]))
-    return CipherKey(k, n_mod, tuple(coeffs), rng.randint(1, nmax))
-
-
 def test_criterion_6_cipher_round_trips():
     rng = random.Random(2026)
     with criterion(6, "500 key/message round trips + full-period exponent "
                       "shifts + pinned derived ciphertext", 30.0):
         literal = 0
         for _ in range(500):
-            key = _random_key(rng)
-            cols = rng.randint(1, 6)
-            block = Matrix([[rng.randrange(key.n_mod) for _ in range(cols)]
-                            for _ in range(key.k)], key.n_mod)
+            key = random_key(rng)
+            block = random_block(rng, key)
             encrypted = cipher.encrypt(key, block)
             assert cipher.decrypt(key, encrypted) == block
 

@@ -101,6 +101,15 @@ def test_key_file_round_trip():
         CipherKey.from_line("3 27 4 x 2 2")
 
 
+# int() reads each of these as 10 or 2, which would make a usable key
+@pytest.mark.parametrize("token", ["1_0", "١٠", "+2", "１０"],
+                         ids=["underscore", "arabic-indic", "plus", "full-width"])
+def test_a_key_line_holds_ascii_decimal_integers_only(token):
+    with pytest.raises(BadShape) as caught:
+        CipherKey.from_line(f"2 {token} 1 3 1")
+    assert str(caught.value) == f"non-integer token in key line: {token!r}"
+
+
 def test_normalize_exponent():
     assert normalize_exponent(CipherKey(3, 2, (1, 1, 1), 31)).exponent == 3
     assert normalize_exponent(KEY_Z2) == KEY_Z2

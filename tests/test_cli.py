@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-from itertools import chain, cycle, islice
 from unittest import mock
 
 import pytest
@@ -20,10 +19,9 @@ from recurra.cli import main
 from recurra.pisano import matrix_order
 from recurra.quaternions import QuatAlgebra
 
+from conftest import SRC
 from oracles import (naive_encrypt_text, naive_is_matrix_order, naive_is_window_orbit,
-                     naive_lterms, naive_state_period, naive_terms, naive_terms_mod)
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+                     naive_lterms, naive_terms, periodic_terms_mod)
 
 
 def run(capsys, *argv):
@@ -139,6 +137,10 @@ def test_validate_key(capsys, tmp_path):
     bad.write_text("2 10 1 5 3\n")
     code, _, err = run(capsys, "validate-key", "--key", str(bad))
     assert code == 2 and "error:" in err
+    # int() would read 1_0 as 10; a key file holds ASCII decimal integers only
+    bad.write_text("2 1_0 1 3 1\n", encoding="utf-8")
+    assert run(capsys, "validate-key", "--key", str(bad)) == (
+        2, "", "error: non-integer token in key line: '1_0'\n")
 
 
 def test_a_bad_key_is_reported_before_the_alphabet_is_read(capsys, tmp_path, monkeypatch):
@@ -672,14 +674,6 @@ def test_a_long_lnum_prefix_and_every_verify_suite_run_in_a_capped_process(cappe
     proc = capped_cli("verify", "--suite", "all", "--seed", "0", cap_mb=256, cpu_s=5)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == stdout_of("verify", "--suite", "all", "--seed", "0")
-
-
-def periodic_terms_mod(coeffs, count, m, initial=None):
-    """The oracle's terms mod m, repeated from its (tail, period) of
-    windows, so that no exact term past the first cycle is built."""
-    tail, period = naive_state_period(coeffs, m, initial)
-    head = naive_terms_mod(coeffs, tail + period, m, initial)
-    return islice(chain(head[:tail], cycle(head[tail:])), count)
 
 
 def joined(values) -> str:

@@ -10,7 +10,7 @@ from recurra import cipher, lnumbers, pisano, recurrence
 from recurra.cipher import Alphabet, CipherKey
 from recurra.recurrence import SequenceSpec
 
-from oracles import naive_lterms, naive_matpow_squaring, naive_terms_mod
+from oracles import naive_companion, naive_lterms, naive_matpow_squaring, naive_terms_mod
 
 
 def test_concurrent_callers_agree():
@@ -77,8 +77,9 @@ def test_threads_racing_on_new_kernels_agree(monkeypatch):
             results = list(pool.map(work, range(8), timeout=120))
     finally:
         sys.setswitchinterval(old_interval)
-    expected = (naive_matpow_squaring(coeffs, n, m)[-1][0], naive_terms_mod(coeffs, 60, m),
-                naive_matpow_squaring(coeffs, 500, None)[-1][0])
+    d = naive_companion(coeffs)
+    expected = (naive_matpow_squaring(d, n, m)[-1][0], naive_terms_mod(coeffs, 60, m),
+                naive_matpow_squaring(d, 500)[-1][0])
     kernels = recurrence._kernels
     assert sorted(kernels) == [("products", 7, False), ("products", 7, True),
                                ("steps", 7, False), ("steps", 7, True)]

@@ -9,20 +9,17 @@ from hypothesis import given, settings, strategies as st
 from recurra.ntheory import (_MR_BASES, _strong_lucas_probable_prime,
                              _strong_probable_prime, carmichael, factorize, is_prime,
                              order_from_multiple)
-from recurra.pisano import matrix_order, state_period
+from recurra.pisano import state_period
 from recurra.recurrence import SequenceSpec, companion, x_power
 from recurra.ringcore import multiplicative_order_int
 
-from oracles import (carmichael_brute, naive_is_matrix_order,
-                     naive_is_window_orbit, naive_matrix_order,
-                     naive_mult_order, naive_state_period, trial_prime_factors)
+from conftest import check_order, check_window_period, random_unit_spec
+from oracles import (carmichael_brute, naive_is_window_orbit, naive_mult_order,
+                     naive_state_period, trial_prime_factors)
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 PRIME_POWERS = [4, 8, 16, 32, 9, 27, 25, 49]
 COMPOSITES = [6, 10, 12, 18, 20, 24, 28, 30, 36, 40, 42, 45, 48, 50, 54, 56, 60]
-
-# Longer orders than this are checked by certificate instead of by walking.
-WALK_CAP = 3000
 
 CARMICHAEL_NUMBERS = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841,
                       29341, 41041, 46657, 52633, 62745, 63973, 75361,
@@ -43,10 +40,6 @@ LARGE_PRIMES = [998244353, 10 ** 9 + 7, 2 ** 61 - 1, 2 ** 89 - 1, 2 ** 107 - 1,
                 2 ** 127 - 1, 2 ** 521 - 1]
 
 
-def trial_is_prime(n):
-    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
-
-
 def unit_coeffs(rng, k, m):
     head = [rng.randint(-m, m) for _ in range(k - 1)]
     while True:
@@ -55,31 +48,9 @@ def unit_coeffs(rng, k, m):
             return tuple(head + [a_k])
 
 
-def check_matrix_order(coeffs, m):
-    got = matrix_order(SequenceSpec(coeffs), m)
-    try:
-        expected = naive_matrix_order(coeffs, m, cap=WALK_CAP)
-    except RuntimeError:
-        assert got > WALK_CAP and naive_is_matrix_order(coeffs, m, got), (coeffs, m)
-        return got
-    assert got == expected, (coeffs, m)
-    return got
-
-
-def check_unit_state_period(coeffs, m, initial=None):
-    got = state_period(SequenceSpec(coeffs, initial), m).as_tuple()
-    try:
-        expected = naive_state_period(coeffs, m, initial, cap=WALK_CAP)
-    except RuntimeError:
-        assert got[0] == 0 and got[1] > WALK_CAP, (coeffs, m, initial)
-        assert naive_is_window_orbit(coeffs, m, *got, initial), (coeffs, m, initial)
-        return
-    assert got == expected, (coeffs, m, initial)
-
-
 def test_is_prime_against_trial_division():
     assert [n for n in range(-5, 20000) if is_prime(n)] == [
-        n for n in range(-5, 20000) if trial_is_prime(n)]
+        n for n in range(-5, 20000) if trial_prime_factors(n) == [n]]
 
 
 def test_is_prime_rejects_pseudoprimes():
@@ -98,7 +69,7 @@ def test_strong_lucas_test_against_known_pseudoprimes():
     for n in range(3, 20000, 2):
         if int(n ** 0.5) ** 2 == n:
             continue
-        expected = trial_is_prime(n) or n in STRONG_LUCAS_PSEUDOPRIMES
+        expected = trial_prime_factors(n) == [n] or n in STRONG_LUCAS_PSEUDOPRIMES
         assert _strong_lucas_probable_prime(n) == expected, n
 
 
@@ -190,7 +161,12 @@ def test_matrix_order_by_modulus_class():
     for moduli in (PRIMES, PRIME_POWERS, COMPOSITES):
         for m in moduli:
             for k in (2, 3, 4):
-                check_matrix_order(unit_coeffs(rng, k, m), m)
+                check_order(unit_coeffs(rng, k, m), m)
+    # small coefficients, |a_i| <= 4, at every m <= 25
+    rng = random.Random(61)
+    for _ in range(25):
+        m = rng.randint(2, 25)
+        check_order(random_unit_spec(rng, m, kmax=3).coeffs, m)
 
 
 def test_unit_state_period_default_and_random_windows():
@@ -199,8 +175,8 @@ def test_unit_state_period_default_and_random_windows():
         for m in moduli:
             k = rng.randint(2, 4)
             coeffs = unit_coeffs(rng, k, m)
-            check_unit_state_period(coeffs, m)
-            check_unit_state_period(coeffs, m, tuple(rng.randrange(m) for _ in range(k)))
+            for initial in (None, tuple(rng.randrange(m) for _ in range(k))):
+                assert check_window_period(coeffs, m, initial)[0] == 0
     # the zero window is fixed; a window inside a smaller invariant
     # subspace has a shorter period than pi(m)
     assert state_period(SequenceSpec((1, 1), (0, 0)), 10).as_tuple() == (0, 1)
@@ -250,28 +226,23 @@ def test_nonunit_state_period_property(data):
     a_k = q * data.draw(st.integers(-30, 30).filter(bool), label="a_k / q")
     coeffs = tuple(head + [a_k])
     initial = data.draw(st.tuples(*[st.integers(0, m - 1)] * k), label="initial")
-    got = state_period(SequenceSpec(coeffs, initial), m).as_tuple()
-    try:
-        expected = naive_state_period(coeffs, m, initial, cap=20000)
-    except RuntimeError:
-        assert naive_is_window_orbit(coeffs, m, *got, initial), (coeffs, m, initial)
-        return
-    assert got == expected, (coeffs, m, initial)
+    check_window_period(coeffs, m, initial)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=270, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_orders_property(data):
-    k = data.draw(st.integers(2, 4), label="k")
-    m = data.draw(st.integers(2, 60), label="m")
+    k = data.draw(st.integers(2, 5), label="k")
+    m = data.draw(st.one_of(st.integers(2, 200), st.integers(1, 10).map(lambda r: 2 ** r),
+                            st.tuples(st.sampled_from((3, 5, 7)), st.integers(1, 4)).map(
+                                lambda pr: pr[0] ** pr[1])), label="m")
     head = data.draw(st.lists(st.integers(-60, 60), min_size=k - 1, max_size=k - 1))
     a_k = data.draw(st.integers(-60, 60).filter(lambda a: a and gcd(a, m) == 1))
     coeffs = tuple(head + [a_k])
-    order = check_matrix_order(coeffs, m)
+    order = check_order(coeffs, m)
     initial = data.draw(st.none() | st.tuples(*[st.integers(0, m - 1)] * k))
-    check_unit_state_period(coeffs, m, initial)
-    period = state_period(SequenceSpec(coeffs, initial), m).period
-    assert order % period == 0
+    tail, period = check_window_period(coeffs, m, initial)
+    assert tail == 0 and order % period == 0
     x = data.draw(st.integers(1, m).filter(lambda x: gcd(x, m) == 1))
     assert multiplicative_order_int(x, m) == naive_mult_order(x, m)
     assert carmichael(m) == carmichael_brute(m)

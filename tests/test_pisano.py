@@ -1,6 +1,6 @@
 import importlib
 import random
-from math import gcd, lcm
+from math import lcm
 
 import pytest
 
@@ -21,22 +21,13 @@ from recurra.pisano import (
 from recurra.recurrence import SequenceSpec, companion
 from recurra.ringcore import NotInvertible
 
-from oracles import (companion_diagonalizable_mod_p, naive_matrix_order,
-                     naive_state_period)
+from conftest import random_unit_spec
+from oracles import naive_matrix_order, naive_state_period
 
 FIB = SequenceSpec((1, 1))
 TRIB = SequenceSpec((1, 1, 1))
 EX3 = SequenceSpec((4, -5, 2))
 EX4 = SequenceSpec((6, -11, 6))
-
-
-def random_unit_spec(rng, m, kmax=4, amax=4):
-    while True:
-        k = rng.randint(2, kmax)
-        coeffs = [rng.randint(-amax, amax) for _ in range(k - 1)]
-        coeffs.append(rng.choice([a for a in range(-amax, amax + 1) if a != 0]))
-        if gcd(coeffs[-1], m) == 1:
-            return SequenceSpec(tuple(coeffs))
 
 
 def test_matrix_order_examples():
@@ -48,14 +39,6 @@ def test_matrix_order_examples():
 def test_matrix_order_requires_unit_tail():
     with pytest.raises(NotInvertible):
         matrix_order(SequenceSpec((1, 2)), 4)
-
-
-def test_matrix_order_against_oracle():
-    rng = random.Random(61)
-    for _ in range(25):
-        m = rng.randint(2, 25)
-        spec = random_unit_spec(rng, m, kmax=3)
-        assert matrix_order(spec, m) == naive_matrix_order(spec.coeffs, m)
 
 
 def test_state_period_examples():
@@ -260,22 +243,6 @@ def test_diagonalizable_implies_period_divides_p_minus_1():
         for lam in result.eigenvalues:
             prod = prod * lam % p
         assert prod == companion(spec).reduce(p).det()
-
-
-def test_diagonalizable_against_squarefree_splitting_oracle():
-    # dual route: distinct-linear-factor test on the matrix vs
-    # gcd(f, f') = 1 plus full root count on the polynomial
-    rng = random.Random(211)
-    agree_true = agree_false = 0
-    for _ in range(120):
-        p = rng.choice([3, 5, 7, 11, 13, 17])
-        spec = random_unit_spec(rng, p, kmax=4, amax=5)
-        got = diagonalizable_mod_p(spec, p).diagonalizable
-        expected = companion_diagonalizable_mod_p(spec.coeffs, p)
-        assert got == expected, f"a={spec.coeffs} p={p}"
-        agree_true += got
-        agree_false += not got
-    assert agree_true and agree_false  # both branches exercised
 
 
 def test_pi2_all_odd():

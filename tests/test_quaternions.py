@@ -8,8 +8,6 @@ from recurra.pisano import state_period
 from recurra.recurrence import SequenceSpec, terms_mod
 from recurra.ringcore import ModulusMismatch, NotInvertible
 from recurra.quaternions import (
-    CensusRecord,
-    CensusReport,
     QuatAlgebra,
     Quaternion,
     invertibility_census,
@@ -22,6 +20,7 @@ from recurra.quaternions import (
     quat_window_sum,
 )
 
+from conftest import census_of
 from oracles import naive_lterms, table_quat_mul
 
 PRIMES = (3, 5, 7, 11, 13, 31, 97)
@@ -186,22 +185,11 @@ def test_census():
             invertibility_census(3, r, n_max)
 
 
-def exact_census(l, r, n_max):
-    """The census from exact terms and exact norms, reduced only at the end."""
-    a, mod = naive_lterms(l, n_max + 4), l ** r
-    records = []
-    for n in range(n_max + 1):
-        norm = sum(x * x for x in a[n:n + 4])
-        records.append(CensusRecord(n, tuple(x % mod for x in a[n:n + 4]), norm % mod,
-                                    gcd(norm, mod) == 1, norm % (l * l) == 2))
-    return CensusReport(l, r, tuple(records))
-
-
 @pytest.mark.parametrize("l", (3, 5, 7))
 @pytest.mark.parametrize("r", (1, 2, 3))
 def test_census_against_exact_squares(l, r):
     for n_max in (0, 1, 2, 37, 300):
-        assert invertibility_census(l, r, n_max) == exact_census(l, r, n_max)
+        assert invertibility_census(l, r, n_max) == census_of(l, r, n_max)
 
 
 @pytest.mark.parametrize("l", (3, 5, 7))
@@ -210,10 +198,10 @@ def test_census_against_exact_squares_around_its_exactness_cap(l, n_max):
     # the census works mod l^min(r, 4*n_max + 10); from there on its
     # records are the exact coefficients and norms, whatever r is
     cap = 4 * n_max + 10
-    exact = exact_census(l, cap, n_max).records
+    exact = census_of(l, cap, n_max).records
     for r in (cap - 1, cap, cap + 1, 10 ** 6):
         report = invertibility_census(l, r, n_max)
-        assert report == exact_census(l, r, n_max)
+        assert report == census_of(l, r, n_max)
         if r >= cap:
             assert report.records == exact
             assert [rec.norm_mod for rec in exact] == [

@@ -21,6 +21,7 @@ from recurra.recurrence import (
     window_matrix,
 )
 from recurra.ringcore import Matrix
+from recurra.verify import random_spec
 
 from oracles import (naive_matpow, naive_term_negative, naive_terms, naive_terms_mod,
                      perm_det)
@@ -28,13 +29,6 @@ from oracles import (naive_matpow, naive_term_negative, naive_terms, naive_terms
 FIB = SequenceSpec((1, 1))
 TRIB = SequenceSpec((1, 1, 1))
 EX3 = SequenceSpec((4, -5, 2))
-
-
-def random_spec(rng, kmax=5, amax=5):
-    k = rng.randint(2, kmax)
-    coeffs = [rng.randint(-amax, amax) for _ in range(k - 1)]
-    coeffs.append(rng.choice([a for a in range(-amax, amax + 1) if a != 0]))
-    return SequenceSpec(tuple(coeffs))
 
 
 def test_spec_validation():

@@ -11,7 +11,7 @@ import pytest
 
 import recurra
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from conftest import SRC
 
 # The package's public names by home module.
 EXPORTS = {

@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from recurra import recurrence
 from recurra.lnumbers import LSpec, l_term, l_terms
-from recurra.quaternions import invertibility_census, l_quaternion, l_quaternion_norm
+from recurra.quaternions import invertibility_census, l_quaternion
 from recurra.recurrence import (SequenceSpec, stream, term, term_mod, terms, terms_from,
                                 terms_mod, x_power)
 
-from oracles import naive_lterms, naive_matpow_squaring, naive_terms, naive_terms_mod
+from conftest import census_of
+from oracles import (naive_companion, naive_lterms, naive_matpow_squaring, naive_terms,
+                     naive_terms_mod)
 
 MODULI = st.one_of(
     st.integers(2, 1000),
@@ -71,7 +73,7 @@ def test_far_terms_property(data):
     prefix = naive_terms(coeffs, count + k + 1, initial)
     windows = [prefix[i:i + k][::-1] for i in range(count + 2)]
     for t in (n, n + 1):
-        bottom = naive_matpow_squaring(coeffs, t, m)[-1]
+        bottom = naive_matpow_squaring(naive_companion(coeffs), t, m)[-1]
         expected = [sum(map(mul, bottom, y)) % m for y in windows]
         assert term_mod(spec, t, m).value == expected[0]
         assert terms_from(spec, t, count, m) == expected[:count]
@@ -88,7 +90,7 @@ def test_a_long_run_at_a_far_exact_index():
         prefix = naive_terms(coeffs, count + k, initial)
         windows = [prefix[i:i + k][::-1] for i in range(count)]
         for n in (20000, 20001):
-            bottom = naive_matpow_squaring(coeffs, n, None)[-1]
+            bottom = naive_matpow_squaring(naive_companion(coeffs), n)[-1]
             expected = [sum(map(mul, bottom, y)) for y in windows]
             assert terms_from(spec, n, count) == expected, (coeffs, n)
             assert term(spec, n + count - 1) == expected[-1]
@@ -190,18 +192,15 @@ def test_l_quaternion_property(l, r, n):
 @given(l=st.sampled_from((3, 5, 7, 11, 13)), r=st.integers(1, 4),
        n_max=st.integers(0, 60))
 def test_census_property(l, r, n_max):
-    # the census reduces an l_terms prefix; l_quaternion_norm reads its
-    # four terms off terms_from
+    # the census reduces an l_terms prefix; the oracle squares exact terms
     report = invertibility_census(l, r, n_max)
-    assert [rec.index for rec in report.records] == list(range(n_max + 1))
-    for rec in report.records:
-        assert rec.norm_mod == l_quaternion_norm(l, rec.index) % l ** r
+    assert report == census_of(l, r, n_max)
 
 
 def test_far_fibonacci_term_mod():
     # F_n is the (0, 1) entry of D^n
     m = 10 ** 9 + 7
-    expected = naive_matpow_squaring((1, 1), 10 ** 6, m)[0][1]
+    expected = naive_matpow_squaring(naive_companion((1, 1)), 10 ** 6, m)[0][1]
     assert term_mod(SequenceSpec((1, 1)), 10 ** 6, m).value == expected
 
 

@@ -10,6 +10,8 @@ import pytest
 from recurra import quaternions, recurrence, ringcore, verify
 from recurra.cli import main
 
+from conftest import suite_draws_after
+
 CHECKS = {
     "matrix": ["residue_inverse", "order_divides_carmichael", "adjugate_inverse",
                "rational_exact", "power_structure", "state_steps", "window_det",
@@ -50,22 +52,6 @@ def test_run_suites_gives_the_pinned_lines_for_seeds_0_to_3():
 
 
 @pytest.fixture
-def wrong_pow(monkeypatch):
-    """D^n with a wrong bottom-left entry whenever n = 3 mod 5."""
-    real_pow = ringcore.Matrix.__pow__
-
-    def wrong(self, n):
-        out = real_pow(self, n)
-        if n % 5 != 3:
-            return out
-        rows = [list(row) for row in out.entries]
-        rows[-1][0] += 1
-        return ringcore.Matrix(rows, out.modulus)
-
-    monkeypatch.setattr(ringcore.Matrix, "__pow__", wrong)
-
-
-@pytest.fixture
 def wrong_bordered_matrix(monkeypatch):
     """The bordered window matrix with its first row doubled at n = 5."""
     real = recurrence.bordered_matrix
@@ -81,13 +67,6 @@ def wrong_bordered_matrix(monkeypatch):
     monkeypatch.setattr(recurrence, "bordered_matrix", wrong)
 
 
-def _matrix_draws_after(seed):
-    rng = random.Random(f"{seed}:matrix")
-    for _ in verify.SUITES["matrix"](rng):
-        pass
-    return rng.getrandbits(64)
-
-
 # rng.getrandbits(64) after the matrix suite, seeds 0-2, with three checks
 # failing (power_structure, state_steps, power_det) ...
 DRAWS_AFTER_POW_FAULT = (13526410863773680250, 6957473062489204559, 2768419794529647722)
@@ -97,7 +76,7 @@ DRAWS_AFTER_BORDER_FAULT = (8807494197289474697, 17334939638095862152, 497164207
 
 @pytest.mark.parametrize("seed", range(3))
 def test_a_failing_check_draws_nothing_after_its_counterexample(wrong_pow, seed):
-    assert _matrix_draws_after(seed) == DRAWS_AFTER_POW_FAULT[seed]
+    assert suite_draws_after("matrix", seed) == DRAWS_AFTER_POW_FAULT[seed]
 
 
 BORDER_FAULT = {
@@ -114,7 +93,7 @@ def test_a_broken_identity_fails_its_check_and_the_suite_goes_on(wrong_bordered_
     assert [r.line() for r in results if not r.passed] == [
         f"FAIL matrix.bordered_det seed={seed} counterexample: bordered determinant "
         f"identity broke: {BORDER_FAULT[seed]}, n=5"]
-    assert _matrix_draws_after(seed) == DRAWS_AFTER_BORDER_FAULT[seed]
+    assert suite_draws_after("matrix", seed) == DRAWS_AFTER_BORDER_FAULT[seed]
 
 
 def test_m_tower_mod_l2_is_quaternions_check(monkeypatch):
@@ -123,6 +102,19 @@ def test_m_tower_mod_l2_is_quaternions_check(monkeypatch):
                         lambda spec, k: real(spec, k) + (spec.l == 3 and k == 7))
     assert [r.line() for r in verify.run_suites(["lnum"], 0) if not r.passed] == [
         "FAIL lnum.m_tower_mod_l2 seed=0 counterexample: l=3 k=7"]
+
+
+RATIONAL_FAULT = {0: "a=(-2, 85) window=(39, 85)", 1: "a=(-67, 20) window=(17, 27)",
+                  2: "a=(-54, 95) window=(-69, 87)"}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rational_exact_checks_recurrences_backward_terms(monkeypatch, seed):
+    # off by one, every backward term fails on the first case drawn
+    real = recurrence.term_negative
+    monkeypatch.setattr(recurrence, "term_negative", lambda spec, n: real(spec, n) + 1)
+    assert [r.line() for r in verify.run_suites(["matrix"], seed) if not r.passed] == [
+        f"FAIL matrix.rational_exact seed={seed} counterexample: {RATIONAL_FAULT[seed]}"]
 
 
 def test_the_first_counterexample_fails_a_check_and_it_is_not_resumed():

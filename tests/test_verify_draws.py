@@ -2,11 +2,11 @@
 internals change: the generator state each suite leaves behind, and the
 FAIL lines two planted faults produce, are pinned to the values of the
 code before the checks read their terms off shared prefixes."""
-import random
-
 import pytest
 
 from recurra import lnumbers, ringcore, verify
+
+from conftest import suite_draws_after
 
 # rng.getrandbits(64) after the suite's generator is exhausted, seeds 0-2
 DRAWS_AFTER = {
@@ -21,17 +21,14 @@ DRAWS_AFTER = {
 @pytest.mark.parametrize("name", list(DRAWS_AFTER))
 def test_each_suite_draws_what_it_drew_before(name):
     for seed, expected in enumerate(DRAWS_AFTER[name]):
-        rng = random.Random(f"{seed}:{name}")
-        for _ in verify.SUITES[name](rng):
-            pass
-        assert rng.getrandbits(64) == expected, (name, seed)
+        assert suite_draws_after(name, seed) == expected, (name, seed)
 
 
 def _failures(suite, seed):
     return [r.line() for r in verify.run_suites([suite], seed) if not r.passed]
 
 
-# D^n with a wrong bottom-left entry whenever n = 3 mod 5
+# the FAIL lines under conftest's wrong_pow
 POW_FAULT = {
     0: ["FAIL matrix.power_structure seed=0 counterexample: a=(4, -4, -2) n=8",
         "FAIL matrix.state_steps seed=0 counterexample: a=(-2, -2, 5) n=18 r=15",
@@ -46,18 +43,7 @@ POW_FAULT = {
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_a_wrong_matrix_power_fails_the_same_checks_on_the_same_case(monkeypatch, seed):
-    real_pow = ringcore.Matrix.__pow__
-
-    def wrong_pow(self, n):
-        out = real_pow(self, n)
-        if n % 5 != 3:
-            return out
-        rows = [list(row) for row in out.entries]
-        rows[-1][0] += 1
-        return ringcore.Matrix(rows, out.modulus)
-
-    monkeypatch.setattr(ringcore.Matrix, "__pow__", wrong_pow)
+def test_a_wrong_matrix_power_fails_the_same_checks_on_the_same_case(wrong_pow, seed):
     assert _failures("matrix", seed) == POW_FAULT[seed]
     assert _failures("lnum", seed) == []
 

@@ -14,9 +14,9 @@ import pytest
 from recurra import cli, verify
 from recurra.cipher import BadShape
 
-pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+from conftest import SRC
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
 @pytest.fixture

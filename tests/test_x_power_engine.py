@@ -6,93 +6,27 @@ import random
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from recurra.cipher import CipherKey, decrypt, encrypt
 from recurra.ntheory import (factorize, order_from_multiple, poly_divmod_mod_p,
                              poly_gcd_mod_p, poly_mod_p, unfactor)
 from recurra.pisano import (_order_multiple_factored, char_poly, diagonalizable_mod_p,
-                            matrix_order, matrix_order_multiple, state_period)
+                            matrix_order, matrix_order_multiple)
 from recurra.recurrence import (SequenceSpec, _power_reduced, companion, companion_power,
                                 x_inverse, x_power)
 from recurra.ringcore import Matrix, NotInvertible
 
-from oracles import (companion_diagonalizable_mod_p, naive_is_matrix_order,
-                     naive_is_window_orbit, naive_matmul, naive_matpow_squaring,
-                     naive_matrix_order, naive_state_period, poly_eval_mod, poly_gcd_mod,
+from conftest import check_order, check_window_period, random_unit_spec
+from oracles import (coeffs_of, companion_diagonalizable_mod_p, identity, is_squarefree_mod_p,
+                     naive_companion, naive_matmul, naive_matpow_squaring, poly_add,
+                     poly_eval_mod, poly_gcd_mod, poly_mul, poly_power_mod_chi,
                      trial_prime_factors)
 
-WALK_CAP = 3000
 P61 = 2 ** 61 - 1
 # 2^61 - 2, factored by hand and checked below
 P61_MINUS_1 = {2: 1, 3: 2, 5: 2, 7: 1, 11: 1, 13: 1, 31: 1, 41: 1, 61: 1, 151: 1,
                331: 1, 1321: 1}
 SMALL_PRIMES = [p for p in range(3, 200) if all(p % q for q in range(2, p))]
-
-
-def check_order(coeffs, m):
-    got = matrix_order(SequenceSpec(coeffs), m)
-    try:
-        expected = naive_matrix_order(coeffs, m, cap=WALK_CAP)
-    except RuntimeError:
-        assert got > WALK_CAP and naive_is_matrix_order(coeffs, m, got), (coeffs, m)
-        return got
-    assert got == expected, (coeffs, m)
-    return got
-
-
-def check_window_period(coeffs, m, initial=None):
-    got = state_period(SequenceSpec(coeffs, initial), m).as_tuple()
-    try:
-        expected = naive_state_period(coeffs, m, initial, cap=WALK_CAP)
-    except RuntimeError:
-        assert naive_is_window_orbit(coeffs, m, *got, initial), (coeffs, m, initial)
-        return
-    assert got == expected, (coeffs, m, initial)
-
-
-def coeffs_of(chi):
-    """a_1..a_k of the monic chi = [c_0, ..., c_{k-1}, 1]."""
-    return tuple(-c for c in reversed(chi[:-1]))
-
-
-def poly_mul(f, g, m=None):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return out if m is None else [c % m for c in out]
-
-
-def poly_add(f, g):
-    n = max(len(f), len(g))
-    return [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)]
-
-
-def poly_power_mod_chi(coeffs, base, n, m=None):
-    """base^n mod chi by n schoolbook products, each reduced by long
-    division by the monic chi = x^k - a_1 x^{k-1} - ... - a_k."""
-    k = len(coeffs)
-    chi = [-a for a in reversed(coeffs)] + [1]
-    out = [1]
-    for _ in range(n):
-        out = poly_mul(out, list(base), m)
-        while len(out) > k:             # subtract lead * x^(deg - k) * chi
-            lead = out.pop()
-            for i in range(k):
-                out[len(out) - k + i] -= lead * chi[i]
-        if m is not None:
-            out = [c % m for c in out]
-    return tuple(out + [0] * (k - len(out)))
-
-
-def identity(k):
-    return [[int(i == j) for j in range(k)] for i in range(k)]
-
-
-def is_squarefree_mod_p(chi, p):
-    derivative = [i * c % p for i, c in enumerate(chi)][1:]
-    return any(derivative) and len(poly_gcd_mod(chi, derivative, p)) == 1
 
 
 # -- the order multiple from factor degrees ------------------------------------
@@ -161,28 +95,12 @@ def test_split_chi_mod_a_61_bit_prime_by_certificate():
     # x^5 - x^4 - x^3 - x^2 - x - 1 splits as degrees 1 + 2 + 2 mod 2^61 - 1:
     # its order is p^2 - 1, whose primes are those of p - 1 and of p + 1 = 2^61
     assert unfactor(P61_MINUS_1) == P61 - 1
-    coeffs = (1,) * 5
-    order = matrix_order(SequenceSpec(coeffs), P61)
+    order = matrix_order(SequenceSpec((1,) * 5), P61)
     assert order == P61 ** 2 - 1
-    assert naive_matpow_squaring(coeffs, order, P61) == identity(5)
+    d = naive_companion((1,) * 5)
+    assert naive_matpow_squaring(d, order, P61) == identity(5)
     for q in P61_MINUS_1:
-        assert naive_matpow_squaring(coeffs, order // q, P61) != identity(5), q
-
-
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_orders_property(data):
-    k = data.draw(st.integers(2, 5), label="k")
-    m = data.draw(st.one_of(st.integers(2, 200), st.integers(1, 10).map(lambda r: 2 ** r),
-                            st.tuples(st.sampled_from((3, 5, 7)), st.integers(1, 4)).map(
-                                lambda pr: pr[0] ** pr[1])), label="m")
-    head = data.draw(st.lists(st.integers(-30, 30), min_size=k - 1, max_size=k - 1))
-    a_k = data.draw(st.integers(-30, 30).filter(lambda a: a and gcd(a, m) == 1))
-    coeffs = tuple(head + [a_k])
-    order = check_order(coeffs, m)
-    initial = data.draw(st.none() | st.tuples(*[st.integers(0, m - 1)] * k))
-    check_window_period(coeffs, m, initial)
-    assert order % state_period(SequenceSpec(coeffs, initial), m).period == 0
+        assert naive_matpow_squaring(d, order // q, P61) != identity(5), q
 
 
 def test_nonunit_window_orbits_at_large_moduli_by_certificate():
@@ -312,7 +230,7 @@ def test_companion_power_against_naive_powers():
                 spec = SequenceSpec(coeffs)
                 for n in (0, 1, k - 1, k, rng.randint(0, 40 if m is None else 10 ** 6)):
                     got = companion_power(spec, n, m)
-                    expected = naive_matpow_squaring(coeffs, n, m)
+                    expected = naive_matpow_squaring(naive_companion(coeffs), n, m)
                     assert got.modulus == m and got == Matrix(expected, m), (coeffs, n, m)
     # an explicit base: (x + 2)^n is (D + 2I)^n
     spec = SequenceSpec((1, 1, 1))
@@ -339,18 +257,6 @@ def test_inverse_companion_power_undoes_the_power():
         x_inverse(SequenceSpec((1, 4)), 26)
 
 
-def naive_matpow_squaring_of(a, n, m):
-    """a^n mod m for a Matrix a, by square-and-multiply over naive products."""
-    out = [[int(i == j) for j in range(a.cols)] for i in range(a.rows)]
-    base = [list(row) for row in a.entries]
-    while n:
-        if n & 1:
-            out = naive_matmul(out, base, m)
-        base = naive_matmul(base, base, m)
-        n >>= 1
-    return out
-
-
 def test_decrypt_agrees_with_the_adjugate_route():
     rng = random.Random(193)
     for _ in range(60):
@@ -362,7 +268,7 @@ def test_decrypt_agrees_with_the_adjugate_route():
         block = Matrix([[rng.randrange(n_mod) for _ in range(5)] for _ in range(k)], n_mod)
         d_inv = companion(key.spec()).reduce(n_mod).inverse()
         expected = Matrix(naive_matmul(
-            naive_matpow_squaring_of(d_inv, key.exponent, n_mod), block.entries, n_mod),
+            naive_matpow_squaring(d_inv.entries, key.exponent, n_mod), block.entries, n_mod),
             n_mod)
         assert decrypt(key, block) == expected, key.to_line()
         assert decrypt(key, encrypt(key, block)) == block
@@ -400,6 +306,14 @@ def test_diagonalizable_against_the_oracle_below_200():
             chi = poly_mul(chi, [-r, 1], p)
         split += check_diagonalization(coeffs_of(chi), p).diagonalizable
     assert split == len(SMALL_PRIMES)
+    # small unit specs at p <= 17, where both answers come up often
+    rng = random.Random(211)
+    answers = set()
+    for _ in range(120):
+        p = rng.choice([3, 5, 7, 11, 13, 17])
+        spec = random_unit_spec(rng, p, kmax=4, amax=5)
+        answers.add(check_diagonalization(spec.coeffs, p).diagonalizable)
+    assert answers == {True, False}
 
 
 def test_diagonalizable_mod_a_61_bit_prime_by_certificate():
@@ -414,12 +328,12 @@ def test_diagonalizable_mod_a_61_bit_prime_by_certificate():
         assert result.diagonalizable and result.eigenvalues == tuple(sorted(roots))
         # certificate: k distinct roots of chi, and pi divides p - 1
         assert all(poly_eval_mod(chi, lam, P61) == 0 for lam in result.eigenvalues)
-        assert naive_matpow_squaring(coeffs, P61 - 1, P61) == identity(k)
+        assert naive_matpow_squaring(naive_companion(coeffs), P61 - 1, P61) == identity(k)
     # 5 is a square mod 2^61 - 1 (p = 1 mod 5), so Fibonacci splits there
     result = diagonalizable_mod_p(SequenceSpec((1, 1)), P61)
     assert result.diagonalizable
     assert all((lam * lam - lam - 1) % P61 == 0 for lam in result.eigenvalues)
-    assert naive_matpow_squaring((1, 1), P61 - 1, P61) == identity(2)
+    assert naive_matpow_squaring(naive_companion((1, 1)), P61 - 1, P61) == identity(2)
     # a repeated root, and an irreducible quadratic factor: not diagonalizable
     r, s = rng.randrange(1, P61), rng.randrange(1, P61)
     for chi in (poly_mul(poly_mul([-r, 1], [-r, 1]), [-s, 1], P61),
