@@ -36,11 +36,12 @@ step (recurrence.stream) and are written in chunks of about CHUNK_CHARS
 characters, so memory stays one window and one chunk whatever --n is,
 and a stdout closed by its reader stops the command at the next chunk.
 
-`verify` runs each suite in its own forked child, all at once, when it
-runs more than one suite on more than one CPU with no other thread.  The
-results come back in suite order, and whatever is still running is
-killed after the first suite that raised, died or spent the budget, so
-the output is the same as running them in turn (see recurra.verify).
+`verify` runs its first suite in this process and, on more than one CPU
+with no other thread, each later suite in its own forked child, all
+started before the first suite runs.  One loop takes the outcomes in
+suite order, and whatever is still running is killed after the first
+suite that raised, died or spent the budget, so the output is the same
+as running them all in turn in this process (see recurra.verify).
 
 Each command imports only the recurra modules it runs; `verify` is the
 one that loads them all.  Only `order` (with `ringcore` alone), `pisano`,

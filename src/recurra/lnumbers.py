@@ -48,6 +48,7 @@ class ResidueClass(Enum):
 
 def l_term(spec: LSpec, n: int) -> int:
     """a_n: off the spec's prefix when that reaches n, else by term()."""
+    n = index(n)
     prefix = spec._prefix
     if 0 <= n < len(prefix):
         return prefix[n]
@@ -56,6 +57,7 @@ def l_term(spec: LSpec, n: int) -> int:
 
 def l_terms(spec: LSpec, count: int) -> list[int]:
     """[a_0, ..., a_{count-1}], a new list on every call."""
+    count = index(count)
     if count < 0:
         raise ValueError(f"need count >= 0, got {count}")
     prefix = spec._prefix

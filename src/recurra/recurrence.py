@@ -8,6 +8,10 @@ sides of those identities independently and compare exactly.
 
 Because a_k != 0 the recurrence runs backward over the rationals:
 d_{j-k} = (d_j - a_1 d_{j-1} - ... - a_{k-1} d_{j-k+1}) / a_k.
+
+Every index n, count and x_power base coefficient is taken with
+operator.index, so a float or a string raises TypeError and a bool is
+the int it is.
 """
 from __future__ import annotations
 
@@ -66,6 +70,7 @@ def terms_from(spec: SequenceSpec, n: int, count: int,
     there.  Over Z, x^h's coefficients are half as long as x^n's.  Mod m,
     the power, the prefix and each term are reduced.
     """
+    n, count = index(n), index(count)
     if n < 0 or count < 0:
         raise ValueError(f"need n, count >= 0, got {n}, {count}")
     k = spec.k
@@ -86,6 +91,7 @@ def terms_from(spec: SequenceSpec, n: int, count: int,
 def term(spec: SequenceSpec, n: int) -> int:
     """Exact d_n for n >= 0, off x^floor(n/2) in O(k^2 log n) products
     (see terms_from)."""
+    n = index(n)
     if n < 0:
         raise ValueError("term() is for n >= 0; use term_negative()")
     return terms_from(spec, n, 1)[0]
@@ -93,6 +99,7 @@ def term(spec: SequenceSpec, n: int) -> int:
 
 def terms(spec: SequenceSpec, count: int) -> list[int]:
     """The list [d_0, ..., d_{count-1}]."""
+    count = index(count)
     if count < 0:
         raise ValueError(f"need count >= 0, got {count}")
     return list(islice(stream(spec), count))
@@ -141,6 +148,7 @@ def _step_loop(backward: tuple[int, ...], w: list[int], m: int | None) -> Iterat
 def term_mod(spec: SequenceSpec, n: int, m: int) -> Residue:
     """d_n mod m, as term() but with every product reduced mod m."""
     check_modulus(m)
+    n = index(n)
     if n < 0:
         raise ValueError("term_mod() is for n >= 0")
     return Residue(terms_from(spec, n, 1, m)[0], m)
@@ -148,6 +156,7 @@ def term_mod(spec: SequenceSpec, n: int, m: int) -> Residue:
 
 def terms_mod(spec: SequenceSpec, count: int, m: int) -> list[int]:
     """[d_0, ..., d_{count-1}] reduced mod m, with reduced intermediates."""
+    count = index(count)
     if count < 0:
         raise ValueError(f"need count >= 0, got {count}")
     return list(islice(stream(spec, m), count))
@@ -172,6 +181,7 @@ def _scaled_backward(spec: SequenceSpec, steps: int) -> list[int]:
 def term_negative(spec: SequenceSpec, n: int) -> Fraction:
     """Exact rational d_n for n < 0, by backward recursion."""
     from fractions import Fraction
+    n = index(n)
     if n >= 0:
         raise ValueError("term_negative() is for n < 0")
     return Fraction(_scaled_backward(spec, -n)[0], spec.coeffs[-1] ** -n)
@@ -235,11 +245,14 @@ def x_power(spec: SequenceSpec, n: int, m: int | None = None,
     """
     if m is not None:
         check_modulus(m)
+    n = index(n)
     if n < 0:
         raise ValueError("x_power() is for n >= 0")
     k = spec.k
-    if base is not None and len(base) != k:
-        raise ValueError(f"base must have k = {k} coefficients, got {len(base)}")
+    if base is not None:
+        base = tuple(map(index, base))
+        if len(base) != k:
+            raise ValueError(f"base must have k = {k} coefficients, got {len(base)}")
     if n == 0:
         return (1,) + (0,) * (k - 1)
     coeffs = spec.coeffs if m is None else tuple([a % m for a in spec.coeffs])

@@ -263,6 +263,7 @@ class Matrix(Value):
     def __pow__(self, n: int) -> "Matrix":
         if self.rows != self.cols:
             raise ShapeMismatch("power needs a square matrix")
+        n = index(n)
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:

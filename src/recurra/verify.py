@@ -12,17 +12,19 @@ yield its message.  The time budget is tested after every check, so a
 slow suite is stopped part-way.  Sub-seeds are derived from (seed, suite
 name) so suites are independent of each other's order.
 
-That independence lets run_suites run each suite in its own forked
-child, all at once, when the process may use more than one CPU, fork
-exists and no other thread is running; otherwise it runs them in turn in
-this process.  Either way the results are the same: they are read back
-in the requested order against one absolute deadline that every child
-tests after every check, and cut after the first suite that spent it.
-A child's exception is raised again in the parent with its type and
-message, and a child that dies without reporting raises RuntimeError.
-Whatever is still running after the first suite that raised, died or
-spent the budget is killed.  Children report through a pipe with
-marshal, so no process-pool or pickle machinery is loaded.
+That independence lets run_suites run the suites after the first in
+forked children, one each, started before the first suite runs in this
+process, when the process may use more than one CPU, fork exists and no
+other thread is running; otherwise they run in turn in this process.
+One loop takes each suite's outcome in the requested order, running it
+here or reading it from its child, against one absolute deadline that
+every suite tests after every check, and cuts the run after the first
+suite that spent it.  So the results are the same either way.  A child's
+exception is raised again in the parent with its type and message, and a
+child that dies without reporting raises RuntimeError.  Whatever is still
+running after the first suite that raised, died or spent the budget is
+killed.  Children report through a pipe with marshal, so no process-pool
+or pickle machinery is loaded.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from math import gcd, lcm
 
 from . import cipher, lnumbers, pisano, quaternions, recurrence
 from .ringcore import Matrix, Residue, Value, multiplicative_order, set_field
-from .ntheory import carmichael
+from .ntheory import carmichael, factorize
 from .recurrence import SequenceSpec
 
 DEFAULT_BUDGET_MS = 60_000
@@ -89,10 +91,16 @@ def _residue_inverse(rng):
 
 
 def _order_divides_carmichael(rng):
+    # t is tested with pow, not by the descent from lambda(m) that found it:
+    # x^t = 1, and x^(t/q) != 1 for each prime q | t
     for _ in range(60):
         m = rng.randint(2, 10_000)
         x = rng.randrange(1, m)
-        if gcd(x, m) == 1 and carmichael(m) % multiplicative_order(Residue(x, m)) != 0:
+        if gcd(x, m) != 1:
+            continue
+        t = multiplicative_order(Residue(x, m))
+        if (carmichael(m) % t or pow(x, t, m) != 1
+                or any(pow(x, t // q, m) == 1 for q in factorize(t))):
             yield f"x={x} m={m}"
 
 
@@ -541,54 +549,31 @@ def _worker_error(module: str, qualname: str, message: str) -> Exception:
     return RuntimeError(f"{module}.{qualname} in a verify worker: {message}")
 
 
-def _suites_in_workers(names: list[str], seed: int,
-                       deadline: float) -> list[tuple[list, bool]]:
-    """Each suite's _run_suite outcome, in the order of names, up to the
-    first suite that ran out of time, from one forked child per suite, all
-    started at once.
-
-    The reports are read in suite order.  A suite's exception is raised
-    here with the same type and message, and a suite whose child ended
-    before reporting raises RuntimeError, once every suite before it has
-    reported and none of them raised or ran out of time.  After the first
-    suite that raised, died or ran out of time, the children still running
-    are killed.  Every child is reaped and every pipe closed.
-    """
-    children = []       # [pid, report pipe] of each child; pid None once reaped
-    outcomes = []
+def _report(child: list, name: str) -> list:
+    """The _run_suite outcome [checks, out_of_time] that the child [pid,
+    report pipe] sent for the suite name.  The suite's exception is raised
+    here with the same type and message, and a child that ended before
+    reporting raises RuntimeError, once it is reaped (its pid set to None)."""
     try:
-        for name in names:
-            children.append(list(_fork_suite(name, seed, deadline)))
-        for name, child in zip(names, children):
-            try:
-                ok, *rest = marshal.load(child[1])
-            except EOFError:            # the child ended without reporting
-                code = os.waitstatus_to_exitcode(os.waitpid(child[0], 0)[1])
-                child[0] = None
-                how = f"signal {-code}" if code < 0 else f"exit code {code}"
-                raise RuntimeError(f"the worker for verify suite {name!r} ended with "
-                                   f"{how} before reporting") from None
-            if not ok:
-                raise _worker_error(*rest)
-            outcomes.append(rest)
-            if rest[1]:
-                break
-    finally:
-        for pid, reports in children:
-            reports.close()
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return outcomes
+        ok, *rest = marshal.load(child[1])
+    except EOFError:                    # the child ended without reporting
+        code = os.waitstatus_to_exitcode(os.waitpid(child[0], 0)[1])
+        child[0] = None
+        how = f"signal {-code}" if code < 0 else f"exit code {code}"
+        raise RuntimeError(f"the worker for verify suite {name!r} ended with "
+                           f"{how} before reporting") from None
+    if not ok:
+        raise _worker_error(*rest)
+    return rest
 
 
 def _use_workers(names: list[str]) -> bool:
-    """Whether to run the suites in forked children, one per suite: they pay
-    off only with more than one suite and more than one CPU, number at most
-    the suites verify has (a longer list runs in this process), and are
-    safe only where fork exists and no other thread runs (a forked child
-    copies a lock another thread may hold)."""
-    if not (1 < len(names) <= len(SUITES) and hasattr(os, "fork")
+    """Whether to run every suite after the first in its own forked child:
+    children pay off only with more than one CPU, are used for at most as
+    many names as verify has suites (a longer list runs in this process),
+    and are safe only where fork exists and no other thread runs (a forked
+    child copies a lock another thread may hold)."""
+    if not (len(names) <= len(SUITES) and hasattr(os, "fork")
             and threading.active_count() == 1):
         return False
     try:
@@ -603,21 +588,32 @@ def run_suites(names: list[str], seed: int,
     """The checks of the named suites, in order, cut after the first suite
     that spends the budget with one `budget` line.
 
-    Where _use_workers allows, each suite runs in its own forked child,
-    all at once, against one absolute deadline; the results are the same
-    as running them in turn in this process, which is what happens
-    otherwise.
+    The first suite runs in this process.  Where _use_workers allows, each
+    later one runs in its own forked child, all started before the first,
+    and is read back in turn; otherwise it runs here too.  Every child is
+    reaped and every pipe closed, whatever ends the run.
     """
     deadline = time.monotonic() + budget_ms / 1000.0
-    if _use_workers(names):
-        outcomes = _suites_in_workers(names, seed, deadline)
-    else:
-        outcomes = (_run_suite(name, seed, deadline) for name in names)
+    # [pid, report pipe] of each suite run in a child, None for one run
+    # here; pid None once reaped
+    children = [None] * len(names)
     results = []
-    for name, (checks, out_of_time) in zip(names, outcomes):
-        results += [CheckResult(name, *check) for check in checks]
-        if out_of_time:
-            results.append(CheckResult(name, "budget", False,
-                                       f"budget of {budget_ms} ms exhausted"))
-            break
+    try:
+        if _use_workers(names):
+            for i in range(1, len(names)):
+                children[i] = list(_fork_suite(names[i], seed, deadline))
+        for name, child in zip(names, children):
+            checks, out_of_time = (_run_suite(name, seed, deadline) if child is None
+                                   else _report(child, name))
+            results += [CheckResult(name, *check) for check in checks]
+            if out_of_time:
+                results.append(CheckResult(name, "budget", False,
+                                           f"budget of {budget_ms} ms exhausted"))
+                break
+    finally:
+        for pid, reports in filter(None, children):
+            reports.close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return results

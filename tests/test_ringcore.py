@@ -1,11 +1,9 @@
 import random
-from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recurra.ntheory import is_prime
 from recurra.ringcore import (
     Matrix,
     ModulusMismatch,
@@ -84,17 +82,6 @@ def test_order_divides_carmichael():
             order = multiplicative_order(Residue(x, m))
             assert lam % order == 0
             assert pow(x, order, m) == 1
-
-
-def test_rational_is_exact_fraction():
-    rng = random.Random(5)
-    for _ in range(200):
-        p, q = rng.randint(-999, 999), rng.randint(1, 999)
-        r, s = rng.randint(-999, 999), rng.randint(1, 999)
-        x, y = Fraction(p, q), Fraction(r, s)
-        assert x + y - y == x
-        assert x.denominator > 0
-        assert gcd(abs(x.numerator), x.denominator) in (0, 1) or x.numerator == 0
 
 
 def test_matrix_shapes_and_identity():
@@ -312,13 +299,3 @@ def test_zero_width_matrix():
     empty = Matrix([[], []], 5)
     assert empty.cols == 0
     assert (Matrix.identity(2, 5) @ empty).cols == 0
-
-
-def test_is_prime_small():
-    primes = {2, 3, 5, 7, 11, 13, 97, 9973}
-    for n in range(-2, 100):
-        assert is_prime(n) == (n in primes or n in
-                               {17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
-                                61, 67, 71, 73, 79, 83, 89})
-    assert is_prime(9973)
-    assert not is_prime(9975)

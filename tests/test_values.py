@@ -2,14 +2,15 @@
 positional and keyword arguments and defaults, == within one class only,
 hashes that agree with ==, the constructor-call repr, no assignment after
 construction, and each class's own validation, with every integer field
-taken by operator.index."""
+taken by operator.index, as are the engine's integer arguments."""
 import pytest
 
 from recurra.cipher import Alphabet, CipherKey
-from recurra.lnumbers import LSpec
+from recurra.lnumbers import LSpec, l_term, l_terms
 from recurra.pisano import DiagnosisResult, PeriodResult
 from recurra.quaternions import CensusRecord, CensusReport, QuatAlgebra, Quaternion
-from recurra.recurrence import SequenceSpec
+from recurra.recurrence import (SequenceSpec, companion_power, term, term_mod, term_negative,
+                                terms, terms_from, terms_mod, x_power)
 from recurra.ringcore import Matrix, Residue
 from recurra.verify import CheckResult
 
@@ -162,3 +163,34 @@ def test_every_integer_field_refuses_a_float_and_a_str(field):
     # a bool is the int it is: the same value, or the same refusal
     assert _outcome(build, True) == _outcome(build, 1)
     assert _outcome(build, False) == _outcome(build, 0)
+
+
+# Each integer argument of the engine, filled with the one argument x and
+# the rest valid: a float or a string raises TypeError, and a bool gives
+# what its int gives.
+FIB = SequenceSpec((1, 1))
+INTEGER_ARGUMENTS = {
+    "term.n": lambda x: term(FIB, x),
+    "term_mod.n": lambda x: term_mod(FIB, x, 7),
+    "term_negative.n": lambda x: term_negative(FIB, x),
+    "terms.count": lambda x: terms(FIB, x),
+    "terms_mod.count": lambda x: terms_mod(FIB, x, 7),
+    "terms_from.n": lambda x: terms_from(FIB, x, 2),
+    "terms_from.count": lambda x: terms_from(FIB, 2, x),
+    "x_power.n": lambda x: x_power(FIB, x, 7),
+    "x_power.base": lambda x: x_power(FIB, 3, 7, (x, 0)),
+    "companion_power.base": lambda x: companion_power(FIB, 3, 7, (x, 0)),
+    "Matrix.__pow__.n": lambda x: Matrix([[1, 1], [1, 0]], 7) ** x,
+    "l_term.n": lambda x: l_term(LSpec(2), x),
+    "l_terms.count": lambda x: l_terms(LSpec(2), x),
+}
+
+
+@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS)
+def test_every_integer_argument_of_the_engine_refuses_a_float_and_a_str(argument):
+    call = INTEGER_ARGUMENTS[argument]
+    for bad in (3.0, 1.5, "3"):
+        with pytest.raises(TypeError):
+            call(bad)
+    assert _outcome(call, True) == _outcome(call, 1)
+    assert _outcome(call, False) == _outcome(call, 0)

@@ -9,6 +9,7 @@ import pytest
 
 from recurra import quaternions, recurrence, ringcore, verify
 from recurra.cli import main
+from recurra.ntheory import carmichael
 
 from conftest import suite_draws_after
 
@@ -102,6 +103,14 @@ def test_m_tower_mod_l2_is_quaternions_check(monkeypatch):
                         lambda spec, k: real(spec, k) + (spec.l == 3 and k == 7))
     assert [r.line() for r in verify.run_suites(["lnum"], 0) if not r.passed] == [
         "FAIL lnum.m_tower_mod_l2 seed=0 counterexample: l=3 k=7"]
+
+
+def test_order_divides_carmichael_tests_the_order_with_pow(monkeypatch):
+    # lambda(m) divides itself, so only x^(t/q) != 1 catches it as an order
+    monkeypatch.setattr(verify, "multiplicative_order", lambda r: carmichael(r.modulus))
+    for seed in range(3):
+        assert [r.name for r in verify.run_suites(["matrix"], seed) if not r.passed] == [
+            "order_divides_carmichael"]
 
 
 RATIONAL_FAULT = {0: "a=(-2, 85) window=(39, 85)", 1: "a=(-67, 20) window=(17, 27)",

@@ -1,8 +1,9 @@
-"""verify's suites in forked children, one per suite, against the same
-suites run in turn in this process: the same stdout, the same errors and
-exit codes, and no child left unreaped (tests/conftest.py checks that
-after every test).  The CPU count is set by patching the affinity call,
-so both paths run on any machine that has fork."""
+"""verify's one loop over the suites, with the first suite run in this
+process and each later one in its own forked child, against the same
+loop with every suite run in turn in this process: the same stdout, the
+same errors and exit codes, and no child left unreaped (tests/conftest.py
+checks that after every test).  The CPU count is set by patching the
+affinity call, so both paths run on any machine that has fork."""
 import os
 import subprocess
 import sys
@@ -141,36 +142,56 @@ def test_a_spent_budget_cuts_the_run_after_the_first_suite(capsys, monkeypatch, 
 @pytest.mark.parametrize("ending", ["raise", "death", "budget"])
 def test_a_raise_a_death_or_a_spent_budget_kills_the_suites_still_running(
         monkeypatch, forks, ending):
-    # matrix raises, dies or spends the budget at its first check while
-    # pisano's child sleeps for 30 s; the run ends once pisano's is killed
+    # pisano's child raises, dies or finds the deadline passed at its first
+    # check while quat's sleeps for 30 s; the run ends once quat's is killed
     run_suite = verify._run_suite
 
     def sleepy(name, seed, deadline):
-        if name == "pisano":
+        if name == "quat":
             time.sleep(30)
+        elif name == "pisano" and ending == "budget":
+            deadline = 0
         return run_suite(name, seed, deadline)
 
     def raises(*args):
-        raise ValueError("from the matrix suite")
+        raise ValueError("from the pisano suite")
 
     monkeypatch.setattr(verify, "_run_suite", sleepy)
     if ending == "raise":
-        monkeypatch.setattr(verify, "Residue", raises)
+        monkeypatch.setattr(verify, "random_unit_spec", raises)
     elif ending == "death":
-        monkeypatch.setattr(verify, "Residue", lambda *args: os._exit(7))
+        monkeypatch.setattr(verify, "random_unit_spec", lambda *args: os._exit(7))
     set_cpus(monkeypatch, 2)
     begun = time.monotonic()
     if ending == "raise":
-        with pytest.raises(ValueError, match="from the matrix suite"):
+        with pytest.raises(ValueError, match="from the pisano suite"):
             verify.run_suites(list(verify.SUITES), 0)
     elif ending == "death":
-        with pytest.raises(RuntimeError, match="'matrix' ended with exit code 7"):
+        with pytest.raises(RuntimeError, match="'pisano' ended with exit code 7"):
             verify.run_suites(list(verify.SUITES), 0)
     else:
-        results = verify.run_suites(list(verify.SUITES), 0, budget_ms=0)
-        assert [r.name for r in results] == ["residue_inverse", "budget"]
+        results = verify.run_suites(list(verify.SUITES), 0)
+        assert [(r.suite, r.name) for r in results[-2:]] == [
+            ("pisano", "state_divides_order"), ("pisano", "budget")]
+        assert len(results) == 12
     assert time.monotonic() - begun < 10
-    assert len(forks) == 5
+    assert len(forks) == 4
+
+
+def test_the_first_suite_runs_in_the_calling_process(monkeypatch, forks):
+    # each suite records its name and pid as it starts; a child's record
+    # stays in the child, so only the suites run here are seen
+    ran_here = []
+    run_suite = verify._run_suite
+
+    def recording(name, seed, deadline):
+        ran_here.append((name, os.getpid()))
+        return run_suite(name, seed, deadline)
+
+    monkeypatch.setattr(verify, "_run_suite", recording)
+    set_cpus(monkeypatch, 2)
+    assert len(verify.run_suites(list(verify.SUITES), 0)) == 39
+    assert ran_here == [("matrix", os.getpid())] and len(forks) == 4
 
 
 # Workers that end mid-suite without reporting, in a fresh interpreter so
@@ -220,14 +241,15 @@ def test_workers_need_several_suites_several_cpus_and_no_other_thread(monkeypatc
         other.join(timeout=60)
     assert not other.is_alive()
     verify.run_suites(["lnum", "quat"], 0)
-    assert len(forks) == 2
+    assert len(forks) == 1
     set_cpus(monkeypatch, 1)
     verify.run_suites(["lnum", "quat"], 0)
-    assert len(forks) == 2
+    assert len(forks) == 1
 
 
 def test_one_child_per_suite_all_at_once(monkeypatch, forks):
-    # five suites on two CPUs: five children, all running before any is reaped
+    # five suites on two CPUs: a child for each suite after the first, all
+    # running before any is reaped
     set_cpus(monkeypatch, 2)
     running, most = [0], [0]
     spy_fork, real_waitpid = os.fork, os.waitpid
@@ -248,11 +270,11 @@ def test_one_child_per_suite_all_at_once(monkeypatch, forks):
     monkeypatch.setattr(os, "waitpid", waitpid)
     results = verify.run_suites(list(verify.SUITES), 5)
     assert len(results) == 39 and all(r.passed for r in results)
-    assert (len(forks), most[0], running[0]) == (5, 5, 0)
+    assert (len(forks), most[0], running[0]) == (4, 4, 0)
 
 
 def test_a_failed_fork_leaves_no_worker_behind(monkeypatch, forks):
-    # the first child is killed and reaped
+    # the first child (pisano's) is killed and reaped
     set_cpus(monkeypatch, 2)
     spy_fork = os.fork
 
@@ -282,7 +304,7 @@ def test_workers_whose_pipes_have_high_fd_numbers(monkeypatch, forks):
     finally:
         for fd in held:
             os.close(fd)
-    assert len(forks) == 2
+    assert len(forks) == 1
     set_cpus(monkeypatch, 1)
     assert workers == verify.run_suites(["lnum", "quat"], 6)
 
@@ -290,27 +312,27 @@ def test_workers_whose_pipes_have_high_fd_numbers(monkeypatch, forks):
 def test_no_more_workers_than_suites(monkeypatch, forks):
     set_cpus(monkeypatch, 3)
     verify.run_suites(["lnum", "quat"], 0)
-    assert len(forks) == 2
+    assert len(forks) == 1
 
 
 def test_a_repeated_suite_runs_again(monkeypatch, forks):
     names = ["lnum", "quat", "lnum"]
     set_cpus(monkeypatch, 2)
     workers = verify.run_suites(names, 4)
-    assert len(forks) == 3
+    assert len(forks) == 2
     set_cpus(monkeypatch, 1)
     assert workers == verify.run_suites(names, 4)
-    assert len(forks) == 3 and len(workers) == 27
+    assert len(forks) == 2 and len(workers) == 27
 
 
 def test_more_suites_than_verify_has_run_in_this_process(monkeypatch, forks):
-    # no call forks more children than verify has suites; with no budget
-    # each run is cut after matrix's first check
+    # a call with more names than verify has suites forks no child; with
+    # no budget each run is cut after matrix's first check
     set_cpus(monkeypatch, 2)
     workers = verify.run_suites(["matrix"] * 5, 0, budget_ms=0)
-    assert len(forks) == 5
+    assert len(forks) == 4
     assert verify.run_suites(["matrix"] * 6, 0, budget_ms=0) == workers
-    assert len(forks) == 5 and len(workers) == 2
+    assert len(forks) == 4 and len(workers) == 2
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -331,4 +353,16 @@ def test_the_pool_closes_every_fd_it_opens(monkeypatch, forks):
     with pytest.raises(RuntimeError, match="'lnum' ended with exit code 7"):
         verify.run_suites(list(verify.SUITES), 1)
     assert sorted(os.listdir("/proc/self/fd")) == before
-    assert len(forks) == 15
+    # the first suite, run here, spends the budget or raises while the
+    # children still hold their pipes
+    verify.run_suites(list(verify.SUITES), 1, budget_ms=0)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+    def matrix_raises(*args):
+        raise ValueError("from the matrix suite")
+
+    monkeypatch.setattr(verify, "Residue", matrix_raises)
+    with pytest.raises(ValueError, match="from the matrix suite"):
+        verify.run_suites(list(verify.SUITES), 1)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert len(forks) == 20
