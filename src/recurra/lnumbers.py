@@ -12,23 +12,23 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import islice
 from math import gcd
 from operator import index
 
 from .ringcore import set_field
-from .recurrence import SequenceSpec, stream, term
+from .recurrence import SequenceSpec, term, terms
 
 
 class LSpec(SequenceSpec):
     """The sequence of one l: the spec (l, 1) with the default window,
     compared, hashed and shown by l alone.  It keeps the longest prefix of
-    terms that l_terms has built for it, and l_term reads a term off that
-    prefix when it reaches that far: verify's lnum suite fills each of its
-    specs once, and its checks took about 1.2 ms a seed that way against
-    24 ms with every term read by term() (CPU, best of 15, on a 2-vCPU VM).
-    The prefix is a tuple that is replaced, never changed, when it grows:
-    threads that grow it at once each leave a valid prefix."""
+    terms that l_terms has built for it, grown from the spec's own window,
+    and l_term reads a term off that prefix when it reaches that far:
+    verify's lnum suite fills each of its specs once, and its checks took
+    about 1.2 ms a seed that way against 24 ms with every term read by
+    term() (CPU, best of 15, on a 2-vCPU VM).  The prefix is a tuple that
+    is replaced, never changed, when it grows: threads that grow it at
+    once each leave a valid prefix."""
 
     _fields = ("l",)
 
@@ -56,15 +56,14 @@ def l_term(spec: LSpec, n: int) -> int:
 
 
 def l_terms(spec: LSpec, count: int) -> list[int]:
-    """[a_0, ..., a_{count-1}], a new list on every call."""
+    """[a_0, ..., a_{count-1}], a new list on every call.  The spec's
+    prefix grows through terms(), from the spec's own window."""
     count = index(count)
     if count < 0:
         raise ValueError(f"need count >= 0, got {count}")
     prefix = spec._prefix
     if count > len(prefix):
-        # a spec started at the prefix's last window, whose two terms it repeats
-        tail = stream(SequenceSpec(spec.coeffs, prefix[-2:]))
-        prefix += tuple(islice(tail, 2, count - len(prefix) + 2))
+        prefix = tuple(terms(spec, count))
         set_field(spec, "_prefix", prefix)
     return list(prefix[:count])
 

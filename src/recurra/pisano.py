@@ -131,6 +131,8 @@ def order_divisibility_check(spec: SequenceSpec, m: int) -> bool:
 
 def divisor_monotone_check(spec: SequenceSpec, s1: int, s2: int) -> bool:
     """s1 | s2 implies pi(s1) | pi(s2)."""
+    if s1 < 1:
+        raise ValueError(f"need s1 >= 1, got {s1}")
     if s2 % s1 != 0:
         raise ValueError("need s1 | s2")
     return matrix_order(spec, s2) % matrix_order(spec, s1) == 0

@@ -77,15 +77,10 @@ def terms_from(spec: SequenceSpec, n: int, count: int,
     head = min(count, k)
     h, r = divmod(n, 2)
     c = x_power(spec, h, m)
-    size = r + head + 2 * k - 2
-    d = terms(spec, size) if m is None else terms_mod(spec, size, m)
+    d = list(islice(stream(spec, m), r + head + 2 * k - 2))
     mid = [sum(map(mul, c, d[r + i:r + i + k])) for i in range(head + k - 1)]
     out = [sum(map(mul, c, mid[t:t + k])) for t in range(head)]
-    backward = spec.coeffs[::-1]
-    if m is not None:
-        out = [x % m for x in out]
-        backward = tuple([a % m for a in backward])
-    return list(islice(_steps(backward, out, m), count))
+    return list(islice(_steps(spec.coeffs[::-1], out, m), count))
 
 
 def term(spec: SequenceSpec, n: int) -> int:
@@ -106,28 +101,28 @@ def terms(spec: SequenceSpec, count: int) -> list[int]:
 
 
 def stream(spec: SequenceSpec, m: int | None = None) -> Iterator[int]:
-    """d_0, d_1, ... without end, exact or reduced mod m.  Only one window
-    is held: each step is d_{t+k} = a_k d_t + ... + a_1 d_{t+k-1}.  The
-    modulus is checked here, before the first term is asked for.
+    """d_0, d_1, ... without end, exact or reduced mod m, which is checked
+    before the first term is asked for (see _steps)."""
+    return _steps(spec.coeffs[::-1], spec.initial, m)
+
+
+def _steps(backward: tuple[int, ...], w: tuple[int, ...] | list[int],
+           m: int | None) -> Iterator[int]:
+    """The terms of window w (oldest first), then those after it, each
+    d_{t+k} = a_k d_t + ... + a_1 d_{t+k-1} for backward = (a_k, ..., a_1);
+    only one window is held.  With m given, m is checked and backward and
+    w are reduced mod m here, before the first term is asked for.  w may
+    be shorter than k only if no term past it is asked for.
 
     Up to k = _KERNEL_K_MAX the step is a straight-line kernel (see
     _kernel): the window lives in k locals, and a step is one sum of k
     products and a rotation.  Above it the step is a loop, and nothing is
     configurable.
     """
-    window = spec.initial
-    backward = spec.coeffs[::-1]
     if m is not None:
         check_modulus(m)
         backward = tuple([a % m for a in backward])
-        window = tuple([x % m for x in window])
-    return _steps(backward, window, m)
-
-
-def _steps(backward: tuple[int, ...], w: tuple[int, ...] | list[int],
-           m: int | None) -> Iterator[int]:
-    """The terms of window w (oldest first), then those after it.  w may
-    be shorter than k only if no term past it is asked for."""
+        w = tuple([x % m for x in w])
     k = len(backward)
     if k > _KERNEL_K_MAX:
         return _step_loop(backward, list(w), m)

@@ -119,6 +119,10 @@ def test_divisor_monotone():
     assert divisor_monotone_check(FIB, 10, 10)
     with pytest.raises(ValueError):
         divisor_monotone_check(FIB, 3, 10)
+    # s1 < 1 is a wrong value, refused before s2 % s1 is taken
+    for s1 in (0, -2):
+        with pytest.raises(ValueError, match=f"need s1 >= 1, got {s1}"):
+            divisor_monotone_check(FIB, s1, 6)
     rng = random.Random(89)
     for _ in range(25):
         s1 = rng.randint(2, 10)

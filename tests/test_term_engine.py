@@ -166,7 +166,7 @@ def test_stream_checks_its_arguments_when_called():
             stream(spec, m)
 
 
-def test_l_terms_extends_its_prefix_from_the_last_window():
+def test_l_terms_grows_its_prefix_from_the_spec_window():
     spec = LSpec(3)
     for count in (0, 1, 2, 3, 5, 4, 40, 41, 300, 7, 1000):
         assert l_terms(spec, count) == naive_lterms(3, count), count

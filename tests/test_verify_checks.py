@@ -7,9 +7,10 @@ from hashlib import sha256
 
 import pytest
 
-from recurra import quaternions, recurrence, ringcore, verify
+from recurra import pisano, quaternions, recurrence, ringcore, verify
 from recurra.cli import main
 from recurra.ntheory import carmichael
+from recurra.pisano import state_period
 
 from conftest import suite_draws_after
 
@@ -111,6 +112,49 @@ def test_order_divides_carmichael_tests_the_order_with_pow(monkeypatch):
     for seed in range(3):
         assert [r.name for r in verify.run_suites(["matrix"], seed) if not r.passed] == [
             "order_divides_carmichael"]
+
+
+def off_by_one(real):
+    return lambda *args: real(*args) + 1
+
+
+def wrong_period(change):
+    """pisano.state_period with change(period, spec, m) for its period."""
+    def wrong(spec, m):
+        st = state_period(spec, m)
+        return pisano.PeriodResult(st.tail, change(st.period, spec, m))
+    return wrong
+
+
+# each pisano check: the pisano function it reads, that function with a
+# fault planted, and the counterexample the check reports at seed 0
+PISANO_FAULTS = {
+    # a halved even period still divides the order, but the default window
+    # with a unit a_k returns exactly when D^t = I: its period is the order
+    "state_divides_order": ("state_period",
+                            wrong_period(lambda t, spec, m: t // 2 if t % 2 == 0 else t),
+                            "a=(3, 2, 1) m=32 state=(0, 56) order=112"),
+    "divisor_monotone": ("matrix_order", off_by_one(pisano.matrix_order),
+                         "a=(2, -1) s1=4 s2=16"),
+    "lcm_law": ("matrix_order", off_by_one(pisano.matrix_order),
+                "a=(0, 0, -4, 1) s1=3 s2=16"),
+    "det_order_divides": ("multiplicative_order", off_by_one(pisano.multiplicative_order),
+                          "a=(-1, -4, -1) m=5"),
+    "prime_power_ladder": ("matrix_order", off_by_one(pisano.matrix_order),
+                           "ladder step 63 -> pi(5^2) is neither x1 nor x5"),
+    "pigeonhole_bound": ("state_period", wrong_period(lambda t, spec, m: t + m ** spec.k),
+                         "a=(-2, 2) m=14 visited=246"),
+    "all_odd_mod2_period": ("state_period", wrong_period(lambda t, spec, m: t + (m == 2)),
+                            "a=(-1, 1)"),
+}
+
+
+@pytest.mark.parametrize("check", CHECKS["pisano"])
+def test_every_pisano_check_fails_on_a_fault_in_what_it_reads(monkeypatch, check):
+    name, fault, counterexample = PISANO_FAULTS[check]
+    monkeypatch.setattr(pisano, name, fault)
+    assert f"FAIL pisano.{check} seed=0 counterexample: {counterexample}" in [
+        r.line() for r in verify.run_suites(["pisano"], 0) if not r.passed]
 
 
 RATIONAL_FAULT = {0: "a=(-2, 85) window=(39, 85)", 1: "a=(-67, 20) window=(17, 27)",
