@@ -11,7 +11,9 @@ p^d - 1 are factored, and a product tree descends from the multiple.
 """
 from __future__ import annotations
 
-from math import gcd, lcm
+from itertools import accumulate, repeat
+from math import gcd, lcm, log
+from operator import index, mul
 
 from .ringcore import (NotInvertible, Residue, Value, check_modulus, multiplicative_order,
                        set_field)
@@ -145,34 +147,28 @@ def lcm_check(spec: SequenceSpec, s1: int, s2: int) -> bool:
 
 
 def prime_power_ladder(spec: SequenceSpec, p: int, r_max: int) -> list[int]:
-    """[pi(p), pi(p^2), ..., pi(p^r_max)] for an odd prime p.
+    """[pi(p), pi(p^2), ..., pi(p^r_max)] for an odd prime p, from one
+    power and one gcd (Wall 1960 for k = 2).
 
-    pi(p^r) | pi(p^(r+1)) | p pi(p^r) for odd p, so with y = x^t mod
-    p^r_max for the rung t below, the rung at p^r is t when y = 1 mod p^r
-    and else p t, with y^p = 1; both, and that a rung that grew keeps
-    growing, are checked.  Only pi(p) is an order search.
+    With t = pi(p), p^s is the gcd of p^r_max and the coefficients of
+    x^t - 1 mod p^r_max.  For odd p and s >= 1, x^t = 1 + p^s u gives
+    x^(t p) = 1 + p^(s+1) u' with u' = u mod p, since p | C(p, 2) and
+    p s >= s + 2; so pi(p^r) = t for r <= s, and t p^(r-s) above.
+    s = 0 means t is not pi(p), and raises ArithmeticError.
     """
+    p, r_max = index(p), index(r_max)
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if r_max < 1:
         raise ValueError("need r_max >= 1")
-    ladder = [matrix_order(spec, p)]
+    t = matrix_order(spec, p)
     top = p ** r_max
-    coeffs = tuple([a % top for a in spec.coeffs])
-    y = x_power(spec, ladder[0], top)
-    one = [1] + [0] * (spec.k - 1)
-    for r in range(2, r_max + 1):
-        t, pr = ladder[-1], p ** r
-        if [c % pr for c in y] != one:
-            y = _power_reduced(y, p, coeffs, top)
-            if [c % pr for c in y] != one:
-                raise ArithmeticError(f"ladder step {t} -> pi({p}^{r}) is neither "
-                                      f"x1 nor x{p}")
-            t *= p
-        elif len(ladder) > 1 and t != ladder[-2]:
-            raise ArithmeticError(f"ladder stalled after growing: {ladder + [t]}")
-        ladder.append(t)
-    return ladder
+    y = x_power(spec, t, top)
+    # gcd is p^s exactly, so the float log is off by far less than 1/2
+    s = round(log(gcd(y[0] - 1, *y[1:], top), p))
+    if s < 1:
+        raise ArithmeticError(f"ladder step pi({p}) = {t}: x^{t} != 1 mod {p}")
+    return [t] * (s - 1) + list(accumulate(repeat(p, r_max - s), mul, initial=t))
 
 
 def char_poly(spec: SequenceSpec) -> list[int]:

@@ -157,29 +157,25 @@ def terms_mod(spec: SequenceSpec, count: int, m: int) -> list[int]:
     return list(islice(stream(spec, m), count))
 
 
-def _scaled_backward(spec: SequenceSpec, steps: int) -> list[int]:
-    """[d_{-steps}, ..., d_{-1}], each times a_k^steps.
-
-    Each backward step divides by a_k once, so every d_{-j} a_k^steps with
-    j <= steps is an integer, and the walk runs over integers with exact //.
-    """
+def _scaled_window(spec: SequenceSpec, s: int) -> list[int]:
+    """[a_k^s d_{-s}, ..., a_k^s d_{k-1-s}], integers, for s >= 0 and any
+    initial window.  a_k x^{-1} = x^{k-1} - a_1 x^{k-2} - ... - a_{k-1}
+    (x_inverse's formula times a_k) is in Z[x]/(chi), and with its power
+    sum c_j x^j the index law of terms_from gives a_k^s d_{i-s} = sum c_j d_{i+j}."""
     k = spec.k
-    a, a_k = spec.coeffs[:-1], spec.coeffs[-1]
-    scale = a_k ** steps
-    # newest last: out[-k] is d_{t+k-1}, and out[1-k:] is d_{t+k-2}, ..., d_t
-    out = [x * scale for x in reversed(spec.initial)]
-    for _ in range(steps):
-        out.append((out[-k] - sum(map(mul, a, out[1 - k:]))) // a_k)
-    return out[:k - 1:-1]
+    base = tuple([-a for a in reversed(spec.coeffs[:-1])]) + (1,)
+    c = x_power(spec, s, None, base)
+    d = list(islice(stream(spec), 2 * k - 1))
+    return [sum(map(mul, c, d[i:i + k])) for i in range(k)]
 
 
 def term_negative(spec: SequenceSpec, n: int) -> Fraction:
-    """Exact rational d_n for n < 0, by backward recursion."""
+    """Exact rational d_n for n < 0, off one power of a_k x^{-1} (_scaled_window)."""
     from fractions import Fraction
     n = index(n)
     if n >= 0:
         raise ValueError("term_negative() is for n < 0")
-    return Fraction(_scaled_backward(spec, -n)[0], spec.coeffs[-1] ** -n)
+    return Fraction(_scaled_window(spec, -n)[0], spec.coeffs[-1] ** -n)
 
 
 def companion(spec: SequenceSpec) -> Matrix:
@@ -420,17 +416,18 @@ def power_structure_check(spec: SequenceSpec, n: int) -> bool:
     an integer.
     """
     _require_default_window(spec)
+    n = index(n)
     if n < 1:
         raise ValueError("need n >= 1")
     k = spec.k
     a = spec.coeffs
-    steps = max(0, k - 1 - n)
-    scale = a[-1] ** steps
-    # d[t + steps] = d_t * scale, for t from -steps to n+k-1
-    d = _scaled_backward(spec, steps) + [x * scale for x in terms(spec, n + k)]
+    s = max(0, k - 1 - n)
+    scale = a[-1] ** s
+    # d[t + s] = d_t * scale for t from -s to n+k-1, stepped on from the window at -s
+    d = list(islice(_steps(a[::-1], _scaled_window(spec, s), None), s + n + k))
     dn = companion(spec) ** n
     for r, dn_row in enumerate(dn.entries, 1):
-        top = steps + n + k - r             # d_{n+k-r}
+        top = s + n + k - r                 # d_{n+k-r}
         # entry j pairs a_k, ..., a_j with d_{n+j-1-r}, ..., d_{n+k-1-r}
         row = [d[top]] + [sum(map(mul, reversed(a[j - 1:]), d[top - k + j - 1:top]))
                           for j in range(2, k + 1)]
@@ -489,10 +486,11 @@ def bordered_det(spec: SequenceSpec, n: int) -> int:
     alone usually is not.
     """
     _require_default_window(spec)
+    n = index(n)
     if n < 1:
         raise ValueError("need n >= 1")
     value = bordered_matrix(spec, n).det()
-    expected = (-1) ** (n * (spec.k + 1)) * _scaled_backward(spec, n)[0]
+    expected = (-1) ** (n * (spec.k + 1)) * _scaled_window(spec, n)[0]
     if value != expected:
         raise ArithmeticError(f"bordered determinant identity broke: "
                               f"{value} != {expected} for {spec}, n={n}")

@@ -220,10 +220,14 @@ def _det_order_divides(rng):
 
 
 def _prime_power_ladder(rng):
+    # rungs 2 and 3 against matrix_order's own descent mod p^r
     try:
         for _ in range(20):
             p = rng.choice([3, 5, 7])
-            pisano.prime_power_ladder(random_unit_spec(rng, p), p, 3)
+            spec = random_unit_spec(rng, p)
+            ladder = pisano.prime_power_ladder(spec, p, 3)
+            if ladder[1:] != [pisano.matrix_order(spec, p ** r) for r in (2, 3)]:
+                yield f"a={spec.coeffs} p={p} ladder={ladder}"
     except ArithmeticError as exc:
         yield str(exc)
 

@@ -22,7 +22,7 @@ from recurra.recurrence import SequenceSpec, companion
 from recurra.ringcore import NotInvertible
 
 from conftest import random_unit_spec
-from oracles import naive_matrix_order, naive_state_period
+from oracles import naive_is_matrix_order, naive_matrix_order, naive_state_period
 
 FIB = SequenceSpec((1, 1))
 TRIB = SequenceSpec((1, 1, 1))
@@ -151,6 +151,19 @@ def test_prime_power_ladder_examples():
     assert naive_matrix_order(EX3.coeffs, 27) == 54
     assert prime_power_ladder(FIB, 5, 2) == [20, 100]
     assert prime_power_ladder(FIB, 3, 1) == [matrix_order(FIB, 3)]
+
+
+@pytest.mark.parametrize("coeffs, p, ladder", [
+    # with t = pi(p), x^t = 1 mod p^s but not mod p^(s+1): s rungs of t,
+    # then each grows by p; here s = 2 and 3
+    ((-11, -4), 3, [6, 6, 18, 54]),
+    ((-10, 8), 3, [3, 3, 3, 9]),
+    # x^3 = 1 over Z, so no rung ever grows
+    ((-1, -1), 7, [3] * 50),
+], ids=["flat-2", "flat-3", "never-grows"])
+def test_prime_power_ladder_stays_flat_while_x_to_the_t_is_one(coeffs, p, ladder):
+    assert prime_power_ladder(SequenceSpec(coeffs), p, len(ladder)) == ladder
+    assert all(naive_is_matrix_order(coeffs, p ** r, t) for r, t in enumerate(ladder, 1))
 
 
 def test_prime_power_ladder_property():

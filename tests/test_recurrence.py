@@ -106,15 +106,26 @@ def test_term_negative_extends_recurrence():
 
 def test_term_negative_against_a_fraction_recursion_on_custom_windows():
     rng = random.Random(43)
-    for _ in range(300):
+    # 300 draws down to n = -25, then 10 down to -2000
+    for far in [25] * 300 + [2000] * 10:
         spec = random_spec(rng)
         initial = tuple(rng.randint(-9, 9) for _ in range(spec.k))
         custom = SequenceSpec(spec.coeffs, initial)
-        n = -rng.randint(1, 25)
+        n = -rng.randint(1, far)
         for s, window in ((spec, None), (custom, initial)):
             got = term_negative(s, n)
             assert type(got) is Fraction
             assert got == naive_term_negative(s.coeffs, n, window), (s, n)
+
+
+def test_a_far_backward_term_is_one_power_not_a_walk(capped_python):
+    # d_{-n} = (-1)^(n+1) d_n for Fibonacci; a walk of 10^5 backward steps
+    # over growing numbers takes over a second of CPU
+    script = ("from recurra.recurrence import SequenceSpec, term, term_negative\n"
+              "fib = SequenceSpec((1, 1))\n"
+              "print(term_negative(fib, -10**5) == (-1) ** (10**5 + 1) * term(fib, 10**5))")
+    proc = capped_python("-c", script, cap_mb=64, cpu_s=1)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
 
 
 def test_companion_layouts():

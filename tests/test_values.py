@@ -7,10 +7,11 @@ import pytest
 
 from recurra.cipher import Alphabet, CipherKey
 from recurra.lnumbers import LSpec, l_term, l_terms
-from recurra.pisano import DiagnosisResult, PeriodResult
+from recurra.pisano import DiagnosisResult, PeriodResult, prime_power_ladder
 from recurra.quaternions import CensusRecord, CensusReport, QuatAlgebra, Quaternion
-from recurra.recurrence import (SequenceSpec, companion_power, term, term_mod, term_negative,
-                                terms, terms_from, terms_mod, x_power)
+from recurra.recurrence import (SequenceSpec, bordered_det, companion_power,
+                                power_structure_check, term, term_mod, term_negative, terms,
+                                terms_from, terms_mod, x_power)
 from recurra.ringcore import Matrix, Residue
 from recurra.verify import CheckResult
 
@@ -165,14 +166,17 @@ def test_every_integer_field_refuses_a_float_and_a_str(field):
     assert _outcome(build, False) == _outcome(build, 0)
 
 
-# Each integer argument of the engine, filled with the one argument x and
-# the rest valid: a float or a string raises TypeError, and a bool gives
+# Each integer argument of the engine, of prime_power_ladder and of the
+# identity checks that read backward terms, filled with the one argument x
+# and the rest valid: a float or a string raises TypeError, and a bool gives
 # what its int gives.
 FIB = SequenceSpec((1, 1))
 INTEGER_ARGUMENTS = {
     "term.n": lambda x: term(FIB, x),
     "term_mod.n": lambda x: term_mod(FIB, x, 7),
     "term_negative.n": lambda x: term_negative(FIB, x),
+    "bordered_det.n": lambda x: bordered_det(FIB, x),
+    "power_structure_check.n": lambda x: power_structure_check(FIB, x),
     "terms.count": lambda x: terms(FIB, x),
     "terms_mod.count": lambda x: terms_mod(FIB, x, 7),
     "terms_from.n": lambda x: terms_from(FIB, x, 2),
@@ -183,6 +187,8 @@ INTEGER_ARGUMENTS = {
     "Matrix.__pow__.n": lambda x: Matrix([[1, 1], [1, 0]], 7) ** x,
     "l_term.n": lambda x: l_term(LSpec(2), x),
     "l_terms.count": lambda x: l_terms(LSpec(2), x),
+    "prime_power_ladder.p": lambda x: prime_power_ladder(FIB, x, 2),
+    "prime_power_ladder.r_max": lambda x: prime_power_ladder(FIB, 3, x),
 }
 
 

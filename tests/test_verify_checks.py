@@ -7,7 +7,7 @@ from hashlib import sha256
 
 import pytest
 
-from recurra import pisano, quaternions, recurrence, ringcore, verify
+from recurra import cipher, pisano, quaternions, recurrence, ringcore, verify
 from recurra.cli import main
 from recurra.ntheory import carmichael
 from recurra.pisano import state_period
@@ -141,7 +141,7 @@ PISANO_FAULTS = {
     "det_order_divides": ("multiplicative_order", off_by_one(pisano.multiplicative_order),
                           "a=(-1, -4, -1) m=5"),
     "prime_power_ladder": ("matrix_order", off_by_one(pisano.matrix_order),
-                           "ladder step 63 -> pi(5^2) is neither x1 nor x5"),
+                           "ladder step pi(5) = 63: x^63 != 1 mod 5"),
     "pigeonhole_bound": ("state_period", wrong_period(lambda t, spec, m: t + m ** spec.k),
                          "a=(-2, 2) m=14 visited=246"),
     "all_odd_mod2_period": ("state_period", wrong_period(lambda t, spec, m: t + (m == 2)),
@@ -155,6 +155,74 @@ def test_every_pisano_check_fails_on_a_fault_in_what_it_reads(monkeypatch, check
     monkeypatch.setattr(pisano, name, fault)
     assert f"FAIL pisano.{check} seed=0 counterexample: {counterexample}" in [
         r.line() for r in verify.run_suites(["pisano"], 0) if not r.passed]
+
+
+def test_prime_power_ladder_checks_its_rungs_against_matrix_order(monkeypatch):
+    # a top rung one factor of p too high is still a multiple of the rung
+    # below, and x to it is still 1: only matrix_order's descent mod p^3
+    # sees it
+    real = pisano.prime_power_ladder
+
+    def wrong(spec, p, r_max):
+        *low, top = real(spec, p, r_max)
+        return [*low, top * p]
+
+    monkeypatch.setattr(pisano, "prime_power_ladder", wrong)
+    assert [r.line() for r in verify.run_suites(["pisano"], 0) if not r.passed] == [
+        "FAIL pisano.prime_power_ladder seed=0 counterexample: "
+        "a=(4, -1, 4, -4) p=3 ladder=[10, 30, 270]"]
+
+
+def with_exponent(key, n):
+    return cipher.CipherKey(key.k, key.n_mod, key.coeffs, n)
+
+
+def exponent_changed(real, change):
+    """real(key, block) for the key with exponent change(n)."""
+    return lambda key, block: real(with_exponent(key, change(key.exponent)), block)
+
+
+def first_columns_only(real, width):
+    """real(key, block) on the block's first width columns; the rest are
+    left as they are."""
+    def wrong(key, block):
+        out = real(key, block)
+        rows = [c[:width] + v[width:] for c, v in zip(out.entries, block.entries)]
+        return ringcore.Matrix(rows, block.modulus)
+    return wrong
+
+
+def last_row_zeroed(real):
+    def wrong(key):
+        rows = real(key).entries
+        return ringcore.Matrix([*rows[:-1], [0] * len(rows[-1])], key.n_mod)
+    return wrong
+
+
+# each cipher check: the cipher function it reads, that function with a
+# fault planted, and the counterexample the check reports at seed 0
+CIPHER_FAULTS = {
+    # deciphers by D^-(n+1)
+    "round_trip": (cipher, "decrypt", exponent_changed(cipher.decrypt, lambda n: n + 1),
+                   "key='4 27 5 6 25 5 13'"),
+    # enciphers by D^min(n, 64), which a shift of n by a period changes
+    "exponent_periodicity": (cipher, "encrypt",
+                             exponent_changed(cipher.encrypt, lambda n: min(n, 64)),
+                             "key='3 26 21 1 1 17' l=1 T=399672"),
+    # a block is drawn with at most 6 columns, two of them joined with up to 12
+    "columnwise_linear": (cipher, "encrypt", first_columns_only(cipher.encrypt, 6),
+                          "key='5 29 6 21 22 6 16 44'"),
+    "power_det_unit": (cipher.CipherKey, "matrix", last_row_zeroed(cipher.CipherKey.matrix),
+                       "key='2 256 45 7 36'"),
+}
+
+
+@pytest.mark.parametrize("check", CHECKS["cipher"])
+def test_every_cipher_check_fails_on_a_fault_in_what_it_reads(monkeypatch, check):
+    owner, name, fault, counterexample = CIPHER_FAULTS[check]
+    monkeypatch.setattr(owner, name, fault)
+    assert f"FAIL cipher.{check} seed=0 counterexample: {counterexample}" in [
+        r.line() for r in verify.run_suites(["cipher"], 0) if not r.passed]
 
 
 RATIONAL_FAULT = {0: "a=(-2, 85) window=(39, 85)", 1: "a=(-67, 20) window=(17, 27)",
