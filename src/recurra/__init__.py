@@ -3,9 +3,11 @@ companion matrices and their determinant identities, generalized Pisano
 periods, a recurrence-keyed block cipher, and l-number / quaternion
 identities over residue rings.
 
-A value checks itself when it is built: a wrong type (integers are taken
-with operator.index, so a float or a string) raises TypeError, and a wrong
-value ValueError or a subclass (BadShape, ...).  Nothing checks it again.
+Errors follow one rule.  A wrong type raises TypeError (integers are
+taken with operator.index, so a float or a string), and a wrong value
+ValueError or a subclass (NotInvertible, BadShape, ...); a value checks
+both once, when it is built.  A function whose check of an identity on
+its own result fails raises BrokenIdentity, an ArithmeticError.
 
 Importing the package loads none of its submodules: each public name (and
 each submodule below) is imported on first use (PEP 562), so a caller such
@@ -17,8 +19,8 @@ from sys import modules as _modules
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "ringcore": ("Matrix", "ModulusMismatch", "NotInvertible", "Residue",
-                 "ShapeMismatch", "multiplicative_order"),
+    "ringcore": ("BrokenIdentity", "Matrix", "ModulusMismatch", "NotInvertible",
+                 "Residue", "ShapeMismatch", "multiplicative_order"),
     "recurrence": ("SequenceSpec", "addition_formula", "bordered_det", "companion",
                    "power_structure_check", "state_step_check", "term", "term_mod",
                    "term_negative", "window_det"),

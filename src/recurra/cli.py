@@ -14,8 +14,9 @@ token.  Exit codes:
      a --r below 1 (argparse's own usage errors exit 2 as well); a value
      past Python's int-to-str digit limit (`seq`, `lnum`, `quat`); also a
      verify worker that died without reporting
-  3  an arithmetic failure: a checked identity broke (ArithmeticError),
-     a value overflowed (e.g. --budget 1e400s), or a number the period or
+  3  an arithmetic failure (ArithmeticError): a checked identity broke
+     (BrokenIdentity; in `verify` it fails its check instead), a value
+     overflowed (e.g. --budget 1e400s), or a number the period or
      order needs did not factor within the factoring bound, m included
      (`pisano` factors m for the order and for --state, whatever a_k is);
      also a request that ran out of memory (MemoryError), such as

@@ -15,7 +15,7 @@ from enum import Enum
 from math import gcd
 from operator import index
 
-from .ringcore import set_field
+from .ringcore import BrokenIdentity, set_field
 from .recurrence import SequenceSpec, term, terms
 
 
@@ -141,8 +141,8 @@ def residue_class(spec: LSpec, n: int) -> ResidueClass:
         return ResidueClass.DIVISIBLE_BY_L
     if value % (spec.l * spec.l) == 1:
         return ResidueClass.ONE_MOD_L_SQUARED
-    raise ArithmeticError(f"a_{n} for l={spec.l} fits neither residue class; "
-                          f"unreachable")
+    raise BrokenIdentity(f"a_{n} for l={spec.l} fits neither residue class; "
+                         f"unreachable")
 
 
 def ideal_check(spec: LSpec, bound: int) -> bool:

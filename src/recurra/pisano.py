@@ -15,8 +15,8 @@ from itertools import accumulate, repeat
 from math import gcd, lcm, log
 from operator import index, mul
 
-from .ringcore import (NotInvertible, Residue, Value, check_modulus, multiplicative_order,
-                       set_field)
+from .ringcore import (BrokenIdentity, NotInvertible, Residue, Value, check_modulus,
+                       multiplicative_order, set_field)
 from .ntheory import (_exponent_factored, factorize, is_prime, order_from_multiple,
                       poly_divmod_mod_p, poly_gcd_mod_p, poly_mod_p, unfactor)
 from .recurrence import SequenceSpec, _power_reduced, terms_from, terms_mod, x_power
@@ -154,7 +154,7 @@ def prime_power_ladder(spec: SequenceSpec, p: int, r_max: int) -> list[int]:
     x^t - 1 mod p^r_max.  For odd p and s >= 1, x^t = 1 + p^s u gives
     x^(t p) = 1 + p^(s+1) u' with u' = u mod p, since p | C(p, 2) and
     p s >= s + 2; so pi(p^r) = t for r <= s, and t p^(r-s) above.
-    s = 0 means t is not pi(p), and raises ArithmeticError.
+    s = 0 means t is not pi(p), and raises BrokenIdentity.
     """
     p, r_max = index(p), index(r_max)
     if p < 3 or not is_prime(p):
@@ -167,7 +167,7 @@ def prime_power_ladder(spec: SequenceSpec, p: int, r_max: int) -> list[int]:
     # gcd is p^s exactly, so the float log is off by far less than 1/2
     s = round(log(gcd(y[0] - 1, *y[1:], top), p))
     if s < 1:
-        raise ArithmeticError(f"ladder step pi({p}) = {t}: x^{t} != 1 mod {p}")
+        raise BrokenIdentity(f"ladder step pi({p}) = {t}: x^{t} != 1 mod {p}")
     return [t] * (s - 1) + list(accumulate(repeat(p, r_max - s), mul, initial=t))
 
 
@@ -269,8 +269,8 @@ def diagonalizable_mod_p(spec: SequenceSpec, p: int) -> DiagnosisResult:
     for lam in eigenvalues:
         product = [(low - lam * high) % p for low, high in zip([0] + product, product + [0])]
     if product != [c % p for c in char_poly(spec)]:
-        raise ArithmeticError(f"eigenvalues {eigenvalues} do not multiply back "
-                              f"to chi mod {p}")
+        raise BrokenIdentity(f"eigenvalues {eigenvalues} do not multiply back "
+                             f"to chi mod {p}")
     return DiagnosisResult(True, tuple(eigenvalues))
 
 

@@ -19,7 +19,8 @@ from collections.abc import Iterator
 from itertools import islice
 from operator import index, mul
 
-from .ringcore import Matrix, Residue, Value, check_modulus, invert_mod, set_field
+from .ringcore import (BrokenIdentity, Matrix, Residue, Value, check_modulus, invert_mod,
+                       set_field)
 
 
 class SequenceSpec(Value):
@@ -467,8 +468,8 @@ def window_det(spec: SequenceSpec, n: int) -> int:
     value = window_matrix(spec, n).det()
     expected = (-1) ** (n * (spec.k + 1)) * spec.coeffs[-1] ** n
     if value != expected:
-        raise ArithmeticError(f"window determinant identity broke: "
-                              f"{value} != {expected} for {spec}, n={n}")
+        raise BrokenIdentity(f"window determinant identity broke: "
+                             f"{value} != {expected} for {spec}, n={n}")
     return value
 
 
@@ -492,8 +493,8 @@ def bordered_det(spec: SequenceSpec, n: int) -> int:
     value = bordered_matrix(spec, n).det()
     expected = (-1) ** (n * (spec.k + 1)) * _scaled_window(spec, n)[0]
     if value != expected:
-        raise ArithmeticError(f"bordered determinant identity broke: "
-                              f"{value} != {expected} for {spec}, n={n}")
+        raise BrokenIdentity(f"bordered determinant identity broke: "
+                             f"{value} != {expected} for {spec}, n={n}")
     return value
 
 
@@ -515,6 +516,6 @@ def addition_formula(spec: SequenceSpec, m: int, n: int) -> int:
         inner = sum(a[i + j - 2] * d[n + k - i - 1] for i in range(1, k - j + 2))
         total += d[m + k - j] * inner
     if total != d[m + n + k - 1]:
-        raise ArithmeticError(f"index-addition identity broke for {spec}, "
-                              f"m={m}, n={n}: {total} != {d[m + n + k - 1]}")
+        raise BrokenIdentity(f"index-addition identity broke for {spec}, "
+                             f"m={m}, n={n}: {total} != {d[m + n + k - 1]}")
     return total

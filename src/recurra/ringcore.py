@@ -56,6 +56,10 @@ class NotInvertible(ValueError):
     """Element (or matrix determinant) is not a unit in its ring."""
 
 
+class BrokenIdentity(ArithmeticError):
+    """A function's check of an identity on its own result failed."""
+
+
 class ShapeMismatch(ValueError):
     """Matrix dimensions do not conform."""
 
@@ -143,8 +147,6 @@ def multiplicative_order(x: Residue) -> int:
 def _det_bareiss(rows: list[list[int]]) -> int:
     """Exact integer determinant, fraction-free Bareiss elimination."""
     n = len(rows)
-    if n == 0:
-        return 1
     m = [row[:] for row in rows]
     sign = 1
     prev = 1

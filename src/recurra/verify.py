@@ -6,11 +6,11 @@ that draws its cases and yields each counterexample it finds as the
 detail to report.  One runner, _run_checks, fails a check on its first
 counterexample and never resumes it, so the check draws nothing more; a
 check that yields nothing passes, with the note it returns, if any, as
-its detail.  An exception a check raises ends the run, except that the
-four identities that raise ArithmeticError when they break catch it and
-yield its message.  The time budget is tested after every check, so a
-slow suite is stopped part-way.  Sub-seeds are derived from (seed, suite
-name) so suites are independent of each other's order.
+its detail.  A check that raises BrokenIdentity, a library identity
+that broke, fails with its message as the counterexample; any other
+exception ends the run.  The time budget is tested after every check, so
+a slow suite is stopped part-way.  Sub-seeds are derived from (seed,
+suite name) so suites are independent of each other's order.
 
 That independence lets run_suites run the suites after the first in
 forked children, one each, started before the first suite runs in this
@@ -42,7 +42,7 @@ from itertools import product
 from math import gcd, lcm
 
 from . import cipher, lnumbers, pisano, quaternions, recurrence
-from .ringcore import Matrix, Residue, Value, multiplicative_order, set_field
+from .ringcore import BrokenIdentity, Matrix, Residue, Value, multiplicative_order, set_field
 from .ntheory import carmichael, factorize
 from .recurrence import SequenceSpec
 
@@ -142,31 +142,22 @@ def _state_steps(rng):
             yield f"a={spec.coeffs} n={n} r={r}"
 
 
-# The next three, and prime_power_ladder, test identities that raise
-# ArithmeticError when they break.
-
 def _window_det(rng):
-    try:
-        for _ in range(120):
-            recurrence.window_det(random_spec(rng), rng.randint(0, 12))
-    except ArithmeticError as exc:
-        yield str(exc)
+    for _ in range(120):
+        recurrence.window_det(random_spec(rng), rng.randint(0, 12))
+    yield from ()
 
 
 def _bordered_det(rng):
-    try:
-        for _ in range(120):
-            recurrence.bordered_det(random_spec(rng), rng.randint(1, 8))
-    except ArithmeticError as exc:
-        yield str(exc)
+    for _ in range(120):
+        recurrence.bordered_det(random_spec(rng), rng.randint(1, 8))
+    yield from ()
 
 
 def _addition_formula(rng):
-    try:
-        for _ in range(120):
-            recurrence.addition_formula(random_spec(rng), rng.randint(0, 15), rng.randint(0, 15))
-    except ArithmeticError as exc:
-        yield str(exc)
+    for _ in range(120):
+        recurrence.addition_formula(random_spec(rng), rng.randint(0, 15), rng.randint(0, 15))
+    yield from ()
 
 
 def _power_det(rng):
@@ -221,15 +212,12 @@ def _det_order_divides(rng):
 
 def _prime_power_ladder(rng):
     # rungs 2 and 3 against matrix_order's own descent mod p^r
-    try:
-        for _ in range(20):
-            p = rng.choice([3, 5, 7])
-            spec = random_unit_spec(rng, p)
-            ladder = pisano.prime_power_ladder(spec, p, 3)
-            if ladder[1:] != [pisano.matrix_order(spec, p ** r) for r in (2, 3)]:
-                yield f"a={spec.coeffs} p={p} ladder={ladder}"
-    except ArithmeticError as exc:
-        yield str(exc)
+    for _ in range(20):
+        p = rng.choice([3, 5, 7])
+        spec = random_unit_spec(rng, p)
+        ladder = pisano.prime_power_ladder(spec, p, 3)
+        if ladder[1:] != [pisano.matrix_order(spec, p ** r) for r in (2, 3)]:
+            yield f"a={spec.coeffs} p={p} ladder={ladder}"
 
 
 def _pigeonhole_bound(rng):
@@ -464,16 +452,18 @@ def _power_det_unit(rng):
 def _run_checks(checks, *args) -> Iterator[tuple[str, bool, str]]:
     """(check, passed, detail) for each check in turn, called with args:
     the check named c is the generator function _c, failed by the first
-    counterexample it yields and never resumed, or passed with the note
-    it returns."""
+    counterexample it yields or the first BrokenIdentity it raises and
+    never resumed, or passed with the note it returns."""
     for check in checks:
-        found = check(*args)
+        name = check.__name__[1:]
         try:
-            detail = next(found)
+            detail = next(check(*args))
         except StopIteration as end:
-            yield check.__name__[1:], True, end.value or ""
+            yield name, True, end.value or ""
+        except BrokenIdentity as exc:
+            yield name, False, str(exc)
         else:
-            yield check.__name__[1:], False, detail
+            yield name, False, detail
 
 
 SUITES = {

@@ -263,6 +263,15 @@ def test_encrypt_alphabet_size_mismatch(capsys, tmp_path, monkeypatch):
     assert code == 2 and "alphabet size" in err
 
 
+def test_encrypt_with_an_empty_alphabet_file(capsys, tmp_path, monkeypatch):
+    key, alpha = tmp_path / "key.txt", tmp_path / "empty.txt"
+    key.write_text("3 2 1 1 1 3\n")
+    alpha.write_text("")
+    monkeypatch.setattr("sys.stdin", io.StringIO("AB"))
+    assert run(capsys, "encrypt", "--key", str(key), "--alphabet", str(alpha)) == (
+        2, "", "error: alphabet file has no symbols\n")
+
+
 def test_verify_bad_suite_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope"])

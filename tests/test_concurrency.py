@@ -116,4 +116,4 @@ def test_threads_resolving_the_lazy_namespace_agree():
     proc = subprocess.run([sys.executable, "-c", RESOLVE_ALL], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    assert proc.stdout == "39\n"
+    assert proc.stdout == "40\n"

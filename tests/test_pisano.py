@@ -19,7 +19,7 @@ from recurra.pisano import (
     state_period,
 )
 from recurra.recurrence import SequenceSpec, companion
-from recurra.ringcore import NotInvertible
+from recurra.ringcore import BrokenIdentity, NotInvertible
 
 from conftest import random_unit_spec
 from oracles import naive_is_matrix_order, naive_matrix_order, naive_state_period
@@ -241,6 +241,15 @@ def test_diagonalizable_guards():
         diagonalizable_mod_p(FIB, 9)
     with pytest.raises(NotInvertible):
         diagonalizable_mod_p(SequenceSpec((1, 5)), 5)
+
+
+def test_eigenvalues_that_do_not_multiply_back_break_the_identity(monkeypatch):
+    # chi = (x - 1)(x - 2)(x - 3) mod 5, its roots each read one too high
+    real = pisano._split_roots
+    monkeypatch.setattr(pisano, "_split_roots", lambda spec, p: [r + 1 for r in real(spec, p)])
+    with pytest.raises(BrokenIdentity,
+                       match=r"^eigenvalues \[2, 3, 4\] do not multiply back to chi mod 5$"):
+        diagonalizable_mod_p(EX4, 5)
 
 
 def test_diagonalizable_implies_period_divides_p_minus_1():

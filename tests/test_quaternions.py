@@ -88,6 +88,7 @@ def test_conj_norm_trace():
         prod = x * x.conjugate()
         assert prod.coeffs == (x.norm(), 0, 0, 0)
         assert (x + x.conjugate()).coeffs == (x.trace(), 0, 0, 0)
+        assert (x - x.conjugate()).coeffs == (0, *(2 * c % p for c in x.coeffs[1:]))
 
 
 def test_norm_multiplicative():
@@ -112,6 +113,7 @@ def test_inverse():
     h = QuatAlgebra(-1, -1, 5)
     assert h.one().inverse() == h.one()
     assert h.quat(0, 1, 0, 0).inverse() == h.quat(0, 4, 0, 0)
+    assert not h.quat(1, 2, 0, 0).is_unit()
     with pytest.raises(NotInvertible):
         h.quat(1, 2, 0, 0).inverse()  # norm 1 + 4 = 0 mod 5
     rng = random.Random(173)
@@ -120,7 +122,8 @@ def test_inverse():
         p = rng.choice(PRIMES)
         h = QuatAlgebra(rng.randrange(p), rng.randrange(p), p)
         x = random_quat(rng, h)
-        if gcd(x.norm(), p) != 1:
+        assert x.is_unit() == (gcd(x.norm(), p) == 1)
+        if not x.is_unit():
             continue
         hits += 1
         assert x * x.inverse() == h.one()

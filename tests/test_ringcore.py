@@ -34,6 +34,7 @@ def test_residue_canonical_range():
     assert (-r).value == 2
     assert (r ** 3).value == 2
     assert (r ** -1).value == 2  # 3*2 = 6 = 1 mod 5
+    assert int(Residue(-5, 9)) == 4
 
 
 def test_residue_modulus_mismatch():
@@ -102,6 +103,8 @@ def test_matrix_shapes_and_identity():
         a + wide
     with pytest.raises(ShapeMismatch, match="subtraction needs equal shapes"):
         a - wide
+    assert a - ident == Matrix([[0, 2], [3, 3]])
+    assert Matrix([[1, 2]], 5) - Matrix([[3, 4]], 5) == Matrix([[3, 3]], 5)
     with pytest.raises(ShapeMismatch, match="2x2 applied to 3-vector"):
         a.apply((1, 2, 3))
     for call, message in ((lambda: wide ** 2, "power needs"), (wide.det, "determinant needs"),
@@ -281,6 +284,23 @@ def test_inverse_not_invertible():
         Matrix([[3, 0], [0, 1]], 9).inverse()
     with pytest.raises(NotInvertible, match="only defined over Z_m"):
         Matrix([[1, 0], [0, 1]]).inverse()
+
+
+def test_negative_power_is_the_power_of_the_inverse():
+    rng = random.Random(23)
+    found = 0
+    while found < 20:
+        k = rng.randint(2, 3)
+        m = rng.choice([4, 9, 26, 27, 256])
+        a = Matrix([[rng.randrange(m) for _ in range(k)] for _ in range(k)], m)
+        if gcd(a.det(), m) != 1:
+            continue
+        found += 1
+        for n in range(1, 5):
+            assert a ** -n == a.inverse() ** n
+            assert a ** -n @ a ** n == Matrix.identity(k, m)
+    with pytest.raises(NotInvertible):
+        Matrix([[3, 0], [0, 1]], 9) ** -2
 
 
 def test_matrix_pow_matches_repeated_mul():

@@ -7,10 +7,11 @@ from hashlib import sha256
 
 import pytest
 
-from recurra import cipher, pisano, quaternions, recurrence, ringcore, verify
+from recurra import cipher, lnumbers, pisano, quaternions, recurrence, ringcore, verify
 from recurra.cli import main
 from recurra.ntheory import carmichael
 from recurra.pisano import state_period
+from recurra.quaternions import Quaternion
 
 from conftest import suite_draws_after
 
@@ -223,6 +224,105 @@ def test_every_cipher_check_fails_on_a_fault_in_what_it_reads(monkeypatch, check
     monkeypatch.setattr(owner, name, fault)
     assert f"FAIL cipher.{check} seed=0 counterexample: {counterexample}" in [
         r.line() for r in verify.run_suites(["cipher"], 0) if not r.passed]
+
+
+def fermat_inverse(real):
+    """Residue ** e with x^-1 taken as x^(m-2), the inverse for prime m only."""
+    return lambda x, e: real(x, x.modulus - 2 if e == -1 else e)
+
+
+def cofactors(real):
+    """Matrix.adjugate without its transpose: the cofactor matrix."""
+    return lambda a: ringcore.Matrix(list(zip(*real(a).entries)), a.modulus)
+
+
+def term_off(real, i):
+    """terms(spec, count) with d_i off by one."""
+    def wrong(spec, count):
+        out = real(spec, count)
+        if count > i:
+            out[i] += 1
+        return out
+    return wrong
+
+
+def rows_reversed(real):
+    return lambda spec, n: ringcore.Matrix(real(spec, n).entries[::-1])
+
+
+def raised_at(real, l, n, by=1):
+    """l_term(spec, i), by more for l and n."""
+    return lambda spec, i: real(spec, i) + by * (spec.l == l and i == n)
+
+
+def doubled(real):
+    return lambda spec, count: [2 * x for x in real(spec, count)]
+
+
+def plus_one(real):
+    """The product x y + 1."""
+    return lambda x, y: real(x, y) + x.algebra.one()
+
+
+def scaled_from(real, start):
+    """l_quaternion(l, r, n) times 1 + l from n = start on: the same mod l."""
+    return lambda l, r, n: real(l, r, n).scale(1 + l) if n >= start else real(l, r, n)
+
+
+# each check of the matrix, lnum and quat suites that no other test sees
+# fail: the object and name of a function it reads, that function with a
+# fault planted, and the counterexample the check reports at seed 0
+CHECK_FAULTS = {
+    "matrix.residue_inverse": (ringcore.Residue, "__pow__",
+                               fermat_inverse(ringcore.Residue.__pow__), "x=1991 m=7094"),
+    "matrix.adjugate_inverse": (ringcore.Matrix, "adjugate", cofactors(ringcore.Matrix.adjugate),
+                                "a=Matrix[Z_49](1 28 36; 31 8 3; 9 25 28)"),
+    # rows reversed: the det changes sign for k = 2 and 3
+    "matrix.window_det": (recurrence, "window_matrix", rows_reversed(recurrence.window_matrix),
+                          "window determinant identity broke: 1953125 != -1953125 for "
+                          "SequenceSpec(coeffs=(5, 1, -5), initial=(0, 0, 1)), n=9"),
+    "matrix.addition_formula": (recurrence, "terms", term_off(recurrence.terms, 10),
+                                "index-addition identity broke for SequenceSpec(coeffs=(3, -4, "
+                                "-4, 2), initial=(0, 0, 0, 1)), m=7, n=9: 1443660 != 1439251"),
+    # a_1 = 2 for l = 3 is neither 0 mod 3 nor 1 mod 9
+    "lnum.residue_dichotomy": (lnumbers, "l_term", raised_at(lnumbers.l_term, 3, 1),
+                               "a_1 for l=3 fits neither residue class; unreachable"),
+    # doubled, every even-index term is still a multiple of l: only the
+    # gcd sees it
+    "lnum.even_index_gcd": (lnumbers, "l_terms", doubled(lnumbers.l_terms), "l=2"),
+    # (x y + 1) z + 1 != x (y z + 1) + 1 unless x = z
+    "quat.associativity": (Quaternion, "__mul__", plus_one(Quaternion.__mul__),
+                           "p=5 alpha=4 beta=1"),
+    "quat.norm_multiplicative": (Quaternion, "norm", off_by_one(Quaternion.norm),
+                                 "p=31 x=(24, 10, 25, 16) y=(9, 14, 19, 7)"),
+    # conj(x), not scaled by norm(x)^-1
+    "quat.inverse_roundtrip": (Quaternion, "inverse", Quaternion.conjugate,
+                               "p=97 x=(59, 36, 35, 24)"),
+    "quat.conj_antiautomorphism": (Quaternion, "conjugate", lambda x: x,
+                                   "p=97 x=(35, 51, 3, 74) y=(84, 67, 70, 9)"),
+    "quat.lquat_norm_identity": (quaternions, "l_quaternion_norm",
+                                 off_by_one(quaternions.l_quaternion_norm), "l=1 n=0"),
+    # doubled terms keep every norm a unit, but make it 8 mod l^2
+    "quat.unit_census": (quaternions, "l_terms", doubled(quaternions.l_terms), "l=3 r=1"),
+    # period_two reads A_n mod l, where the fault does not show
+    "quat.gap_congruences": (quaternions, "l_quaternion",
+                             scaled_from(quaternions.l_quaternion, 12), "l=3 k=2 n=0"),
+}
+
+
+@pytest.mark.parametrize("check", CHECK_FAULTS)
+def test_every_other_check_fails_on_a_fault_in_what_it_reads(monkeypatch, check):
+    owner, name, fault, counterexample = CHECK_FAULTS[check]
+    monkeypatch.setattr(owner, name, fault)
+    assert f"FAIL {check} seed=0 counterexample: {counterexample}" in [
+        r.line() for r in verify.run_suites([check.split(".")[0]], 0) if not r.passed]
+
+
+def test_residue_dichotomy_fails_a_term_in_the_other_class(monkeypatch):
+    # a_1 = 3 for l = 3 is a multiple of l, the class of the even indices
+    monkeypatch.setattr(lnumbers, "l_term", raised_at(lnumbers.l_term, 3, 1, by=2))
+    assert "FAIL lnum.residue_dichotomy seed=0 counterexample: l=3 n=1" in [
+        r.line() for r in verify.run_suites(["lnum"], 0) if not r.passed]
 
 
 RATIONAL_FAULT = {0: "a=(-2, 85) window=(39, 85)", 1: "a=(-67, 20) window=(17, 27)",
